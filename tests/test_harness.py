@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import difflab as dl
 from difflab.harness import ConfigError, RunConfig, load_run_config, nfe_to_steps, run_experiment
 
 from conftest import make_gmm
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_sliced_wasserstein_identity():
@@ -189,3 +193,28 @@ def test_run_experiment_with_afs(tmp_path):
     report = run_experiment(cfg)
     for e in report.entries:
         assert e.nfe_observed == e.nfe
+
+
+def test_committed_report_reproduces(tmp_path):
+    """Rerunning configs/eval_example.json reproduces out/eval_example/metrics.json.
+
+    Labels, budgets and counts must match exactly, every float to a relative
+    1e-9.  Byte identity of the report holds only within one environment
+    (Python, numpy and BLAS build): across environments the floats may
+    differ in their last digits.
+    """
+    cfg = load_run_config(ROOT / "configs" / "eval_example.json")
+    cfg = dataclasses.replace(cfg, model=str(ROOT / cfg.model), outdir=str(tmp_path))
+    run_experiment(cfg)
+    got = json.loads((tmp_path / "metrics.json").read_text())
+    want = json.loads((ROOT / "out" / "eval_example" / "metrics.json").read_text())
+    assert len(got["entries"]) == len(want["entries"])
+    for g, w in zip(got["entries"], want["entries"]):
+        assert [g[k] for k in ("solver", "nfe", "steps", "nfe_observed")] == [
+            w[k] for k in ("solver", "nfe", "steps", "nfe_observed")
+        ]
+        for key in ("mean_endpoint_l2", "sliced_w2"):
+            assert g[key] == pytest.approx(w[key], rel=1e-9, abs=0), (w["solver"], w["nfe"], key)
+    assert got["orders"].keys() == want["orders"].keys()
+    for label, order in want["orders"].items():
+        assert got["orders"][label] == pytest.approx(order, rel=1e-9, abs=0), label

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,75 @@ def test_denoised_identity_exact():
         ev = dl.eval_model(m, x, t)
         # same floating-point expression, so equality is exact
         np.testing.assert_array_equal(ev.denoised, x - t * ev.epsilon)
+
+
+def direct_eps(model, x, t):
+    """Noise prediction for one state, one component at a time, no expansion."""
+    var = model.stds**2 + t * t
+    logp = np.empty(model.n_components)
+    for k in range(model.n_components):
+        diff = x - model.means[k]
+        logp[k] = np.log(model.weights[k]) - 0.5 * (diff @ diff) / var[k] - 0.5 * model.dim * np.log(var[k])
+    resp = np.exp(logp - logp.max())
+    resp /= resp.sum()
+    eps = np.zeros(model.dim)
+    for k in range(model.n_components):
+        eps += resp[k] / var[k] * (x - model.means[k])
+    return t * eps
+
+
+# eval_model's precision contract against the direct form, relative to each
+# row's largest |eps|.
+EVAL_RTOL = 1e-9
+T_GRID = np.geomspace(0.002, 80.0, 9)
+
+
+def _assert_rows_close(got, want):
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= EVAL_RTOL * np.max(np.abs(w))
+
+
+def _probe_states(model, t, rows, rng):
+    """States near the modes (mu_k + t z) and spread around the mixture mean (mean + t z)."""
+    near = model.means[rng.integers(model.n_components, size=rows)]
+    spread = np.broadcast_to(model.mean, (rows, model.dim))
+    return np.concatenate([near, spread]) + t * rng.standard_normal((2 * rows, model.dim))
+
+
+@pytest.mark.parametrize("d", [2, 16, 3072])
+@pytest.mark.parametrize("k", [1, 4, 64])
+@pytest.mark.parametrize("offset", [0.0, 100.0])
+def test_eval_matches_direct_form(k, d, offset):
+    base = make_gmm(30 + k, k, d)
+    m = dl.GaussianMixture(weights=base.weights, means=base.means + offset, stds=base.stds)
+    rng = dl.stream(5, "direct", k, d)
+    rows = 1 if d == 3072 else 4
+    for t in T_GRID:
+        x = _probe_states(m, t, rows, rng)
+        want = [direct_eps(m, row, t) for row in x]
+        _assert_rows_close(dl.eval_model(m, x, t).epsilon, want)
+
+
+def _assert_evals_close(got, rows):
+    _assert_rows_close(got.epsilon, [r.epsilon for r in rows])
+    _assert_rows_close(got.denoised, [r.denoised for r in rows])
+    np.testing.assert_allclose(got.feature, [r.feature for r in rows], rtol=0, atol=EVAL_RTOL)
+
+
+def test_eval_broadcasts_one_state_over_times():
+    m = make_gmm(12, 4, 16)
+    x = dl.stream(6, "bcast").standard_normal(16) * 3.0
+    got = dl.eval_model(m, x, T_GRID)
+    assert got.epsilon.shape == (T_GRID.size, 16) and got.feature.shape == (T_GRID.size, FEATURE_DIM)
+    _assert_evals_close(got, [dl.eval_model(m, x, t) for t in T_GRID])
+
+
+def test_eval_per_row_times_match_row_calls():
+    m = make_gmm(13, 64, 16, spread=4.0)
+    rng = dl.stream(7, "rows")
+    x = m.means[rng.integers(64, size=T_GRID.size)] + T_GRID[:, None] * rng.standard_normal((T_GRID.size, 16))
+    got = dl.eval_model(m, x, T_GRID)
+    _assert_evals_close(got, [dl.eval_model(m, row, t) for row, t in zip(x, T_GRID)])
 
 
 def test_feature_is_padded_probability_vector():
@@ -226,6 +297,24 @@ def test_model_roundtrip(tmp_path):
     np.testing.assert_allclose(m2.weights, m.weights, rtol=1e-15)
     np.testing.assert_array_equal(m2.means, m.means)
     np.testing.assert_array_equal(m2.stds, m.stds)
+
+
+@pytest.mark.parametrize("key", ["weight", "mean", "std"])
+def test_load_model_names_missing_key(tmp_path, key):
+    comps = [{"weight": 1.0, "mean": [0.0, 1.0], "std": 0.5} for _ in range(3)]
+    del comps[1][key]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"components": comps}))
+    with pytest.raises(ValueError, match=rf"model\.json: component 1 has no '{key}'"):
+        dl.load_model(path)
+
+
+def test_load_model_rejects_ragged_means(tmp_path):
+    comps = [{"weight": 1.0, "mean": [0.0] * n, "std": 0.5} for n in (2, 2, 3)]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"components": comps}))
+    with pytest.raises(ValueError, match=r"model\.json: component 2: 'mean' has length 3, component 0's has 2"):
+        dl.load_model(path)
 
 
 def test_sample_data_statistics():
