@@ -25,7 +25,7 @@ def main(argv=None):
     ap.add_argument("--grid", default="0.1:1.0:0.1")
     ap.add_argument("--batch", type=int, default=64)
     ap.add_argument("--seed", type=int, default=4)
-    ap.add_argument("--oracle-substeps", type=int, default=128)
+    ap.add_argument("--oracle-substeps", type=int, default=dl.ORACLE_SUBSTEPS)
     ap.add_argument("--out-prefix", default="align")
     args = ap.parse_args(argv)
 

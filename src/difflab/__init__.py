@@ -36,6 +36,7 @@ from .rng import stream
 from .schedules import TimeSchedule, geometric_intermediate, make_schedule, refine_teacher
 from .score_models import (
     FEATURE_DIM,
+    ORACLE_SUBSTEPS,
     DivergenceError,
     GaussianMixture,
     ModelEval,

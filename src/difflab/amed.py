@@ -25,6 +25,7 @@ from .rng import stream
 from .schedules import TimeSchedule, _geom, refine_teacher
 from .score_models import (
     FEATURE_DIM,
+    ORACLE_SUBSTEPS,
     DivergenceError,
     GaussianMixture,
     eval_model,
@@ -463,7 +464,7 @@ def train(model: GaussianMixture, cfg: TrainConfig, schedule: TimeSchedule) -> T
     return TrainResult(params=params, losses=losses)
 
 
-def endpoint_errors(model, params, schedule, x_T, base=None, afs=False, substeps=128):
+def endpoint_errors(model, params, schedule, x_T, base=None, afs=False, substeps=ORACLE_SUBSTEPS):
     """Per-sample endpoint L2 distance between the learned sampler and the oracle."""
     traj = amed_sample(model, params, schedule, x_T, base=base, afs=afs)
     ref = oracle_solve(model, x_T, schedule, substeps=substeps)

@@ -26,7 +26,7 @@ from .geometry import (
 from .harness import ENV_OUTDIR, load_run_config, nfe_to_steps, run_experiment
 from .rng import stream
 from .schedules import make_schedule, write_schedule_csv
-from .score_models import load_model, oracle_solve
+from .score_models import ORACLE_SUBSTEPS, load_model, oracle_solve
 from .solvers import parse_solver_spec, sample
 from .trajectory import read_trajectory_csv, write_trajectory_csv
 
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0.1:1.0:0.1", help="lo:hi:step")
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle-substeps", type=int, default=128)
+    p.add_argument("--oracle-substeps", type=int, default=ORACLE_SUBSTEPS)
     p.add_argument("--out", default="align.csv")
     add_schedule_flags(p, default_n=6)
     p.set_defaults(func=_cmd_align)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .rng import stream
 from .schedules import TimeSchedule, _geom
-from .score_models import GaussianMixture, eval_model, oracle_solve
+from .score_models import ORACLE_SUBSTEPS, GaussianMixture, eval_model, oracle_solve
 from .solvers import SolverKind, step_dpm2, substep
 from .trajectory import Trajectory
 
@@ -368,7 +368,7 @@ class BoundReport:
 
 
 def bound_report(model: GaussianMixture, schedule: TimeSchedule, params_trained, boundcfg: BoundParams,
-                 batch: int = 64, seed: int = 0, substeps: int = 128) -> BoundReport:
+                 batch: int = 64, seed: int = 0, substeps: int = ORACLE_SUBSTEPS) -> BoundReport:
     """Compare realized per-interval step errors against f(s) + f(t) + r(s, t).
 
     For every interval the learned single step is taken from the reference

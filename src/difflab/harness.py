@@ -20,7 +20,7 @@ import numpy as np
 from .metrics import order_estimate, sliced_wasserstein
 from .rng import stream
 from .schedules import make_schedule
-from .score_models import GaussianMixture, load_model, oracle_solve, sample_data
+from .score_models import ORACLE_SUBSTEPS, GaussianMixture, load_model, oracle_solve, sample_data
 from .solvers import SolverKind, sample
 
 ENV_OUTDIR = "DIFFLAB_OUTDIR"
@@ -72,7 +72,7 @@ class RunConfig:
     batch: int = 64
     seed: int = 0
     outdir: str | None = None
-    oracle_substeps: int = 128
+    oracle_substeps: int = ORACLE_SUBSTEPS
     oracle_nodes: int = 17
     projections: int = 64
 
@@ -143,7 +143,9 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
         ref_schedule = make_schedule(
             cfg.schedule_kind, cfg.oracle_nodes, cfg.t_min, cfg.t_max, rho=cfg.rho
         )
+        t0 = time.perf_counter()
         ref_endpoint = oracle_solve(model, x_T, ref_schedule, cfg.oracle_substeps).endpoint
+        report.wallclock["oracle"] = time.perf_counter() - t0
 
         for kind in cfg.solvers:
             label = kind.label()

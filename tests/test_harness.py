@@ -130,6 +130,18 @@ def test_run_experiment_orders(tmp_path):
     assert 0.7 <= report.orders["euler_ddim"] <= 1.3
 
 
+def test_timing_sidecar_records_oracle(tmp_path):
+    m = make_gmm(7, 2, 4)
+    cfg = RunConfig(model=m, solvers=(dl.SolverKind("euler_ddim"),), nfe=(4,), batch=4, seed=0,
+                    outdir=str(tmp_path), oracle_nodes=5)
+    run_experiment(cfg)
+    timing = json.loads((tmp_path / "timing.json").read_text())
+    assert set(timing) == {"oracle", "euler_ddim@4"}
+    assert timing["oracle"] > 0
+    for name in ("metrics.csv", "metrics.json"):
+        assert "oracle" not in (tmp_path / name).read_text()
+
+
 def test_run_config_from_json(tmp_path):
     m = make_gmm(2, 2, 3)
     model_path = tmp_path / "model.json"

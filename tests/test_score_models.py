@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import difflab as dl
+from difflab.harness import load_run_config
 from difflab.score_models import FEATURE_DIM
 
 from conftest import make_gmm
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_single_gaussian_eval(single_gaussian):
@@ -210,6 +215,15 @@ def test_mixture_is_immutable():
         m.means[0, 0] = 99.0
 
 
+def test_mixture_leaves_caller_arrays_writable():
+    w, means, stds = np.array([0.25, 0.75]), np.zeros((2, 3)), np.ones(2)
+    m = dl.GaussianMixture(weights=w, means=means, stds=stds)
+    w[0], means[0, 0], stds[0] = 0.5, 9.0, 2.0
+    assert (m.weights[0], m.means[0, 0], m.stds[0]) == (0.25, 0.0, 1.0)
+    for own in (m.weights, m.means, m.stds):
+        assert not own.flags.writeable
+
+
 def test_exact_trajectory_values():
     m = dl.GaussianMixture(weights=[1.0], means=[np.zeros(2)], stds=[1.0])
     x = np.array([9.0, 0.0])
@@ -259,6 +273,46 @@ def test_oracle_fourth_order_richardson():
     e_coarse = np.linalg.norm(dl.oracle_solve(m, x, sch, 64).endpoint - exact)
     e_fine = np.linalg.norm(dl.oracle_solve(m, x, sch, 128).endpoint - exact)
     assert 8.0 < e_coarse / e_fine < 32.0
+
+
+def _richardson_error(model, x_T, schedule):
+    """Default-resolution oracle endpoints and their estimated mean row error.
+
+    RK4 is fourth order, so with S and 2S substeps the error at S is about
+    |oracle(S) - oracle(2S)| * 16/15.
+    """
+    coarse = dl.oracle_solve(model, x_T, schedule).endpoint
+    fine = dl.oracle_solve(model, x_T, schedule, 2 * dl.ORACLE_SUBSTEPS).endpoint
+    return coarse, float(np.mean(np.linalg.norm(coarse - fine, axis=-1))) * 16 / 15
+
+
+@pytest.mark.parametrize("model_file", ["gmm2_d8.json", "gmm4_d16.json"])
+def test_oracle_default_certified(model_file):
+    """The default reference errs at most 1/100 as much as the best solver.
+
+    Runs configs/eval_example.json (its seed, batch 256, 17 polynomial
+    reference nodes, five solvers at NFE 8-64) on each shipped model and
+    estimates the reference's error on the same initial states.
+    """
+    cfg = load_run_config(ROOT / "configs" / "eval_example.json")
+    model = dl.load_model(ROOT / "configs" / model_file)
+    cfg = dataclasses.replace(cfg, model=model, outdir=None)
+    assert cfg.oracle_substeps == dl.ORACLE_SUBSTEPS
+    x_T = dl.stream(cfg.seed, "x_T").standard_normal((cfg.batch, model.dim)) * cfg.t_max
+    sch = dl.make_schedule(cfg.schedule_kind, cfg.oracle_nodes, cfg.t_min, cfg.t_max, rho=cfg.rho)
+    _, oracle_err = _richardson_error(model, x_T, sch)
+    best_solver_err = min(e.mean_endpoint_l2 for e in dl.run_experiment(cfg).entries)
+    assert oracle_err <= best_solver_err / 100, (oracle_err, best_solver_err)
+
+
+def test_oracle_richardson_estimate_matches_exact_error():
+    m = dl.GaussianMixture(weights=[1.0], means=[np.full(8, 0.5)], stds=[0.5])
+    x = dl.stream(0, "x_T").standard_normal((256, 8)) * 80.0
+    sch = dl.make_schedule("polynomial", 17, 0.002, 80.0, rho=7.0)
+    coarse, estimate = _richardson_error(m, x, sch)
+    exact = dl.exact_trajectory(m, x, 0.002, 80.0)
+    true = float(np.mean(np.linalg.norm(coarse - exact, axis=-1)))
+    assert 0.5 <= estimate / true <= 2.0, (estimate, true)
 
 
 def test_oracle_records_all_nodes():
@@ -314,6 +368,16 @@ def test_load_model_rejects_ragged_means(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"components": comps}))
     with pytest.raises(ValueError, match=r"model\.json: component 2: 'mean' has length 3, component 0's has 2"):
+        dl.load_model(path)
+
+
+@pytest.mark.parametrize("key, value", [("weight", "heavy"), ("mean", [0.0, "up"]), ("std", "wide")])
+def test_load_model_names_non_numeric_value(tmp_path, key, value):
+    comps = [{"weight": 1.0, "mean": [0.0, 1.0], "std": 0.5} for _ in range(3)]
+    comps[2][key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"components": comps}))
+    with pytest.raises(ValueError, match=rf"model\.json: component 2: '{key}' must be a"):
         dl.load_model(path)
 
 
