@@ -42,7 +42,7 @@ def main(argv=None):
     grid = np.arange(lo, hi + 0.5 * step, step)
     sch = dl.make_schedule("polynomial", args.N, args.t_min, args.t_max, rho=args.rho)
     x = dl.stream(args.seed, "align").standard_normal((args.batch, model.dim)) * args.t_max
-    oracle = dl.oracle_solve(model, x, sch, substeps=args.oracle_substeps)
+    oracle = dl.reference_solve(model, x, sch, substeps=args.oracle_substeps)
 
     from difflab.geometry import write_alignment_csv
 

@@ -36,6 +36,7 @@ from .rng import stream
 from .schedules import TimeSchedule, geometric_intermediate, make_schedule, refine_teacher
 from .score_models import (
     FEATURE_DIM,
+    ORACLE_MIN_INTERVALS,
     ORACLE_SUBSTEPS,
     DivergenceError,
     GaussianMixture,
@@ -44,6 +45,7 @@ from .score_models import (
     exact_trajectory,
     load_model,
     oracle_solve,
+    reference_solve,
     sample_data,
     save_model,
 )

@@ -29,7 +29,7 @@ from .score_models import (
     DivergenceError,
     GaussianMixture,
     eval_model,
-    oracle_solve,
+    reference_solve,
 )
 from .solvers import SolverKind, StepPlan, _col, afs_direction, sample, substep
 from .trajectory import Trajectory
@@ -467,7 +467,7 @@ def train(model: GaussianMixture, cfg: TrainConfig, schedule: TimeSchedule) -> T
 def endpoint_errors(model, params, schedule, x_T, base=None, afs=False, substeps=ORACLE_SUBSTEPS):
     """Per-sample endpoint L2 distance between the learned sampler and the oracle."""
     traj = amed_sample(model, params, schedule, x_T, base=base, afs=afs)
-    ref = oracle_solve(model, x_T, schedule, substeps=substeps)
+    ref = reference_solve(model, x_T, schedule, substeps=substeps)
     return np.linalg.norm(traj.endpoint - ref.endpoint, axis=-1)
 
 

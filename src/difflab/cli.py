@@ -26,7 +26,7 @@ from .geometry import (
 from .harness import ENV_OUTDIR, load_run_config, nfe_to_steps, run_experiment
 from .rng import stream
 from .schedules import make_schedule, write_schedule_csv
-from .score_models import ORACLE_SUBSTEPS, load_model, oracle_solve
+from .score_models import ORACLE_SUBSTEPS, load_model, reference_solve
 from .solvers import parse_solver_spec, sample
 from .trajectory import read_trajectory_csv, write_trajectory_csv
 
@@ -127,7 +127,7 @@ def _cmd_align(args) -> int:
     grid = np.arange(lo, hi + 0.5 * step, step)
     schedule = make_schedule(args.schedule_kind, args.N, args.t_min, args.t_max, rho=args.rho)
     x_T = stream(args.seed, "align").standard_normal((args.batch, model.dim)) * schedule.t_max
-    oracle = oracle_solve(model, x_T, schedule, substeps=args.oracle_substeps)
+    oracle = reference_solve(model, x_T, schedule, substeps=args.oracle_substeps)
     result = grid_align(model, base, schedule, grid, oracle)
     write_alignment_csv(result, _out_path(args.out))
     print(f"wrote {args.out}; mean alignment per step: "

@@ -19,7 +19,7 @@ import numpy as np
 
 from .rng import stream
 from .schedules import TimeSchedule, _geom
-from .score_models import ORACLE_SUBSTEPS, GaussianMixture, eval_model, oracle_solve
+from .score_models import ORACLE_SUBSTEPS, GaussianMixture, eval_model, reference_solve
 from .solvers import SolverKind, step_dpm2, substep
 from .trajectory import Trajectory
 
@@ -379,7 +379,7 @@ def bound_report(model: GaussianMixture, schedule: TimeSchedule, params_trained,
 
     rng = stream(seed, "bound")
     x_T = rng.standard_normal((batch, model.dim)) * schedule.t_max
-    ref = oracle_solve(model, x_T, schedule, substeps=substeps)
+    ref = reference_solve(model, x_T, schedule, substeps=substeps)
     ts = schedule.times[::-1]
     rows = []
     total_viol = 0

@@ -20,7 +20,7 @@ import numpy as np
 from .metrics import order_estimate, sliced_wasserstein
 from .rng import stream
 from .schedules import make_schedule
-from .score_models import ORACLE_SUBSTEPS, GaussianMixture, load_model, oracle_solve, sample_data
+from .score_models import ORACLE_SUBSTEPS, GaussianMixture, load_model, reference_solve, sample_data
 from .solvers import SolverKind, sample
 
 ENV_OUTDIR = "DIFFLAB_OUTDIR"
@@ -144,7 +144,7 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
             cfg.schedule_kind, cfg.oracle_nodes, cfg.t_min, cfg.t_max, rho=cfg.rho
         )
         t0 = time.perf_counter()
-        ref_endpoint = oracle_solve(model, x_T, ref_schedule, cfg.oracle_substeps).endpoint
+        ref_endpoint = reference_solve(model, x_T, ref_schedule, cfg.oracle_substeps).endpoint
         report.wallclock["oracle"] = time.perf_counter() - t0
 
         for kind in cfg.solvers:

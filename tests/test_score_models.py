@@ -276,13 +276,13 @@ def test_oracle_fourth_order_richardson():
 
 
 def _richardson_error(model, x_T, schedule):
-    """Default-resolution oracle endpoints and their estimated mean row error.
+    """Default-resolution reference endpoints and their estimated mean row error.
 
     RK4 is fourth order, so with S and 2S substeps the error at S is about
-    |oracle(S) - oracle(2S)| * 16/15.
+    |ref(S) - ref(2S)| * 16/15.
     """
-    coarse = dl.oracle_solve(model, x_T, schedule).endpoint
-    fine = dl.oracle_solve(model, x_T, schedule, 2 * dl.ORACLE_SUBSTEPS).endpoint
+    coarse = dl.reference_solve(model, x_T, schedule).endpoint
+    fine = dl.reference_solve(model, x_T, schedule, 2 * dl.ORACLE_SUBSTEPS).endpoint
     return coarse, float(np.mean(np.linalg.norm(coarse - fine, axis=-1))) * 16 / 15
 
 
@@ -292,27 +292,55 @@ def test_oracle_default_certified(model_file):
 
     Runs configs/eval_example.json (its seed, batch 256, 17 polynomial
     reference nodes, five solvers at NFE 8-64) on each shipped model and
-    estimates the reference's error on the same initial states.
+    estimates the reference's error on the same initial states, on the
+    17-node reference grid and on the 3-, 4- and 6-node student schedules
+    that endpoint_errors, bound_report and the align command integrate on.
     """
     cfg = load_run_config(ROOT / "configs" / "eval_example.json")
     model = dl.load_model(ROOT / "configs" / model_file)
     cfg = dataclasses.replace(cfg, model=model, outdir=None)
     assert cfg.oracle_substeps == dl.ORACLE_SUBSTEPS
     x_T = dl.stream(cfg.seed, "x_T").standard_normal((cfg.batch, model.dim)) * cfg.t_max
-    sch = dl.make_schedule(cfg.schedule_kind, cfg.oracle_nodes, cfg.t_min, cfg.t_max, rho=cfg.rho)
-    _, oracle_err = _richardson_error(model, x_T, sch)
     best_solver_err = min(e.mean_endpoint_l2 for e in dl.run_experiment(cfg).entries)
-    assert oracle_err <= best_solver_err / 100, (oracle_err, best_solver_err)
+    for n in (cfg.oracle_nodes, 3, 4, 6):
+        sch = dl.make_schedule(cfg.schedule_kind, n, cfg.t_min, cfg.t_max, rho=cfg.rho)
+        _, oracle_err = _richardson_error(model, x_T, sch)
+        assert oracle_err <= best_solver_err / 100, (n, oracle_err, best_solver_err)
 
 
-def test_oracle_richardson_estimate_matches_exact_error():
+@pytest.mark.parametrize("n", [17, 4])
+def test_oracle_richardson_estimate_matches_exact_error(n):
     m = dl.GaussianMixture(weights=[1.0], means=[np.full(8, 0.5)], stds=[0.5])
     x = dl.stream(0, "x_T").standard_normal((256, 8)) * 80.0
-    sch = dl.make_schedule("polynomial", 17, 0.002, 80.0, rho=7.0)
+    sch = dl.make_schedule("polynomial", n, 0.002, 80.0, rho=7.0)
     coarse, estimate = _richardson_error(m, x, sch)
     exact = dl.exact_trajectory(m, x, 0.002, 80.0)
     true = float(np.mean(np.linalg.norm(coarse - exact, axis=-1)))
     assert 0.5 <= estimate / true <= 2.0, (estimate, true)
+
+
+def test_reference_solve_refines_coarse_schedules():
+    m = make_gmm(5, 3, 4)
+    x = dl.stream(1, "x_T").standard_normal((4, 4)) * 80.0
+    fine = dl.make_schedule("polynomial", 17, 0.002, 80.0, rho=7.0)
+    full = dl.oracle_solve(m, x, fine)
+    # 3 nodes refine to the 17-node grid itself; every 8th state is kept.
+    coarse = dl.make_schedule("polynomial", 3, 0.002, 80.0, rho=7.0)
+    ref = dl.reference_solve(m, x, coarse)
+    np.testing.assert_array_equal(ref.times, coarse.times[::-1])
+    for (t, xs), (tf, xf) in zip(ref.nodes, full.nodes[::8], strict=True):
+        assert t == tf
+        np.testing.assert_array_equal(xs, xf)
+    assert ref.nfe == full.nfe == 4 * dl.ORACLE_SUBSTEPS * 16
+    # 4 nodes (3 intervals) refine to 6 per interval, 18 in all.
+    ref4 = dl.reference_solve(m, x, dl.make_schedule("uniform", 4, 0.5, 10.0))
+    np.testing.assert_array_equal(ref4.times, dl.make_schedule("uniform", 4, 0.5, 10.0).times[::-1])
+    assert ref4.nfe == 4 * dl.ORACLE_SUBSTEPS * 18
+    # 16 or more intervals are integrated as given.
+    same = dl.reference_solve(m, x, fine, 40)
+    for (t, xs), (tf, xf) in zip(same.nodes, dl.oracle_solve(m, x, fine, 40).nodes, strict=True):
+        assert t == tf
+        np.testing.assert_array_equal(xs, xf)
 
 
 def test_oracle_records_all_nodes():
