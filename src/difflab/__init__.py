@@ -51,10 +51,10 @@ from .score_models import (
 )
 from .solvers import (
     SolverKind,
-    StepPlan,
     Trajectory,
     afs_direction,
     sample,
+    split_step,
     step_dpm2,
     step_dpmpp_2m,
     step_euler,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .rng import stream
-from .schedules import TimeSchedule, _geom, refine_teacher
+from .schedules import TimeSchedule, refine_teacher
 from .score_models import (
     FEATURE_DIM,
     ORACLE_SUBSTEPS,
@@ -31,7 +31,7 @@ from .score_models import (
     eval_model,
     reference_solve,
 )
-from .solvers import SolverKind, StepPlan, _col, afs_direction, sample, substep
+from .solvers import SolverKind, _check_interval, afs_direction, sample, split_step
 from .trajectory import Trajectory
 
 CHECKPOINT_VERSION = 1
@@ -203,11 +203,6 @@ def predictor_vjp(params: PredictorParams, cache, g_r, g_c, g_a=None) -> dict:
 _PARAM_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
-def sgd_update(params: PredictorParams, grads: dict, lr: float) -> PredictorParams:
-    """Plain gradient-descent step (kept for experiments; train() uses Adam)."""
-    return replace(params, **{k: getattr(params, k) - lr * grads[k] for k in _PARAM_FIELDS})
-
-
 class AdamState:
     """Per-parameter first/second moments with bias correction."""
 
@@ -230,44 +225,9 @@ class AdamState:
         return replace(params, **out)
 
 
-def plan_from_output(out: PredictorOutput, t_hi, t_lo) -> StepPlan:
-    s = _geom(t_lo, t_hi, out.r)
-    return StepPlan(
-        intermediates=(s,),
-        scales=(out.c,),
-        time_scales=None if out.a is None else (out.a,),
-    )
-
-
 def _zero_feature_like(x, feature_dim):
     shape = np.asarray(x).shape[:-1] + (feature_dim,)
     return np.zeros(shape)
-
-
-def _apply_single(model, x, t_hi, t_lo, r, c, a, eps1):
-    """Mean-direction update: Euler to the split point, one scaled full step."""
-    s = _geom(t_lo, t_hi, r)
-    x_s = x + _col(s - t_hi, x) * eps1
-    t_eval = s if a is None else a * s
-    eps2 = eval_model(model, x_s, t_eval).epsilon
-    x_next = x + _col(c * (t_lo - t_hi), x) * eps2
-    return x_next, [(t_eval, eps2)], None
-
-
-def _apply_plugin(model, base, x, t_hi, t_lo, r, c, a, carry, eps1):
-    """Wrap a base solver: split the interval at r, scale the second substep by c."""
-    s = _geom(t_lo, t_hi, r)
-    x_s, ev1, carry = substep(model, base, x, t_hi, s, carry, eps_cur=eps1)
-    t_eval = s if a is None else a * s
-    eps2 = eval_model(model, x_s, t_eval).epsilon
-    x_next, ev2, carry = substep(model, base, x_s, s, t_lo, carry, eps_cur=eps2, scale=c)
-    return x_next, ev1 + [(t_eval, eps2)] + ev2, carry
-
-
-def _apply_student(model, student, x, t_hi, t_lo, r, c, a, carry, eps1):
-    if student is None:
-        return _apply_single(model, x, t_hi, t_lo, r, c, a, eps1)
-    return _apply_plugin(model, student, x, t_hi, t_lo, r, c, a, carry, eps1)
 
 
 def _predict_for_step(model, params, x, t_hi, t_lo, eps_cur):
@@ -284,19 +244,19 @@ def _predict_for_step(model, params, x, t_hi, t_lo, eps_cur):
 
 def amed_step(model, params, x, t_hi, t_lo, *, eps_cur=None):
     """One learned single-step update: two evaluations, learned (r, c[, a])."""
+    _check_interval(t_hi, t_lo)  # squashing keeps r, c and a in range (PredictorParams)
     eps1, evals, out, _ = _predict_for_step(model, params, x, t_hi, t_lo, eps_cur)
-    plan = plan_from_output(out, t_hi, t_lo)
-    plan.validate(t_hi, t_lo)
-    x_next, ev2, _ = _apply_single(model, x, t_hi, t_lo, out.r, out.c, out.a, eps1)
+    x_next, ev2, _ = split_step(model, x, t_hi, t_lo, out.r, c=out.c, a=out.a, eps_cur=eps1)
     return x_next, evals + ev2
 
 
 def amed_plugin_step(model, params, base: SolverKind, x, t_hi, t_lo, carry=None, *, eps_cur=None):
     """One learned wrapped-base update; threads the base solver's history."""
+    _check_interval(t_hi, t_lo)
     eps1, evals, out, _ = _predict_for_step(model, params, x, t_hi, t_lo, eps_cur)
-    plan = plan_from_output(out, t_hi, t_lo)
-    plan.validate(t_hi, t_lo)
-    x_next, ev2, carry = _apply_plugin(model, base, x, t_hi, t_lo, out.r, out.c, out.a, carry, eps1)
+    x_next, ev2, carry = split_step(
+        model, x, t_hi, t_lo, out.r, base=base, c=out.c, a=out.a, carry=carry, eps_cur=eps1
+    )
     return x_next, evals + ev2, carry
 
 
@@ -306,8 +266,7 @@ def amed_sample(model, params, schedule, x_T, base: SolverKind | None = None, af
     use_afs = afs or (base is not None and base.afs)
     ts = schedule.times[::-1]
     nodes = [(float(ts[0]), x)]
-    evals, nfe = [], 0
-    carry = None
+    nfe, carry = 0, None
     for i in range(len(ts) - 1):
         t_hi, t_lo = float(ts[i]), float(ts[i + 1])
         eps_cur = afs_direction(x, t_hi) if (use_afs and i == 0) else None
@@ -315,12 +274,11 @@ def amed_sample(model, params, schedule, x_T, base: SolverKind | None = None, af
             x, ev = amed_step(model, params, x, t_hi, t_lo, eps_cur=eps_cur)
         else:
             x, ev, carry = amed_plugin_step(model, params, base, x, t_hi, t_lo, carry, eps_cur=eps_cur)
-        evals += ev
         nfe += len(ev)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"amed diverged in interval [{t_lo:g}, {t_hi:g}]")
         nodes.append((t_lo, x))
-    return Trajectory(nodes=nodes, evals=evals, nfe=nfe)
+    return Trajectory(nodes=nodes, nfe=nfe)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +292,7 @@ class TrainConfig:
     teacher runs on the schedule refined with m extra nodes per interval;
     student is a base solver to wrap, or None for the learned single-step
     solver.  images is the total number of start states consumed
-    (ceil(images/batch) loops).  The distance metric is fixed to L2.
+    (ceil(images/batch) loops).  The distance is L2.
 
     Updates use Adam with one moment state per interval: the per-interval
     losses live on scales that differ by orders of magnitude (states near
@@ -351,7 +309,6 @@ class TrainConfig:
     images: int = 10_000
     lr: float = 3e-3
     seed: int = 0
-    metric: str = "l2"
     learn_time_scale: bool = False
     hidden: int = 64
     emb_dim: int = 16
@@ -363,8 +320,6 @@ class TrainConfig:
             raise ValueError("lr must be non-negative")
         if self.batch < 1 or self.images < 1:
             raise ValueError("batch and images must be positive")
-        if self.metric != "l2":
-            raise ValueError("the only supported distance metric is 'l2'")
 
 
 @dataclass
@@ -382,27 +337,34 @@ _FD_BOUNDS = {
 
 def step_loss(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur=None) -> float:
     """Batch-mean L2 gap to the teacher state after one student step."""
+    _check_interval(t_hi, t_lo)
     eps1, _, out, _ = _predict_for_step(model, params, x, t_hi, t_lo, eps_cur)
-    x_next, _, _ = _apply_student(model, student, x, t_hi, t_lo, out.r, out.c, out.a, carry, eps1)
+    x_next, _, _ = split_step(
+        model, x, t_hi, t_lo, out.r, base=student, c=out.c, a=out.a, carry=carry, eps_cur=eps1
+    )
     return float(np.mean(np.linalg.norm(x_next - y, axis=-1)))
 
 
 def step_loss_grad(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur=None):
     """Loss, assembled parameter gradient, and the student's own continuation.
 
-    The gradient chains exact predictor backprop with central finite
-    differences of the loss with respect to the scalar outputs (relative step
-    1e-3).  Costs at most six extra step applications.
+    Returns ``(loss, grads, x_next, carry_next)``.  The gradient chains exact
+    predictor backprop with central finite differences of the loss with
+    respect to the scalar outputs (relative step 1e-3).  Costs at most six
+    extra step applications.
     """
-    eps1, evals, out, cache = _predict_for_step(model, params, x, t_hi, t_lo, eps_cur)
-    x_next, ev2, carry_next = _apply_student(
-        model, student, x, t_hi, t_lo, out.r, out.c, out.a, carry, eps1
-    )
+    _check_interval(t_hi, t_lo)
+    eps1, _, out, cache = _predict_for_step(model, params, x, t_hi, t_lo, eps_cur)
+    vals = {"r": out.r, "c": out.c, "a": out.a}
+
+    def step(v):
+        return split_step(model, x, t_hi, t_lo, base=student, carry=carry, eps_cur=eps1, **v)
+
+    x_next, _, carry_next = step(vals)
     norms = np.linalg.norm(np.asarray(x_next) - y, axis=-1)
     loss = float(np.mean(norms))
     n_samples = max(1, norms.size)
 
-    vals = {"r": out.r, "c": out.c, "a": out.a}
     sens = {}
     for name in ("r", "c", "a"):
         v = vals[name]
@@ -412,17 +374,13 @@ def step_loss_grad(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur
         delta = 1e-3 * np.maximum(np.abs(v), 1e-3)
         vp = np.clip(v + delta, lo, hi)
         vm = np.clip(v - delta, lo, hi)
-        args_p = {**vals, name: vp}
-        args_m = {**vals, name: vm}
-        xp, _, _ = _apply_student(model, student, x, t_hi, t_lo, args_p["r"], args_p["c"], args_p["a"], carry, eps1)
-        xm, _, _ = _apply_student(model, student, x, t_hi, t_lo, args_m["r"], args_m["c"], args_m["a"], carry, eps1)
-        np_ = np.linalg.norm(np.asarray(xp) - y, axis=-1)
-        nm_ = np.linalg.norm(np.asarray(xm) - y, axis=-1)
+        np_ = np.linalg.norm(np.asarray(step({**vals, name: vp})[0]) - y, axis=-1)
+        nm_ = np.linalg.norm(np.asarray(step({**vals, name: vm})[0]) - y, axis=-1)
         denom = np.asarray(vp - vm)
         denom = np.where(denom == 0, 1.0, denom)
         sens[name] = (np_ - nm_) / denom / n_samples
     grads = predictor_vjp(params, cache, sens["r"], sens["c"], sens.get("a"))
-    return loss, grads, x_next, evals + ev2, carry_next
+    return loss, grads, x_next, carry_next
 
 
 def train(model: GaussianMixture, cfg: TrainConfig, schedule: TimeSchedule) -> TrainResult:
@@ -454,7 +412,7 @@ def train(model: GaussianMixture, cfg: TrainConfig, schedule: TimeSchedule) -> T
         for k in range(n - 1):
             t_hi, t_lo = float(ts[k]), float(ts[k + 1])
             y = teacher.nodes[(k + 1) * (cfg.m + 1)][1]
-            loss, grads, x, _, carry = step_loss_grad(
+            loss, grads, x, carry = step_loss_grad(
                 model, params, cfg.student, x, t_hi, t_lo, y, carry
             )
             if not np.isfinite(loss):

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import stream
-from .schedules import TimeSchedule, _geom
-from .score_models import ORACLE_SUBSTEPS, GaussianMixture, eval_model, reference_solve
-from .solvers import SolverKind, step_dpm2, substep
+from .schedules import TimeSchedule
+from .score_models import ORACLE_SUBSTEPS, GaussianMixture, reference_solve
+from .solvers import SolverKind, split_step, step_dpm2, substep
 from .trajectory import Trajectory
 
 
@@ -143,11 +143,8 @@ def _search_step(model, base: SolverKind, x, t_hi, t_lo, r, carry):
         return x2, None
     if np.all(np.asarray(r) == 1.0):
         x2, _, carry = substep(model, base, x, t_hi, t_lo, carry)
-        return x2, carry
-    eps1 = eval_model(model, x, t_hi).epsilon
-    s = _geom(t_lo, t_hi, r)
-    x_s, _, carry = substep(model, base, x, t_hi, s, carry, eps_cur=eps1)
-    x2, _, carry = substep(model, base, x_s, s, t_lo, carry)
+    else:
+        x2, _, carry = split_step(model, x, t_hi, t_lo, r, base=base, carry=carry)
     return x2, carry
 
 
@@ -199,24 +196,19 @@ def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Tr
 
 
 def _gather_carry(carries, pick, n_b):
-    """Per-sample selection among candidate solver-history states."""
-    first = carries[0]
-    if first is None:
+    """Per-sample selection among candidate history tuples; scalar entries broadcast."""
+    if carries[0] is None:
         return None
+    if len({len(c) for c in carries}) != 1:
+        raise ValueError(
+            "split search mixes degenerate (r=1) and interior candidates for a "
+            "history-based solver; use a grid inside (0, 1) instead"
+        )
     idx = np.arange(n_b)
-    if isinstance(first, tuple):   # (t_prev, denoised_prev)
-        t_parts = [np.broadcast_to(np.asarray(c[0], dtype=np.float64), (n_b,)) for c in carries]
-        d_parts = [c[1] for c in carries]
-        return (np.stack(t_parts)[pick, idx], np.stack(d_parts)[pick, idx])
-    if isinstance(first, list):
-        lengths = {len(c) for c in carries}
-        if len(lengths) != 1:
-            raise ValueError(
-                "split search mixes degenerate (r=1) and interior candidates for a "
-                "history-based solver; use a grid inside (0, 1) instead"
-            )
-        return [np.stack([c[j] for c in carries])[pick, idx] for j in range(len(first))]
-    raise TypeError(f"unsupported carry type {type(first)!r}")
+    return tuple(
+        np.stack([np.broadcast_to(c[j], (n_b,) + np.shape(c[j])[1:]) for c in carries])[pick, idx]
+        for j in range(len(carries[0]))
+    )
 
 
 def write_alignment_csv(result: AlignmentResult, path) -> None:

@@ -224,7 +224,7 @@ def oracle_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_S
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"oracle diverged in interval [{t_lo:g}, {t_hi:g}]")
         nodes.append((t_lo, x))
-    return Trajectory(nodes=nodes, evals=[], nfe=4 * substeps * (len(ts) - 1))
+    return Trajectory(nodes=nodes, nfe=4 * substeps * (len(ts) - 1))
 
 
 def reference_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_SUBSTEPS) -> Trajectory:
@@ -242,7 +242,7 @@ def reference_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACL
     if m == 0:
         return oracle_solve(model, x_T, schedule, substeps)
     fine = oracle_solve(model, x_T, refine_teacher(schedule, m), substeps)
-    return Trajectory(nodes=fine.nodes[:: m + 1], evals=[], nfe=fine.nfe)
+    return Trajectory(nodes=fine.nodes[:: m + 1], nfe=fine.nfe)
 
 
 def sample_data(model: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,6 +7,16 @@ exist for composition: ``eps_cur`` injects a precomputed (or analytically
 substituted) slope at the current state, and ``scale`` multiplies the step's
 direction term, which is how a learned per-step rescaling wraps a base solver.
 Times may be scalars or per-sample arrays broadcast against a batched state.
+
+``split_step`` is the one interval-split primitive; each solver that splits
+an interval is one choice of its parameters (r, w, c, a, base), the rest
+left at their defaults (w = c = 1, a and base None):
+
+    step_dpm2            r,                 w = 1/(2r), c = scale
+    step_heun            r = 1,             w = 1/2,    c = scale
+    amed_step            learned r, c[, a]
+    amed_plugin_step     learned r, c[, a], base = the wrapped solver
+    geometry.grid_align  searched r,        base = any solver but dpm2
 """
 
 from __future__ import annotations
@@ -66,28 +76,6 @@ class SolverKind:
         return self.tag
 
 
-@dataclass(frozen=True)
-class StepPlan:
-    """Intermediate times and scaling factors consumed by one composite step."""
-
-    intermediates: tuple
-    scales: tuple
-    time_scales: tuple | None = None
-
-    def validate(self, t_hi, t_lo) -> None:
-        for s in self.intermediates:
-            if not (np.all(np.asarray(s) > t_lo) and np.all(np.asarray(s) < t_hi)):
-                raise ValueError("intermediate time must lie strictly inside the interval")
-        for c in self.scales:
-            c = np.asarray(c)
-            if not (np.all(np.isfinite(c)) and np.all(c > 0)):
-                raise ValueError("scales must be positive and finite")
-        if self.time_scales is not None:
-            for a in self.time_scales:
-                if not np.all(np.isfinite(np.asarray(a))):
-                    raise ValueError("time scales must be finite")
-
-
 def _col(u, x) -> np.ndarray:
     """Broadcast a scalar-or-batched time quantity against state columns."""
     u = np.asarray(u, dtype=np.float64)
@@ -122,15 +110,35 @@ def step_euler(model, x, t_hi, t_lo, *, eps_cur=None, scale=1.0):
     return x_next, evals
 
 
+def split_step(model, x, t_hi, t_lo, r, *, base=None, w=1.0, c=1.0, a=None, carry=None, eps_cur=None):
+    """Split the interval at s = t_lo^r * t_hi^(1-r), evaluate there, finish scaled.
+
+    With no base: Euler to s, evaluate at (x_s, a*s) and return
+    x + (t_lo - t_hi) * c * (w * eps_s + (1 - w) * eps_cur).  With a base
+    solver: the base's substep to s on the current slope, evaluate, then the
+    base's substep from s to t_lo on the new slope, scaled by c; carry threads
+    the base's history.  a=None evaluates at s itself.  Returns
+    ``(x_next, evals, carry)``.  The caller validates the interval and r.
+    """
+    eps1, evals = _current(model, x, t_hi, eps_cur)
+    s = _geom(t_lo, t_hi, r)
+    t_eval = s if a is None else a * s
+    if base is None:
+        x_s = x + _col(s - t_hi, x) * eps1
+        eps2 = eval_model(model, x_s, t_eval).epsilon
+        combo = _col(w, x) * eps2 + _col(1.0 - w, x) * eps1
+        x_next = x + _col(t_lo - t_hi, x) * (_col(c, x) * combo)
+        return x_next, evals + [(t_eval, eps2)], None
+    x_s, ev1, carry = substep(model, base, x, t_hi, s, carry, eps_cur=eps1)
+    eps2 = eval_model(model, x_s, t_eval).epsilon
+    x_next, ev2, carry = substep(model, base, x_s, s, t_lo, carry, eps_cur=eps2, scale=c)
+    return x_next, evals + ev1 + [(t_eval, eps2)] + ev2, carry
+
+
 def step_heun(model, x, t_hi, t_lo, *, eps_cur=None, scale=1.0):
     """Trapezoidal correction: Euler predictor, then average the two slopes."""
     _check_interval(t_hi, t_lo)
-    eps1, evals = _current(model, x, t_hi, eps_cur)
-    h = _col(t_lo - t_hi, x)
-    x_pred = x + h * eps1
-    eps2 = eval_model(model, x_pred, t_lo).epsilon
-    evals = evals + [(t_lo, eps2)]
-    x_next = x + h * (_col(scale, x) * (0.5 * eps2 + 0.5 * eps1))
+    x_next, evals, _ = split_step(model, x, t_hi, t_lo, 1.0, w=0.5, c=scale, eps_cur=eps_cur)
     return x_next, evals
 
 
@@ -145,14 +153,7 @@ def step_dpm2(model, x, t_hi, t_lo, r=0.5, *, eps_cur=None, scale=1.0):
     r = np.asarray(r, dtype=np.float64)
     if not (np.all(r > 0) and np.all(r <= 1)):
         raise ValueError("r must lie in (0, 1]")
-    eps1, evals = _current(model, x, t_hi, eps_cur)
-    s = _geom(t_lo, t_hi, r)
-    x_s = x + _col(s - t_hi, x) * eps1
-    eps2 = eval_model(model, x_s, s).epsilon
-    evals = evals + [(s, eps2)]
-    w_mid = 1.0 / (2.0 * r)
-    combo = _col(w_mid, x) * eps2 + _col(1.0 - w_mid, x) * eps1
-    x_next = x + _col(t_lo - t_hi, x) * (_col(scale, x) * combo)
+    x_next, evals, _ = split_step(model, x, t_hi, t_lo, r, w=1.0 / (2.0 * r), c=scale, eps_cur=eps_cur)
     return x_next, evals
 
 
@@ -210,8 +211,9 @@ def step_dpmpp_2m(model, x, t_hi, t_lo, prev=None, *, eps_cur=None, scale=1.0):
 def substep(model, kind: SolverKind, x, t_hi, t_lo, carry=None, *, eps_cur=None, scale=1.0):
     """Apply one update of ``kind`` and thread its multistep state.
 
-    carry is the solver's history (past slopes for ipndm, the (t, denoised)
-    pair for dpmpp_2m, None otherwise); the updated carry is returned.
+    carry is the solver's history, a tuple (past slopes, newest first, for
+    ipndm; (t, denoised) for dpmpp_2m) or None for single-step solvers; the
+    updated carry is returned.
     """
     tag = kind.tag
     if tag == "euler_ddim":
@@ -224,13 +226,12 @@ def substep(model, kind: SolverKind, x, t_hi, t_lo, carry=None, *, eps_cur=None,
         x2, ev = step_dpm2(model, x, t_hi, t_lo, kind.r, eps_cur=eps_cur, scale=scale)
         return x2, ev, None
     if tag == "ipndm":
-        hist = list(carry) if carry else []
+        hist = carry or ()
         x2, ev = step_ipndm(
             model, x, t_hi, t_lo, hist, eps_cur=eps_cur, scale=scale, max_order=kind.order
         )
         d_used = eps_cur if eps_cur is not None else ev[0][1]
-        new_hist = ([d_used] + hist)[: kind.order - 1]
-        return x2, ev, new_hist
+        return x2, ev, ((d_used,) + hist)[: kind.order - 1]
     if tag == "dpmpp_2m":
         x2, ev = step_dpmpp_2m(model, x, t_hi, t_lo, prev=carry, eps_cur=eps_cur, scale=scale)
         eps_used = eps_cur if eps_cur is not None else ev[0][1]
@@ -250,18 +251,16 @@ def sample(model: GaussianMixture, kind: SolverKind, schedule, x_T) -> Trajector
         raise ValueError(f"state has dim {x.shape[-1]}, model has dim {model.dim}")
     ts = schedule.times[::-1]
     nodes = [(float(ts[0]), x)]
-    evals, nfe = [], 0
-    carry = None
+    nfe, carry = 0, None
     for i in range(len(ts) - 1):
         t_hi, t_lo = float(ts[i]), float(ts[i + 1])
         eps_cur = afs_direction(x, t_hi) if (kind.afs and i == 0) else None
         x, ev, carry = substep(model, kind, x, t_hi, t_lo, carry, eps_cur=eps_cur)
-        evals += ev
         nfe += len(ev)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"{kind.tag} diverged in interval [{t_lo:g}, {t_hi:g}]")
         nodes.append((t_lo, x))
-    return Trajectory(nodes=nodes, evals=evals, nfe=nfe)
+    return Trajectory(nodes=nodes, nfe=nfe)
 
 
 def parse_solver_spec(spec: str, afs: bool = False) -> SolverKind:

@@ -12,13 +12,11 @@ class Trajectory:
     """States recorded at every schedule node, in descending time order.
 
     nodes   -- list of (t, x); x may carry a leading batch dimension.
-    evals   -- the (t_eval, eps) model evaluations consumed, in call order.
     nfe     -- per-trajectory count of model evaluations (an analytically
                substituted first evaluation counts as zero).
     """
 
     nodes: list = field(default_factory=list)
-    evals: list = field(default_factory=list)
     nfe: int = 0
 
     @property
@@ -64,4 +62,4 @@ def read_trajectory_csv(path) -> Trajectory:
                 continue
             vals = [float(v) for v in line.split(",")]
             nodes.append((vals[0], np.array(vals[1:], dtype=np.float64)))
-    return Trajectory(nodes=nodes, evals=[], nfe=0)
+    return Trajectory(nodes=nodes, nfe=0)

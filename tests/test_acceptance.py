@@ -237,7 +237,7 @@ def test_c10_fd_gradient_oracle():
     )
     x = dl.stream(2, "c10x").standard_normal((5, 2)) * 10.0
     y = dl.stream(3, "c10y").standard_normal((5, 2))
-    _, grads, _, _, _ = step_loss_grad(model, params, None, x, 10.0, 2.0, y)
+    _, grads, _, _ = step_loss_grad(model, params, None, x, 10.0, 2.0, y)
     assembled, full = [], []
     for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
         a = getattr(params, name)

@@ -16,7 +16,7 @@ def line_trajectory(n=8, d=5):
     direction = np.arange(1.0, d + 1.0)
     ts = np.linspace(10.0, 1.0, n)
     nodes = [(t, 0.3 * t * direction + 2.0) for t in ts]
-    return Trajectory(nodes=nodes, evals=[], nfe=0)
+    return Trajectory(nodes=nodes, nfe=0)
 
 
 def plane_trajectory(n=10, d=6):
@@ -25,7 +25,7 @@ def plane_trajectory(n=10, d=6):
     v = rng.standard_normal(d)
     ts = np.linspace(5.0, 0.5, n)
     nodes = [(t, math.sin(t) * u + math.cos(2 * t) * v) for t in ts]
-    return Trajectory(nodes=nodes, evals=[], nfe=0)
+    return Trajectory(nodes=nodes, nfe=0)
 
 
 def test_pca_orthonormal_and_sorted():
@@ -169,6 +169,20 @@ def test_grid_align_multistep_bases(gmm2_d8, poly_schedule):
         res = dl.grid_align(gmm2_d8, dl.SolverKind(tag), poly_schedule, [0.3, 0.5, 0.7], oracle)
         assert np.all(np.isfinite(res.alignment))
         assert np.all(res.alignment[0] >= -1e-12)
+
+
+@pytest.mark.parametrize("tag,grid", [("ipndm", [0.3, 0.5, 0.7]), ("dpmpp_2m", [0.3, 0.5, 0.7, 1.0])])
+def test_grid_align_batched_matches_rows(gmm2_d8, poly_schedule, tag, grid):
+    # the per-sample gather of the history carry must follow each row's own picks
+    x = dl.stream(10, "rows").standard_normal((6, 8)) * 80.0
+    oracle = dl.oracle_solve(gmm2_d8, x, poly_schedule, 64)
+    kind = dl.SolverKind(tag)
+    batched = dl.grid_align(gmm2_d8, kind, poly_schedule, grid, oracle)
+    for i in range(x.shape[0]):
+        row = Trajectory(nodes=[(t, xs[i]) for t, xs in oracle.nodes], nfe=oracle.nfe)
+        single = dl.grid_align(gmm2_d8, kind, poly_schedule, grid, row)
+        np.testing.assert_array_equal(batched.best_r[:, i], single.best_r[:, 0])
+        np.testing.assert_allclose(batched.alignment[:, i], single.alignment[:, 0], rtol=1e-9, atol=0)
 
 
 def test_alignment_csv(tmp_path, gmm2_d8, poly_schedule):
