@@ -5,7 +5,6 @@ from .amed import (
     PredictorParams,
     TrainConfig,
     TrainResult,
-    amed_plugin_step,
     amed_sample,
     amed_step,
     endpoint_errors,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .score_models import (
     eval_model,
     reference_solve,
 )
-from .solvers import SolverKind, _check_interval, afs_direction, sample, split_step
+from .solvers import SolverKind, _check_interval, _walk_schedule, sample, split_step
 from .trajectory import Trajectory
 
 CHECKPOINT_VERSION = 1
@@ -231,54 +232,36 @@ def _zero_feature_like(x, feature_dim):
 
 
 def _predict_for_step(model, params, x, t_hi, t_lo, eps_cur):
-    """Current slope, feature and predictor outputs for one interval."""
+    """Current slope, its model calls, and the predictor outputs for one interval."""
     if eps_cur is None:
         ev0 = eval_model(model, x, t_hi)
-        eps1, feat, evals = ev0.epsilon, ev0.feature, [(t_hi, ev0.epsilon)]
+        eps1, feat, nfe = ev0.epsilon, ev0.feature, 1
     else:
         # Analytically substituted first slope: no evaluation, no feature.
-        eps1, feat, evals = np.asarray(eps_cur, dtype=np.float64), _zero_feature_like(x, params.feature_dim), []
+        eps1, feat, nfe = np.asarray(eps_cur, dtype=np.float64), _zero_feature_like(x, params.feature_dim), 0
     out, cache = predict_with_cache(params, feat, t_hi, t_lo)
-    return eps1, evals, out, cache
+    return eps1, nfe, out, cache
 
 
-def amed_step(model, params, x, t_hi, t_lo, *, eps_cur=None):
-    """One learned single-step update: two evaluations, learned (r, c[, a])."""
+def amed_step(model, params, x, t_hi, t_lo, carry=None, *, base=None, eps_cur=None):
+    """One learned update with the predicted (r, c[, a]); returns (x_next, nfe, carry).
+
+    base=None is the learned single-step solver (two evaluations); with a
+    base solver it is the plugin, and carry threads the base's history.
+    """
     _check_interval(t_hi, t_lo)  # squashing keeps r, c and a in range (PredictorParams)
-    eps1, evals, out, _ = _predict_for_step(model, params, x, t_hi, t_lo, eps_cur)
-    x_next, ev2, _ = split_step(model, x, t_hi, t_lo, out.r, c=out.c, a=out.a, eps_cur=eps1)
-    return x_next, evals + ev2
-
-
-def amed_plugin_step(model, params, base: SolverKind, x, t_hi, t_lo, carry=None, *, eps_cur=None):
-    """One learned wrapped-base update; threads the base solver's history."""
-    _check_interval(t_hi, t_lo)
-    eps1, evals, out, _ = _predict_for_step(model, params, x, t_hi, t_lo, eps_cur)
-    x_next, ev2, carry = split_step(
+    eps1, nfe, out, _ = _predict_for_step(model, params, x, t_hi, t_lo, eps_cur)
+    x_next, n, carry = split_step(
         model, x, t_hi, t_lo, out.r, base=base, c=out.c, a=out.a, carry=carry, eps_cur=eps1
     )
-    return x_next, evals + ev2, carry
+    return x_next, nfe + n, carry
 
 
 def amed_sample(model, params, schedule, x_T, base: SolverKind | None = None, afs: bool = False) -> Trajectory:
     """Run the learned solver (base=None) or the learned plugin over a schedule."""
     x = np.asarray(x_T, dtype=np.float64)
     use_afs = afs or (base is not None and base.afs)
-    ts = schedule.times[::-1]
-    nodes = [(float(ts[0]), x)]
-    nfe, carry = 0, None
-    for i in range(len(ts) - 1):
-        t_hi, t_lo = float(ts[i]), float(ts[i + 1])
-        eps_cur = afs_direction(x, t_hi) if (use_afs and i == 0) else None
-        if base is None:
-            x, ev = amed_step(model, params, x, t_hi, t_lo, eps_cur=eps_cur)
-        else:
-            x, ev, carry = amed_plugin_step(model, params, base, x, t_hi, t_lo, carry, eps_cur=eps_cur)
-        nfe += len(ev)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"amed diverged in interval [{t_lo:g}, {t_hi:g}]")
-        nodes.append((t_lo, x))
-    return Trajectory(nodes=nodes, nfe=nfe)
+    return _walk_schedule(partial(amed_step, model, params, base=base), schedule, x, use_afs, "amed")
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +293,6 @@ class TrainConfig:
     lr: float = 3e-3
     seed: int = 0
     learn_time_scale: bool = False
-    hidden: int = 64
-    emb_dim: int = 16
 
     def __post_init__(self):
         if self.m < 1:
@@ -391,13 +372,7 @@ def train(model: GaussianMixture, cfg: TrainConfig, schedule: TimeSchedule) -> T
     every interval (N-1 updates per loop), and continuing from the student's
     own states.  Bit-reproducible for a fixed seed.
     """
-    params = PredictorParams.init(
-        stream(cfg.seed, "init"),
-        feature_dim=FEATURE_DIM,
-        hidden=cfg.hidden,
-        emb_dim=cfg.emb_dim,
-        outputs=3 if cfg.learn_time_scale else 2,
-    )
+    params = PredictorParams.init(stream(cfg.seed, "init"), outputs=3 if cfg.learn_time_scale else 2)
     fine = refine_teacher(schedule, cfg.m)
     ts = schedule.times[::-1]
     n = schedule.n
@@ -436,7 +411,7 @@ def endpoint_errors(model, params, schedule, x_T, base=None, afs=False, substeps
 def save_predictor(params: PredictorParams, path) -> None:
     """Versioned JSON checkpoint: shapes plus row-major weight data, full doubles."""
     doc = {"version": CHECKPOINT_VERSION, "emb_dim": params.emb_dim, "arrays": {}}
-    for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+    for name in _PARAM_FIELDS:
         a = getattr(params, name)
         doc["arrays"][name] = {"shape": list(a.shape), "data": a.ravel(order="C").tolist()}
     with open(path, "w") as f:
@@ -445,11 +420,33 @@ def save_predictor(params: PredictorParams, path) -> None:
 
 
 def load_predictor(path) -> PredictorParams:
+    """Read a save_predictor checkpoint; malformed content raises ValueError naming path and key."""
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a predictor checkpoint")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
+    emb_dim = doc.get("emb_dim")
+    if type(emb_dim) is not int:
+        raise ValueError(f"{path}: key 'emb_dim' must be an integer, got {emb_dim!r}")
+    specs = doc.get("arrays")
+    if not isinstance(specs, dict):
+        raise ValueError(f"{path}: key 'arrays' must map array names to specs")
+    missing = [k for k in _PARAM_FIELDS if k not in specs]
+    extra = sorted(set(specs) - set(_PARAM_FIELDS))
+    if missing or extra:
+        raise ValueError(f"{path}: arrays missing {missing}, unexpected {extra}")
     arrays = {}
-    for name, spec in doc["arrays"].items():
-        arrays[name] = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
-    return PredictorParams(emb_dim=int(doc["emb_dim"]), **arrays)
+    for name in _PARAM_FIELDS:
+        spec = specs[name]
+        if not isinstance(spec, dict) or "shape" not in spec or "data" not in spec:
+            raise ValueError(f"{path}: arrays.{name} needs 'shape' and 'data'")
+        try:
+            arrays[name] = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: arrays.{name}: {e}") from None
+    try:
+        return PredictorParams(emb_dim=emb_dim, **arrays)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

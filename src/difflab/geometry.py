@@ -137,15 +137,13 @@ def _search_step(model, base: SolverKind, x, t_hi, t_lo, r, carry):
     dpm2 consumes r natively; other solvers are split into two substeps at
     the corresponding intermediate point with neutral scaling.  r = 1
     collapses the split onto the interval bottom, leaving a single substep.
+    Returns the step's ``(x_next, nfe, carry)``.
     """
     if base.tag == "dpm2":
-        x2, _ = step_dpm2(model, x, t_hi, t_lo, r)
-        return x2, None
+        return step_dpm2(model, x, t_hi, t_lo, r)
     if np.all(np.asarray(r) == 1.0):
-        x2, _, carry = substep(model, base, x, t_hi, t_lo, carry)
-    else:
-        x2, _, carry = split_step(model, x, t_hi, t_lo, r, base=base, carry=carry)
-    return x2, carry
+        return substep(model, base, x, t_hi, t_lo, carry)
+    return split_step(model, x, t_hi, t_lo, r, base=base, carry=carry)
 
 
 def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Trajectory) -> AlignmentResult:
@@ -179,15 +177,15 @@ def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Tr
     for i in range(steps):
         t_hi, t_lo = float(ts[i]), float(ts[i + 1])
         y = np.asarray(oracle.nodes[i + 1][1], dtype=np.float64)
-        x_base, carry_base = _search_step(model, base, x_base, t_hi, t_lo, 0.5, carry_base)
+        x_base, _, carry_base = _search_step(model, base, x_base, t_hi, t_lo, 0.5, carry_base)
         cands = [_search_step(model, base, x_sea, t_hi, t_lo, r, carry_sea) for r in grid]
-        dists = np.stack([np.linalg.norm(xc - y, axis=-1) for xc, _ in cands])
+        dists = np.stack([np.linalg.norm(xc - y, axis=-1) for xc, _, _ in cands])
         pick = np.argmin(dists, axis=0)
         if batched:
-            x_sea = np.stack([xc for xc, _ in cands])[pick, np.arange(n_b)]
-            carry_sea = _gather_carry([c for _, c in cands], pick, n_b)
+            x_sea = np.stack([xc for xc, _, _ in cands])[pick, np.arange(n_b)]
+            carry_sea = _gather_carry([c for _, _, c in cands], pick, n_b)
         else:
-            x_sea, carry_sea = cands[int(pick)]
+            x_sea, _, carry_sea = cands[int(pick)]
         d_base = np.linalg.norm(x_base - y, axis=-1)
         d_sea = np.linalg.norm(x_sea - y, axis=-1)
         best_r[i] = np.array(grid)[pick]
@@ -377,7 +375,7 @@ def bound_report(model: GaussianMixture, schedule: TimeSchedule, params_trained,
     total_viol = 0
     for i in range(schedule.n - 1):
         t_hi, t_lo = float(ts[i]), float(ts[i + 1])
-        x_a, _ = amed_step(model, params_trained, ref.nodes[i][1], t_hi, t_lo)
+        x_a, _, _ = amed_step(model, params_trained, ref.nodes[i][1], t_hi, t_lo)
         actual = np.linalg.norm(ref.nodes[i + 1][1] - x_a, axis=-1)
         bound = (
             float(logistic_bound(boundcfg, t_lo))

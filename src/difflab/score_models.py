@@ -4,10 +4,11 @@ Under the variance-exploding convention used throughout (noise scale equal to
 time, zero drift), perturbing an isotropic mixture component with standard
 deviation s by noise level t gives another isotropic Gaussian with variance
 s^2 + t^2.  The marginal score is therefore available in closed form, and with
-it the noise prediction eps(x, t) = -t * score and the data prediction
-denoised = x - t * eps.  Each evaluation also exposes a feature vector (the
-posterior component responsibilities, zero-padded to a fixed width) playing
-the role a network's bottleneck activation would play for a learned model.
+it the noise prediction eps(x, t) = -t * score; the data prediction
+x - t * eps is formed by the solvers that use it.  Each evaluation also
+exposes a feature vector (the posterior component responsibilities,
+zero-padded to a fixed width) playing the role a network's bottleneck
+activation would play for a learned model.
 
 Cost model of ``eval_model``: two matrix products of the (batch, d) states
 with the (d, K) component means per call and O(batch * (K + d)) memory; no
@@ -114,15 +115,13 @@ class GaussianMixture:
 
 @dataclass(frozen=True)
 class ModelEval:
-    """One model evaluation: noise prediction, data prediction, feature vector.
+    """One model evaluation: noise prediction and feature vector.
 
-    The identity denoised = x - t * epsilon holds by construction (same
-    floating-point expression), and feature is a probability vector over
-    mixture components padded to FEATURE_DIM.
+    feature is a probability vector over mixture components padded to
+    FEATURE_DIM.
     """
 
     epsilon: np.ndarray
-    denoised: np.ndarray
     feature: np.ndarray
 
 
@@ -161,13 +160,12 @@ def eval_model(model: GaussianMixture, x, t) -> ModelEval:
 
     a = resp / var
     eps = tt * (xc * a.sum(axis=-1, keepdims=True) - a @ model._means_ct.T)
-    denoised = x - tt * eps
 
     k = min(model.n_components, FEATURE_DIM)
     feature = np.zeros(resp.shape[:-1] + (FEATURE_DIM,))
     if not model.zero_feature:
         feature[..., :k] = resp[..., :k]
-    return ModelEval(epsilon=eps, denoised=denoised, feature=feature)
+    return ModelEval(epsilon=eps, feature=feature)
 
 
 def exact_trajectory(model: GaussianMixture, x_T, t: float, T: float) -> np.ndarray:

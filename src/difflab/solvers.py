@@ -1,12 +1,14 @@
 """Baseline ODE solvers under a single stepping interface.
 
 Every solver advances the flow ODE dx/dt = eps(x, t) from a higher time t_hi
-to a lower time t_lo.  Step functions return ``(x_next, evals)`` where evals
-lists the (t, eps) model evaluations performed inside the step.  Two hooks
-exist for composition: ``eps_cur`` injects a precomputed (or analytically
-substituted) slope at the current state, and ``scale`` multiplies the step's
-direction term, which is how a learned per-step rescaling wraps a base solver.
-Times may be scalars or per-sample arrays broadcast against a batched state.
+to a lower time t_lo.  Every step returns ``(x_next, nfe, carry)``: nfe counts
+the model calls it made, carry is the history the next step consumes (None
+for single-step solvers, the newest-first past slopes up to order - 1 for
+ipndm, (t_hi, denoised) for dpmpp_2m).  Two hooks exist for composition:
+``eps_cur`` injects a precomputed (or analytically substituted) slope at the
+current state at no model call, and ``scale`` multiplies the step's direction
+term, which is how a learned per-step rescaling wraps a base solver.  Times
+may be scalars or per-sample arrays broadcast against a batched state.
 
 ``split_step`` is the one interval-split primitive; each solver that splits
 an interval is one choice of its parameters (r, w, c, a, base), the rest
@@ -14,14 +16,14 @@ left at their defaults (w = c = 1, a and base None):
 
     step_dpm2            r,                 w = 1/(2r), c = scale
     step_heun            r = 1,             w = 1/2,    c = scale
-    amed_step            learned r, c[, a]
-    amed_plugin_step     learned r, c[, a], base = the wrapped solver
+    amed_step            learned r, c[, a]; base = the wrapped solver, if any
     geometry.grid_align  searched r,        base = any solver but dpm2
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -95,19 +97,18 @@ def afs_direction(x, t) -> np.ndarray:
 
 
 def _current(model, x, t_hi, eps_cur):
-    """Slope at the current state, honoring an injected value."""
+    """Slope at the current state and its model calls: 0 if injected, else 1."""
     if eps_cur is not None:
-        return np.asarray(eps_cur, dtype=np.float64), []
-    eps = eval_model(model, x, t_hi).epsilon
-    return eps, [(t_hi, eps)]
+        return np.asarray(eps_cur, dtype=np.float64), 0
+    return eval_model(model, x, t_hi).epsilon, 1
 
 
 def step_euler(model, x, t_hi, t_lo, *, eps_cur=None, scale=1.0):
     """Explicit rectangle step x + (t_lo - t_hi) * eps(x, t_hi)."""
     _check_interval(t_hi, t_lo)
-    eps, evals = _current(model, x, t_hi, eps_cur)
+    eps, nfe = _current(model, x, t_hi, eps_cur)
     x_next = x + _col(t_lo - t_hi, x) * (_col(scale, x) * eps)
-    return x_next, evals
+    return x_next, nfe, None
 
 
 def split_step(model, x, t_hi, t_lo, r, *, base=None, w=1.0, c=1.0, a=None, carry=None, eps_cur=None):
@@ -118,9 +119,9 @@ def split_step(model, x, t_hi, t_lo, r, *, base=None, w=1.0, c=1.0, a=None, carr
     solver: the base's substep to s on the current slope, evaluate, then the
     base's substep from s to t_lo on the new slope, scaled by c; carry threads
     the base's history.  a=None evaluates at s itself.  Returns
-    ``(x_next, evals, carry)``.  The caller validates the interval and r.
+    ``(x_next, nfe, carry)``.  The caller validates the interval and r.
     """
-    eps1, evals = _current(model, x, t_hi, eps_cur)
+    eps1, nfe = _current(model, x, t_hi, eps_cur)
     s = _geom(t_lo, t_hi, r)
     t_eval = s if a is None else a * s
     if base is None:
@@ -128,18 +129,17 @@ def split_step(model, x, t_hi, t_lo, r, *, base=None, w=1.0, c=1.0, a=None, carr
         eps2 = eval_model(model, x_s, t_eval).epsilon
         combo = _col(w, x) * eps2 + _col(1.0 - w, x) * eps1
         x_next = x + _col(t_lo - t_hi, x) * (_col(c, x) * combo)
-        return x_next, evals + [(t_eval, eps2)], None
-    x_s, ev1, carry = substep(model, base, x, t_hi, s, carry, eps_cur=eps1)
+        return x_next, nfe + 1, None
+    x_s, n1, carry = substep(model, base, x, t_hi, s, carry, eps_cur=eps1)
     eps2 = eval_model(model, x_s, t_eval).epsilon
-    x_next, ev2, carry = substep(model, base, x_s, s, t_lo, carry, eps_cur=eps2, scale=c)
-    return x_next, evals + ev1 + [(t_eval, eps2)] + ev2, carry
+    x_next, n2, carry = substep(model, base, x_s, s, t_lo, carry, eps_cur=eps2, scale=c)
+    return x_next, nfe + n1 + 1 + n2, carry
 
 
 def step_heun(model, x, t_hi, t_lo, *, eps_cur=None, scale=1.0):
     """Trapezoidal correction: Euler predictor, then average the two slopes."""
     _check_interval(t_hi, t_lo)
-    x_next, evals, _ = split_step(model, x, t_hi, t_lo, 1.0, w=0.5, c=scale, eps_cur=eps_cur)
-    return x_next, evals
+    return split_step(model, x, t_hi, t_lo, 1.0, w=0.5, c=scale, eps_cur=eps_cur)
 
 
 def step_dpm2(model, x, t_hi, t_lo, r=0.5, *, eps_cur=None, scale=1.0):
@@ -153,28 +153,27 @@ def step_dpm2(model, x, t_hi, t_lo, r=0.5, *, eps_cur=None, scale=1.0):
     r = np.asarray(r, dtype=np.float64)
     if not (np.all(r > 0) and np.all(r <= 1)):
         raise ValueError("r must lie in (0, 1]")
-    x_next, evals, _ = split_step(model, x, t_hi, t_lo, r, w=1.0 / (2.0 * r), c=scale, eps_cur=eps_cur)
-    return x_next, evals
+    return split_step(model, x, t_hi, t_lo, r, w=1.0 / (2.0 * r), c=scale, eps_cur=eps_cur)
 
 
 def step_ipndm(model, x, t_hi, t_lo, history=(), *, eps_cur=None, scale=1.0, max_order=4):
     """Adams-Bashforth step on the slope, order set by the available history.
 
     history holds the most recent past slopes, newest first (at most three).
-    With no history this is the Euler step.
+    With no history this is the Euler step.  Returns the new slope prepended.
     """
     _check_interval(t_hi, t_lo)
-    history = list(history)
+    history = tuple(history)
     if len(history) > 3:
         raise ValueError("ipndm history holds at most 3 past slopes")
-    eps, evals = _current(model, x, t_hi, eps_cur)
+    eps, nfe = _current(model, x, t_hi, eps_cur)
     order = min(len(history) + 1, max_order)
     coeffs = _AB_COEFFS[order]
     combo = coeffs[0] * eps
     for c, past in zip(coeffs[1:], history):
         combo = combo + c * past
     x_next = x + _col(t_lo - t_hi, x) * (_col(scale, x) * combo)
-    return x_next, evals
+    return x_next, nfe, ((eps,) + history)[: max_order - 1]
 
 
 def step_dpmpp_2m(model, x, t_hi, t_lo, prev=None, *, eps_cur=None, scale=1.0):
@@ -186,10 +185,10 @@ def step_dpmpp_2m(model, x, t_hi, t_lo, prev=None, *, eps_cur=None, scale=1.0):
         x_next = (t_lo/t_hi) x - (e^-h - 1) [(1 + 1/(2 r0)) D - 1/(2 r0) D_prev]
 
     falling back to the first-order form (exact for D constant in t) when no
-    previous data prediction is available.
+    previous data prediction is available.  Returns (t_hi, D) as carry.
     """
     _check_interval(t_hi, t_lo)
-    eps, evals = _current(model, x, t_hi, eps_cur)
+    eps, nfe = _current(model, x, t_hi, eps_cur)
     denoised = x - _col(t_hi, x) * eps
     h = np.log(t_hi) - np.log(t_lo)
     if not np.all(np.isfinite(h)):
@@ -205,62 +204,57 @@ def step_dpmpp_2m(model, x, t_hi, t_lo, prev=None, *, eps_cur=None, scale=1.0):
         d_combo = (1.0 + w) * denoised - w * denoised_prev
     ratio = _col(t_lo, x) / _col(t_hi, x)
     x_next = ratio * x - _col(np.expm1(-h), x) * (_col(scale, x) * d_combo)
-    return x_next, evals
+    return x_next, nfe, (t_hi, denoised)
 
 
 def substep(model, kind: SolverKind, x, t_hi, t_lo, carry=None, *, eps_cur=None, scale=1.0):
-    """Apply one update of ``kind`` and thread its multistep state.
-
-    carry is the solver's history, a tuple (past slopes, newest first, for
-    ipndm; (t, denoised) for dpmpp_2m) or None for single-step solvers; the
-    updated carry is returned.
-    """
+    """Apply one update of ``kind``; carry is the history its previous step returned."""
     tag = kind.tag
     if tag == "euler_ddim":
-        x2, ev = step_euler(model, x, t_hi, t_lo, eps_cur=eps_cur, scale=scale)
-        return x2, ev, None
+        return step_euler(model, x, t_hi, t_lo, eps_cur=eps_cur, scale=scale)
     if tag == "heun_edm":
-        x2, ev = step_heun(model, x, t_hi, t_lo, eps_cur=eps_cur, scale=scale)
-        return x2, ev, None
+        return step_heun(model, x, t_hi, t_lo, eps_cur=eps_cur, scale=scale)
     if tag == "dpm2":
-        x2, ev = step_dpm2(model, x, t_hi, t_lo, kind.r, eps_cur=eps_cur, scale=scale)
-        return x2, ev, None
+        return step_dpm2(model, x, t_hi, t_lo, kind.r, eps_cur=eps_cur, scale=scale)
     if tag == "ipndm":
-        hist = carry or ()
-        x2, ev = step_ipndm(
-            model, x, t_hi, t_lo, hist, eps_cur=eps_cur, scale=scale, max_order=kind.order
+        return step_ipndm(
+            model, x, t_hi, t_lo, carry or (), eps_cur=eps_cur, scale=scale, max_order=kind.order
         )
-        d_used = eps_cur if eps_cur is not None else ev[0][1]
-        return x2, ev, ((d_used,) + hist)[: kind.order - 1]
     if tag == "dpmpp_2m":
-        x2, ev = step_dpmpp_2m(model, x, t_hi, t_lo, prev=carry, eps_cur=eps_cur, scale=scale)
-        eps_used = eps_cur if eps_cur is not None else ev[0][1]
-        denoised = x - _col(t_hi, x) * eps_used
-        return x2, ev, (t_hi, denoised)
+        return step_dpmpp_2m(model, x, t_hi, t_lo, carry, eps_cur=eps_cur, scale=scale)
     raise ValueError(f"unknown solver tag {tag!r}")
 
 
-def sample(model: GaussianMixture, kind: SolverKind, schedule, x_T) -> Trajectory:
-    """Run ``kind`` from the top of the schedule down to its floor.
+def _walk_schedule(step, schedule, x, afs: bool, name: str) -> Trajectory:
+    """The one schedule loop of ``sample`` and ``amed_sample``: step top-down.
 
-    Deterministic given x_T (which may be batched).  Any non-finite state
-    aborts with the offending interval named rather than being clamped.
+    step(x, t_hi, t_lo, carry, eps_cur=...) follows the step contract; AFS
+    replaces interval 0's first slope, NFE is summed, and a non-finite state
+    aborts naming the interval rather than being clamped.
     """
-    x = np.asarray(x_T, dtype=np.float64)
-    if x.shape[-1] != model.dim:
-        raise ValueError(f"state has dim {x.shape[-1]}, model has dim {model.dim}")
     ts = schedule.times[::-1]
     nodes = [(float(ts[0]), x)]
     nfe, carry = 0, None
     for i in range(len(ts) - 1):
         t_hi, t_lo = float(ts[i]), float(ts[i + 1])
-        eps_cur = afs_direction(x, t_hi) if (kind.afs and i == 0) else None
-        x, ev, carry = substep(model, kind, x, t_hi, t_lo, carry, eps_cur=eps_cur)
-        nfe += len(ev)
+        eps_cur = afs_direction(x, t_hi) if (afs and i == 0) else None
+        x, n, carry = step(x, t_hi, t_lo, carry, eps_cur=eps_cur)
+        nfe += n
         if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"{kind.tag} diverged in interval [{t_lo:g}, {t_hi:g}]")
+            raise DivergenceError(f"{name} diverged in interval [{t_lo:g}, {t_hi:g}]")
         nodes.append((t_lo, x))
     return Trajectory(nodes=nodes, nfe=nfe)
+
+
+def sample(model: GaussianMixture, kind: SolverKind, schedule, x_T) -> Trajectory:
+    """Run ``kind`` from the top of the schedule down to its floor.
+
+    Deterministic given x_T (which may be batched); see ``_walk_schedule``.
+    """
+    x = np.asarray(x_T, dtype=np.float64)
+    if x.shape[-1] != model.dim:
+        raise ValueError(f"state has dim {x.shape[-1]}, model has dim {model.dim}")
+    return _walk_schedule(partial(substep, model, kind), schedule, x, kind.afs, kind.tag)
 
 
 def parse_solver_spec(spec: str, afs: bool = False) -> SolverKind:

@@ -50,16 +50,27 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Read a node-only trajectory written by write_trajectory_csv."""
+    """Read a node-only trajectory written by write_trajectory_csv.
+
+    A row whose width differs from the header's, a non-numeric cell or a
+    file with no rows raises ValueError naming the path and line number.
+    """
     with open(path) as f:
         header = f.readline().strip().split(",")
-        if not header or header[0] != "t":
+        if header[0] != "t":
             raise ValueError(f"{path}: not a trajectory CSV")
         nodes = []
-        for line in f:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(f, start=2):
+            cells = line.strip().split(",")
+            if cells == [""]:
                 continue
-            vals = [float(v) for v in line.split(",")]
+            if len(cells) != len(header):
+                raise ValueError(f"{path}:{lineno}: {len(cells)} cells, the header has {len(header)}")
+            try:
+                vals = [float(v) for v in cells]
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
             nodes.append((vals[0], np.array(vals[1:], dtype=np.float64)))
+    if not nodes:
+        raise ValueError(f"{path}:1: header only, no trajectory rows")
     return Trajectory(nodes=nodes, nfe=0)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -97,8 +98,8 @@ def test_plugin_zero_init_is_pure_interval_split(gmm2_d8, poly_schedule):
     for i in range(len(ts) - 1):
         t_hi, t_lo = float(ts[i]), float(ts[i + 1])
         s = float(_geom(t_lo, t_hi, np.float64(0.5)))
-        cur, _ = step_euler(gmm2_d8, cur, t_hi, s)
-        cur, _ = step_euler(gmm2_d8, cur, s, t_lo)
+        cur, _, _ = step_euler(gmm2_d8, cur, t_hi, s)
+        cur, _, _ = step_euler(gmm2_d8, cur, s, t_lo)
         np.testing.assert_array_equal(cur, traj.nodes[i + 1][1])
 
 
@@ -111,7 +112,7 @@ def test_amed_constant_field_with_unit_scale(monkeypatch, gmm2_d8):
     monkeypatch.setattr(solvers_mod, "eval_model", const_field(vec))
     monkeypatch.setattr(amed_mod, "eval_model", const_field(vec))
     x = np.ones(8)
-    x2, _ = amed.amed_step(gmm2_d8, PredictorParams.zeros(), x, 5.0, 1.0)
+    x2, _, _ = amed.amed_step(gmm2_d8, PredictorParams.zeros(), x, 5.0, 1.0)
     np.testing.assert_allclose(x2, x + (1.0 - 5.0) * vec, rtol=1e-12)
 
 
@@ -159,14 +160,18 @@ def test_amed_sample_deterministic(gmm2_d8, poly_schedule):
     np.testing.assert_array_equal(a.endpoint, b.endpoint)
 
 
-def test_time_scale_changes_second_eval(gmm2_d8, poly_schedule):
+def test_time_scale_changes_second_eval(monkeypatch, gmm2_d8, poly_schedule):
+    import difflab.solvers as solvers_mod
+    from test_solvers import count_model_calls
+
+    calls = count_model_calls(monkeypatch, solvers_mod, amed)
     p3 = replace(PredictorParams.zeros(outputs=3), b3=np.array([0.0, 0.0, 2.0]))
     out = predict(p3, np.zeros(16), 10.0, 2.0)
     assert out.a > 1.0
     x = dl.stream(5, "ts").standard_normal(8) * 10.0
-    x_scaled, evals = amed.amed_step(gmm2_d8, p3, x, 10.0, 2.0)
-    x_plain, evals_plain = amed.amed_step(gmm2_d8, PredictorParams.zeros(outputs=2), x, 10.0, 2.0)
-    assert evals[1][0] > evals_plain[1][0]  # second evaluation happens at a*s > s
+    x_scaled, _, _ = amed.amed_step(gmm2_d8, p3, x, 10.0, 2.0)
+    x_plain, _, _ = amed.amed_step(gmm2_d8, PredictorParams.zeros(outputs=2), x, 10.0, 2.0)
+    assert len(calls) == 4 and calls[1] > calls[3]  # second evaluation happens at a*s > s
     assert not np.allclose(x_scaled, x_plain)
 
 
@@ -177,16 +182,20 @@ def test_learned_steps_reject_invalid_intervals(gmm2_d8, t_hi, t_lo):
     with pytest.raises(ValueError, match="t_lo"):
         amed.amed_step(gmm2_d8, p, x, t_hi, t_lo)
     with pytest.raises(ValueError, match="t_lo"):
-        amed.amed_plugin_step(gmm2_d8, p, dl.SolverKind("ipndm"), x, t_hi, t_lo)
+        amed.amed_step(gmm2_d8, p, x, t_hi, t_lo, base=dl.SolverKind("ipndm"))
 
 
-def test_plugin_time_scale_moves_second_eval(gmm2_d8):
+def test_plugin_time_scale_moves_second_eval(monkeypatch, gmm2_d8):
+    import difflab.solvers as solvers_mod
+    from test_solvers import count_model_calls
+
+    calls = count_model_calls(monkeypatch, solvers_mod, amed)
     p3 = replace(PredictorParams.zeros(outputs=3), b3=np.array([0.0, 0.0, 2.0]))
     x = dl.stream(14, "pts").standard_normal(8) * 10.0
     base = dl.SolverKind("euler_ddim")
-    x_a, evals_a, _ = amed.amed_plugin_step(gmm2_d8, p3, base, x, 10.0, 2.0)
-    x_n, evals_n, _ = amed.amed_plugin_step(gmm2_d8, PredictorParams.zeros(outputs=2), base, x, 10.0, 2.0)
-    assert evals_a[1][0] > evals_n[1][0]
+    x_a, _, _ = amed.amed_step(gmm2_d8, p3, x, 10.0, 2.0, base=base)
+    x_n, _, _ = amed.amed_step(gmm2_d8, PredictorParams.zeros(outputs=2), x, 10.0, 2.0, base=base)
+    assert len(calls) == 4 and calls[1] > calls[3]
     assert not np.allclose(x_a, x_n)
 
 
@@ -235,7 +244,7 @@ def test_zero_lr_is_null_update():
     sch = dl.make_schedule("polynomial", 3, 0.002, 80.0, rho=7.0)
     cfg = TrainConfig(teacher=dl.SolverKind("dpm2"), student=None, m=1, batch=8, images=16, lr=0.0, seed=0)
     res = amed.train(m, cfg, sch)
-    ref = PredictorParams.init(dl.stream(0, "init"), hidden=cfg.hidden, emb_dim=cfg.emb_dim, outputs=2)
+    ref = PredictorParams.init(dl.stream(0, "init"), outputs=2)
     for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
         np.testing.assert_array_equal(getattr(res.params, name), getattr(ref, name))
 
@@ -271,7 +280,7 @@ def test_train_reduces_eval_loss():
             tot += loss
         return tot
 
-    init = PredictorParams.init(dl.stream(0, "init"), hidden=cfg.hidden, emb_dim=cfg.emb_dim, outputs=2)
+    init = PredictorParams.init(dl.stream(0, "init"), outputs=2)
     assert mean_loss(res.params) < mean_loss(init)
 
 
@@ -321,6 +330,33 @@ def test_checkpoint_version_check(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"version": 99, "emb_dim": 16, "arrays": {}}')
     with pytest.raises(ValueError):
+        amed.load_predictor(path)
+
+
+def _write_checkpoint(tmp_path, mutate):
+    path = tmp_path / "predictor.json"
+    amed.save_predictor(rand_params(seed=5, hidden=4, emb_dim=8, outputs=2), path)
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "mutate,key",
+    [
+        (lambda d: d["arrays"].pop("w2"), "w2"),
+        (lambda d: d["arrays"].update(w4=d["arrays"]["b1"]), "w4"),
+        (lambda d: d.pop("emb_dim"), "emb_dim"),
+        (lambda d: d["arrays"]["w1"].update(shape=[3, 5]), "w1"),
+        (lambda d: d["arrays"]["b3"]["data"].__setitem__(0, "x"), "b3"),
+        (lambda d: d.update(emb_dim=4), "output-layer"),
+    ],
+    ids=["missing_array", "extra_array", "missing_emb_dim", "shape_mismatch", "non_numeric", "inconsistent"],
+)
+def test_checkpoint_errors_name_path_and_key(tmp_path, mutate, key):
+    path = _write_checkpoint(tmp_path, mutate)
+    with pytest.raises(ValueError, match=f"predictor.json.*{key}"):
         amed.load_predictor(path)
 
 

@@ -20,7 +20,6 @@ def test_single_gaussian_eval(single_gaussian):
     ev = dl.eval_model(single_gaussian, np.array([2.0, 0.0]), 1.0)
     # eps = t (x - mu) / (s^2 + t^2)
     np.testing.assert_array_equal(ev.epsilon, np.array([1.0, 0.0]))
-    np.testing.assert_array_equal(ev.denoised, np.array([1.0, 0.0]))
 
 
 def test_eval_at_mode_is_zero():
@@ -34,16 +33,6 @@ def test_symmetric_mixture_cancels():
     for t in (0.01, 1.0, 50.0):
         ev = dl.eval_model(m, np.zeros(2), t)
         np.testing.assert_allclose(ev.epsilon, np.zeros(2), atol=1e-14)
-
-
-def test_denoised_identity_exact():
-    m = make_gmm(3, 3, 5)
-    rng = dl.stream(1, "x")
-    for t in (0.003, 0.7, 25.0):
-        x = rng.standard_normal((7, 5)) * (1 + t)
-        ev = dl.eval_model(m, x, t)
-        # same floating-point expression, so equality is exact
-        np.testing.assert_array_equal(ev.denoised, x - t * ev.epsilon)
 
 
 def direct_eps(model, x, t):
@@ -95,7 +84,6 @@ def test_eval_matches_direct_form(k, d, offset):
 
 def _assert_evals_close(got, rows):
     _assert_rows_close(got.epsilon, [r.epsilon for r in rows])
-    _assert_rows_close(got.denoised, [r.denoised for r in rows])
     np.testing.assert_allclose(got.feature, [r.feature for r in rows], rtol=0, atol=EVAL_RTOL)
 
 
@@ -426,7 +414,7 @@ def test_oracle_divergence_names_interval(monkeypatch):
         from difflab.score_models import ModelEval
 
         eps = np.full(np.shape(x), 1e308)
-        return ModelEval(epsilon=eps, denoised=x, feature=np.zeros(np.shape(x)[:-1] + (16,)))
+        return ModelEval(epsilon=eps, feature=np.zeros(np.shape(x)[:-1] + (16,)))
 
     monkeypatch.setattr(sm, "eval_model", exploding)
     with np.errstate(over="ignore", invalid="ignore"):

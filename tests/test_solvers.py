@@ -11,10 +11,7 @@ def const_field(vec):
 
     def fake_eval(model, x, t):
         eps = np.broadcast_to(np.asarray(vec, dtype=float), np.shape(x)).copy()
-        t = np.asarray(t, dtype=float)
-        return ModelEval(
-            epsilon=eps, denoised=x - t[..., None] * eps, feature=np.zeros(np.shape(x)[:-1] + (16,))
-        )
+        return ModelEval(epsilon=eps, feature=np.zeros(np.shape(x)[:-1] + (16,)))
 
     return fake_eval
 
@@ -33,11 +30,12 @@ def count_model_calls(monkeypatch, *modules):
     return calls
 
 
-def test_euler_step_value(single_gaussian):
+def test_euler_step_value(monkeypatch, single_gaussian):
+    calls = count_model_calls(monkeypatch, solvers)
     x = np.array([2.0, 0.0])
-    x_next, evals = dl.step_euler(single_gaussian, x, 1.0, 0.5)
+    x_next, nfe, carry = dl.step_euler(single_gaussian, x, 1.0, 0.5)
     np.testing.assert_array_equal(x_next, [1.5, 0.0])
-    assert len(evals) == 1 and evals[0][0] == 1.0
+    assert nfe == 1 and carry is None and calls == [1.0]
 
 
 def test_euler_rejects_zero_step(single_gaussian):
@@ -48,7 +46,7 @@ def test_euler_rejects_zero_step(single_gaussian):
 def test_stationary_point_fixed():
     m = dl.GaussianMixture(weights=[0.5, 0.5], means=[[1.0, 0.0], [-1.0, 0.0]], stds=[1.0, 1.0])
     x = np.zeros(2)
-    x_next, _ = dl.step_euler(m, x, 2.0, 1.0)
+    x_next, _, _ = dl.step_euler(m, x, 2.0, 1.0)
     np.testing.assert_allclose(x_next, x, atol=1e-14)
 
 
@@ -62,13 +60,15 @@ def test_dpm2_r1_equals_heun_bitwise(gmm2_d8, poly_schedule):
             np.testing.assert_array_equal(xa, xb)
 
 
-def test_dpm2_half_uses_midpoint_slope_only(gmm2_d8):
+def test_dpm2_half_uses_midpoint_slope_only(monkeypatch, gmm2_d8):
     # weights (1, 0): the current slope drops out of the combination
+    calls = count_model_calls(monkeypatch, solvers)
     x = dl.stream(1, "w").standard_normal(8) * 10.0
-    x_next, evals = dl.step_dpm2(gmm2_d8, x, 4.0, 1.0, 0.5)
+    x_next, nfe, _ = dl.step_dpm2(gmm2_d8, x, 4.0, 1.0, 0.5)
     s = dl.geometric_intermediate(1.0, 4.0, 0.5)
-    assert evals[1][0] == s
-    manual = x + (1.0 - 4.0) * evals[1][1]
+    assert nfe == 2 and calls[1] == s
+    x_s = x + (s - 4.0) * dl.eval_model(gmm2_d8, x, 4.0).epsilon
+    manual = x + (1.0 - 4.0) * dl.eval_model(gmm2_d8, x_s, s).epsilon
     np.testing.assert_allclose(x_next, manual, rtol=0, atol=1e-15)
 
 
@@ -90,22 +90,22 @@ def test_constant_field_exactness(monkeypatch, gmm2_d8):
         np.testing.assert_allclose(x2, want, rtol=1e-12, atol=1e-12)
     # dpm2 result independent of r on a constant field
     for r in (0.2, 0.5, 0.9, 1.0):
-        x2, _ = solvers.step_dpm2(gmm2_d8, x, 5.0, 1.0, r)
+        x2, _, _ = solvers.step_dpm2(gmm2_d8, x, 5.0, 1.0, r)
         np.testing.assert_allclose(x2, want, rtol=1e-12)
     # heun equals euler exactly
-    xe, _ = solvers.step_euler(gmm2_d8, x, 5.0, 1.0)
-    xh, _ = solvers.step_heun(gmm2_d8, x, 5.0, 1.0)
+    xe, _, _ = solvers.step_euler(gmm2_d8, x, 5.0, 1.0)
+    xh, _, _ = solvers.step_heun(gmm2_d8, x, 5.0, 1.0)
     np.testing.assert_allclose(xh, xe, rtol=1e-14)
     # ipndm with any history of the same constant matches euler
     for hist_len in (1, 2, 3):
-        xi, _ = solvers.step_ipndm(gmm2_d8, x, 5.0, 1.0, [vec.copy() for _ in range(hist_len)])
+        xi, _, _ = solvers.step_ipndm(gmm2_d8, x, 5.0, 1.0, [vec.copy() for _ in range(hist_len)])
         np.testing.assert_allclose(xi, xe, rtol=1e-12)
 
 
 def test_ipndm_empty_history_is_euler_bitwise(gmm2_d8):
     x = dl.stream(4, "h").standard_normal(8) * 20.0
-    xe, _ = dl.step_euler(gmm2_d8, x, 3.0, 1.0)
-    xi, _ = dl.step_ipndm(gmm2_d8, x, 3.0, 1.0, [])
+    xe, _, _ = dl.step_euler(gmm2_d8, x, 3.0, 1.0)
+    xi, _, _ = dl.step_ipndm(gmm2_d8, x, 3.0, 1.0, [])
     np.testing.assert_array_equal(xi, xe)
 
 
@@ -114,6 +114,25 @@ def test_ipndm_history_contract(gmm2_d8):
     hist = [np.zeros(8)] * 4
     with pytest.raises(ValueError):
         dl.step_ipndm(gmm2_d8, x, 3.0, 1.0, hist)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_ipndm_low_orders_through_sample(gmm2_d8, poly_schedule, order):
+    x = dl.stream(8, "ip").standard_normal((3, 8)) * 80.0
+    kind = dl.SolverKind("ipndm", order=order)
+    traj = dl.sample(gmm2_d8, kind, poly_schedule, x)
+    ts = poly_schedule.times[::-1]
+    cur, carry = x, None
+    for i in range(1, len(ts)):
+        cur, nfe, carry = solvers.substep(gmm2_d8, kind, cur, float(ts[i - 1]), float(ts[i]), carry)
+        assert nfe == 1 and len(carry) == min(i, order - 1)
+        np.testing.assert_array_equal(cur, traj.nodes[i][1])
+    below = dl.SolverKind("euler_ddim") if order == 1 else dl.SolverKind("ipndm", order=order - 1)
+    lower = dl.sample(gmm2_d8, below, poly_schedule, x)
+    if order == 1:
+        np.testing.assert_array_equal(traj.states, lower.states)
+    else:
+        assert not np.array_equal(traj.endpoint, lower.endpoint)
 
 
 def test_ipndm_beats_euler_at_low_nfe():
@@ -131,7 +150,7 @@ def test_dpmpp_exact_for_constant_denoised():
     mu = np.array([0.7, -0.2, 1.1])
     m = dl.GaussianMixture(weights=[1.0], means=[mu], stds=[1e-8])
     x = np.array([30.0, -12.0, 5.0])
-    x_next, _ = dl.step_dpmpp_2m(m, x, 40.0, 0.5)
+    x_next, _, _ = dl.step_dpmpp_2m(m, x, 40.0, 0.5)
     want = dl.exact_trajectory(m, x, 0.5, 40.0)
     np.testing.assert_allclose(x_next, want, rtol=1e-9)
 
@@ -148,9 +167,9 @@ def test_dpmpp_beats_euler_at_low_nfe():
 
 def test_dpmpp_equal_denoised_collapses_to_first_order(gmm2_d8):
     x = dl.stream(6, "pp").standard_normal(8) * 5.0
-    ev = dl.eval_model(gmm2_d8, x, 2.0)
-    first, _ = dl.step_dpmpp_2m(gmm2_d8, x, 2.0, 1.0)
-    second, _ = dl.step_dpmpp_2m(gmm2_d8, x, 2.0, 1.0, prev=(3.0, ev.denoised.copy()))
+    denoised = x - 2.0 * dl.eval_model(gmm2_d8, x, 2.0).epsilon
+    first, _, _ = dl.step_dpmpp_2m(gmm2_d8, x, 2.0, 1.0)
+    second, _, _ = dl.step_dpmpp_2m(gmm2_d8, x, 2.0, 1.0, prev=(3.0, denoised))
     # prev denoised equal to the current one: the difference term vanishes
     np.testing.assert_allclose(second, first, rtol=1e-12)
 
@@ -178,6 +197,25 @@ def test_nfe_accounting(monkeypatch, gmm2_d8, tag, per, afs):
         assert traj.nodes[0][0] == 80.0 and traj.nodes[-1][0] == 0.002
 
 
+@pytest.mark.parametrize("tag", ["euler_ddim", "heun_edm", "dpm2", "ipndm", "dpmpp_2m"])
+def test_step_contract(monkeypatch, gmm2_d8, tag):
+    calls = count_model_calls(monkeypatch, solvers)
+    kind = dl.SolverKind(tag)
+    x = dl.stream(9, "contract").standard_normal((2, 8)) * 10.0
+    _, nfe, carry = solvers.substep(gmm2_d8, kind, x, 10.0, 5.0)
+    assert nfe == len(calls) == kind.evals_per_interval
+    calls.clear()
+    _, nfe, carry = solvers.substep(gmm2_d8, kind, x, 5.0, 2.0, carry, eps_cur=x / 5.0)
+    assert nfe == len(calls) == kind.evals_per_interval - 1
+    if tag == "ipndm":
+        assert len(carry) == 2 and carry[0].shape == x.shape
+    elif tag == "dpmpp_2m":
+        assert carry[0] == 5.0
+        np.testing.assert_array_equal(carry[1], x - 5.0 * (x / 5.0))
+    else:
+        assert carry is None
+
+
 def test_sample_deterministic(gmm2_d8, poly_schedule):
     x = dl.stream(3, "det").standard_normal(8) * 80.0
     a = dl.sample(gmm2_d8, dl.SolverKind("ipndm"), poly_schedule, x)
@@ -200,7 +238,7 @@ def test_divergence_aborts_with_interval(monkeypatch, gmm2_d8, poly_schedule):
     def exploding(model, x, t):
         calls["n"] += 1
         eps = np.full(np.shape(x), 1e308)
-        return ModelEval(epsilon=eps, denoised=x, feature=np.zeros(np.shape(x)[:-1] + (16,)))
+        return ModelEval(epsilon=eps, feature=np.zeros(np.shape(x)[:-1] + (16,)))
 
     monkeypatch.setattr(solvers, "eval_model", exploding)
     with np.errstate(over="ignore"), pytest.raises(dl.DivergenceError) as err:
@@ -244,8 +282,8 @@ def test_dpm2_r1_equals_heun_property(gmm2_d8):
     def check(t_lo, ratio, seed):
         t_hi = t_lo * ratio if ratio > 1.2 else t_lo * 1.2
         x = dl.stream(seed, "prop").standard_normal(8) * t_hi
-        xa, _ = dl.step_dpm2(gmm2_d8, x, t_hi, t_lo, 1.0)
-        xb, _ = dl.step_heun(gmm2_d8, x, t_hi, t_lo)
+        xa, _, _ = dl.step_dpm2(gmm2_d8, x, t_hi, t_lo, 1.0)
+        xb, _, _ = dl.step_heun(gmm2_d8, x, t_hi, t_lo)
         np.testing.assert_array_equal(xa, xb)
 
     check()
@@ -282,3 +320,20 @@ def test_parse_solver_spec():
     assert parse_solver_spec("heun_edm", afs=True).afs
     with pytest.raises(ValueError):
         parse_solver_spec("euler_ddim:3")
+
+
+@pytest.mark.parametrize(
+    "body,where",
+    [
+        ("t,x_0,x_1\n2.0,1.0,0.5\n1.0,0.5\n", ":3:"),
+        ("t,x_0,x_1\n2.0,1.0,0.5,7.0\n", ":2:"),
+        ("t,x_0,x_1\n2.0,1.0,0.5\n1.0,abc,0.5\n", ":3:"),
+        ("t,x_0,x_1\n", ":1:"),
+    ],
+    ids=["short_row", "long_row", "non_numeric", "header_only"],
+)
+def test_trajectory_csv_rejects_malformed(tmp_path, body, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=f"bad.csv{where}"):
+        dl.read_trajectory_csv(path)
