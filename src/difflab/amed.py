@@ -4,13 +4,15 @@ The predictor is a small MLP mapping (feature vector, t_hi, t_lo) to a
 per-step interval split r, a direction scale c and optionally a time scale a.
 With all-zero final-layer weights the outputs sit exactly at (0.5, 1, 1), so
 an untrained predictor reproduces the default two-evaluation solver geometry;
-training can only move away from that baseline.
+training starts from that baseline and is not guaranteed to beat it.
 
 Training distills against a teacher run on a refined schedule: per interval
 the student step is taken, the batch-mean L2 gap to the teacher state is the
 loss, and the parameter gradient is assembled from exact MLP backpropagation
 chained with central finite-difference sensitivities of the loss with respect
-to the two or three scalar outputs.  No autodiff framework is involved.
+to the two or three scalar outputs.  No autodiff framework is involved.  The
+step and its probes run together as one step over a probe grid (see
+``step_loss_grad``), so an update costs 1 + one student step's model calls.
 """
 
 from __future__ import annotations
@@ -75,6 +77,8 @@ class PredictorParams:
     emb_dim: int = 16
 
     def __post_init__(self):
+        if self.emb_dim < 4 or self.emb_dim % 4 != 0:
+            raise ValueError(f"emb_dim must be a positive multiple of 4, got {self.emb_dim}")
         h = self.w1.shape[1]
         if self.b1.shape != (h,) or self.w2.shape != (h, h) or self.b2.shape != (h,):
             raise ValueError("inconsistent feature-path shapes")
@@ -314,6 +318,8 @@ _FD_BOUNDS = {
     "c": (_SIGMOID_CLIP, None),
     "a": (None, None),
 }
+# Grid rows of each output's (plus, minus) probes; see step_loss_grad.
+_PROBE_ROWS = {"r": ((0, 1), (0, 2)), "c": ((1, 0), (2, 0)), "a": ((0, 3), (0, 4))}
 
 
 def step_loss(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur=None) -> float:
@@ -326,40 +332,64 @@ def step_loss(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur=None
     return float(np.mean(np.linalg.norm(x_next - y, axis=-1)))
 
 
+def _fd_probes(v, name):
+    """Central finite-difference points (v + delta, v - delta), clipped to the output's range."""
+    lo, hi = _FD_BOUNDS[name]
+    delta = 1e-3 * np.maximum(np.abs(v), 1e-3)
+    return np.clip(v + delta, lo, hi), np.clip(v - delta, lo, hi)
+
+
+def _map_carry(f, carry):
+    """Apply f to every array entry of a carry; scalar entries (a time) pass through."""
+    if carry is None:
+        return None
+    return tuple(f(e) if np.ndim(e) else e for e in carry)
+
+
 def step_loss_grad(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur=None):
     """Loss, assembled parameter gradient, and the student's own continuation.
 
     Returns ``(loss, grads, x_next, carry_next)``.  The gradient chains exact
     predictor backprop with central finite differences of the loss with
-    respect to the scalar outputs (relative step 1e-3).  Costs at most six
-    extra step applications.
+    respect to the scalar outputs (relative step 1e-3).
+
+    The student step and all its probes run as one ``split_step`` over a
+    probe grid: axis 0 holds c, c + delta, c - delta; axis 1 holds r,
+    r +- delta and, with a time scale, a +- delta.  x, the slope and the
+    carry get two leading length-1 axes, so row [0, 0] is the step itself.
+    c only scales the final direction term, so its probes cost no model
+    call, and the evaluated probes share each of the step's calls: an update
+    costs 1 + one student step's model calls (2 for the learned solver and
+    for euler, ipndm and dpmpp_2m, 4 for the heun and dpm2 plugins), with
+    two or three outputs alike.
     """
     _check_interval(t_hi, t_lo)
     eps1, _, out, cache = _predict_for_step(model, params, x, t_hi, t_lo, eps_cur)
-    vals = {"r": out.r, "c": out.c, "a": out.a}
+    r, c, a = out.r, out.c, out.a
+    probes = {name: _fd_probes(v, name) for name, v in (("r", r), ("c", c), ("a", a)) if v is not None}
+    grid_r = np.stack([r, *probes["r"]] + ([r, r] if a is not None else []))[None]
+    grid_a = None if a is None else np.stack([a, a, a, *probes["a"]])[None]
 
-    def step(v):
-        return split_step(model, x, t_hi, t_lo, base=student, carry=carry, eps_cur=eps1, **v)
+    def lift(e):
+        return np.asarray(e, dtype=np.float64)[None, None]
 
-    x_next, _, carry_next = step(vals)
-    norms = np.linalg.norm(np.asarray(x_next) - y, axis=-1)
-    loss = float(np.mean(norms))
-    n_samples = max(1, norms.size)
+    grid, _, carry_grid = split_step(
+        model, lift(x), t_hi, t_lo, grid_r, base=student,
+        c=np.stack([c, *probes["c"]])[:, None], a=grid_a, carry=_map_carry(lift, carry), eps_cur=lift(eps1),
+    )
+    norms = np.linalg.norm(grid - y, axis=-1)
+    x_next = grid[0, 0].copy()
+    carry_next = _map_carry(lambda e: e[0, 0].copy(), carry_grid)
+    del grid, carry_grid
+    loss = float(np.mean(norms[0, 0]))
+    n_samples = max(1, norms[0, 0].size)
 
     sens = {}
-    for name in ("r", "c", "a"):
-        v = vals[name]
-        if v is None:
-            continue
-        lo, hi = _FD_BOUNDS[name]
-        delta = 1e-3 * np.maximum(np.abs(v), 1e-3)
-        vp = np.clip(v + delta, lo, hi)
-        vm = np.clip(v - delta, lo, hi)
-        np_ = np.linalg.norm(np.asarray(step({**vals, name: vp})[0]) - y, axis=-1)
-        nm_ = np.linalg.norm(np.asarray(step({**vals, name: vm})[0]) - y, axis=-1)
+    for name, (vp, vm) in probes.items():
+        plus, minus = _PROBE_ROWS[name]
         denom = np.asarray(vp - vm)
         denom = np.where(denom == 0, 1.0, denom)
-        sens[name] = (np_ - nm_) / denom / n_samples
+        sens[name] = (norms[plus] - norms[minus]) / denom / n_samples
     grads = predictor_vjp(params, cache, sens["r"], sens["c"], sens.get("a"))
     return loss, grads, x_next, carry_next
 

@@ -159,7 +159,11 @@ def eval_model(model: GaussianMixture, x, t) -> ModelEval:
     resp /= resp.sum(axis=-1, keepdims=True)                            # (..., K)
 
     a = resp / var
-    eps = tt * (xc * a.sum(axis=-1, keepdims=True) - a @ model._means_ct.T)
+    # tt * (xc * sum_k a_k - a @ mu), formed in place once at full broadcast shape
+    # (xc itself may be a single state shared by many times).
+    eps = xc * a.sum(axis=-1, keepdims=True)
+    eps -= a @ model._means_ct.T
+    eps *= tt
 
     k = min(model.n_components, FEATURE_DIM)
     feature = np.zeros(resp.shape[:-1] + (FEATURE_DIM,))

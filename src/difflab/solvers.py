@@ -127,8 +127,10 @@ def split_step(model, x, t_hi, t_lo, r, *, base=None, w=1.0, c=1.0, a=None, carr
     if base is None:
         x_s = x + _col(s - t_hi, x) * eps1
         eps2 = eval_model(model, x_s, t_eval).epsilon
-        combo = _col(w, x) * eps2 + _col(1.0 - w, x) * eps1
-        x_next = x + _col(t_lo - t_hi, x) * (_col(c, x) * combo)
+        # x + (t_lo - t_hi) * (c * mix), formed in place in the one full-size array.
+        x_next = _col(c, x) * (_col(w, x) * eps2 + _col(1.0 - w, x) * eps1)
+        x_next *= _col(t_lo - t_hi, x)
+        x_next += x
         return x_next, nfe + 1, None
     x_s, n1, carry = substep(model, base, x, t_hi, s, carry, eps_cur=eps1)
     eps2 = eval_model(model, x_s, t_eval).epsilon

@@ -230,6 +230,79 @@ def test_fd_gradient_matches_full_fd():
     assert np.linalg.norm(g - fd) <= 1e-4 * np.linalg.norm(fd)
 
 
+def _serial_step_loss_grad(model, params, student, x, t_hi, t_lo, y, carry=None):
+    """Reference form of step_loss_grad: one full student step per finite-difference probe."""
+    eps1, _, out, cache = amed._predict_for_step(model, params, x, t_hi, t_lo, None)
+    vals = {"r": out.r, "c": out.c, "a": out.a}
+
+    def step(v):
+        return dl.split_step(model, x, t_hi, t_lo, base=student, carry=carry, eps_cur=eps1, **v)
+
+    x_next, _, carry_next = step(vals)
+    norms = np.linalg.norm(x_next - y, axis=-1)
+    sens = {}
+    for name in ("r", "c", "a"):
+        v = vals[name]
+        if v is None:
+            continue
+        lo, hi = amed._FD_BOUNDS[name]
+        delta = 1e-3 * np.maximum(np.abs(v), 1e-3)
+        vp, vm = np.clip(v + delta, lo, hi), np.clip(v - delta, lo, hi)
+        n_plus = np.linalg.norm(step({**vals, name: vp})[0] - y, axis=-1)
+        n_minus = np.linalg.norm(step({**vals, name: vm})[0] - y, axis=-1)
+        denom = np.where(vp - vm == 0, 1.0, vp - vm)
+        sens[name] = (n_plus - n_minus) / denom / norms.size
+    grads = predictor_vjp(params, cache, sens["r"], sens["c"], sens.get("a"))
+    return float(np.mean(norms)), grads, x_next, carry_next
+
+
+@pytest.mark.parametrize("outputs", [2, 3])
+@pytest.mark.parametrize("student_tag", [None, "euler_ddim", "heun_edm", "dpm2", "ipndm", "dpmpp_2m"])
+def test_probe_grid_matches_serial_probes_bitwise(gmm2_d8, poly_schedule, student_tag, outputs):
+    # Two intervals, so the ipndm and dpmpp_2m carries entering the second are non-empty.
+    params = rand_params(seed=11, hidden=8, emb_dim=8, outputs=outputs)
+    student = None if student_tag is None else dl.SolverKind(student_tag)
+    ts = poly_schedule.times[::-1]
+    x_grid = x_ref = dl.stream(12, "grid").standard_normal((6, 8)) * 80.0
+    carry_grid = carry_ref = None
+    for k in range(2):
+        t_hi, t_lo = float(ts[k]), float(ts[k + 1])
+        y = dl.stream(13, "grid-y", k).standard_normal((6, 8)) * t_lo
+        got = step_loss_grad(gmm2_d8, params, student, x_grid, t_hi, t_lo, y, carry_grid)
+        want = _serial_step_loss_grad(gmm2_d8, params, student, x_ref, t_hi, t_lo, y, carry_ref)
+        assert got[0] == want[0]
+        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+            np.testing.assert_array_equal(got[1][name], want[1][name])
+        np.testing.assert_array_equal(got[2], want[2])
+        x_grid, carry_grid = got[2], got[3]
+        x_ref, carry_ref = want[2], want[3]
+        if student_tag in (None, "euler_ddim", "heun_edm", "dpm2"):
+            assert carry_grid is None and carry_ref is None
+        else:
+            assert len(carry_grid) == len(carry_ref) > 0
+            for g, w in zip(carry_grid, carry_ref):
+                assert np.shape(g) == np.shape(w)
+                np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("outputs", [2, 3])
+@pytest.mark.parametrize(
+    "student_tag,calls_per_update",
+    [(None, 2), ("euler_ddim", 2), ("ipndm", 2), ("dpmpp_2m", 2), ("heun_edm", 4), ("dpm2", 4)],
+)
+def test_step_loss_grad_costs_one_student_step(monkeypatch, gmm2_d8, student_tag, calls_per_update, outputs):
+    # One call for the feature and slope at x, then one student step whose calls every probe shares.
+    import difflab.solvers as solvers_mod
+    from test_solvers import count_model_calls
+
+    calls = count_model_calls(monkeypatch, solvers_mod, amed)
+    params = rand_params(seed=14, hidden=8, emb_dim=8, outputs=outputs)
+    student = None if student_tag is None else dl.SolverKind(student_tag)
+    x = dl.stream(15, "calls").standard_normal((5, 8)) * 80.0
+    step_loss_grad(gmm2_d8, params, student, x, 80.0, 20.0, np.zeros((5, 8)))
+    assert len(calls) == calls_per_update
+
+
 def test_vjp_shapes_match_params():
     p = rand_params(outputs=2)
     h = dl.stream(7, "h").random((6, 16))
@@ -342,6 +415,14 @@ def _write_checkpoint(tmp_path, mutate):
     return path
 
 
+def _emb_dim_6_with_matching_w3(doc):
+    # hidden 4 + emb_dim 6 rows: every shape agrees, only emb_dim itself is invalid.
+    w3 = doc["arrays"]["w3"]
+    doc["emb_dim"] = 6
+    w3["shape"] = [10, 2]
+    w3["data"] = w3["data"][:20]
+
+
 @pytest.mark.parametrize(
     "mutate,key",
     [
@@ -351,8 +432,10 @@ def _write_checkpoint(tmp_path, mutate):
         (lambda d: d["arrays"]["w1"].update(shape=[3, 5]), "w1"),
         (lambda d: d["arrays"]["b3"]["data"].__setitem__(0, "x"), "b3"),
         (lambda d: d.update(emb_dim=4), "output-layer"),
+        (_emb_dim_6_with_matching_w3, "emb_dim"),
     ],
-    ids=["missing_array", "extra_array", "missing_emb_dim", "shape_mismatch", "non_numeric", "inconsistent"],
+    ids=["missing_array", "extra_array", "missing_emb_dim", "shape_mismatch", "non_numeric", "inconsistent",
+         "emb_dim_not_multiple_of_4"],
 )
 def test_checkpoint_errors_name_path_and_key(tmp_path, mutate, key):
     path = _write_checkpoint(tmp_path, mutate)
