@@ -1,7 +1,6 @@
 """difflab: fast diffusion-model ODE samplers validated on analytic score models."""
 
 from .amed import (
-    PredictorOutput,
     PredictorParams,
     TrainConfig,
     TrainResult,
@@ -17,22 +16,18 @@ from .geometry import (
     AlignmentResult,
     BoundParams,
     PcaResult,
-    bound_report,
     cumulative_variance,
-    fit_bound_params,
     grid_align,
     logistic_bound,
     mc_shell_check,
     pca_trajectory,
-    plane_deviations,
     projection_error,
     shell_radius,
-    shell_sigma2,
 )
 from .harness import ConfigError, MetricsReport, RunConfig, nfe_to_steps, run_experiment
 from .metrics import order_estimate, sliced_wasserstein
 from .rng import stream
-from .schedules import TimeSchedule, geometric_intermediate, make_schedule, refine_teacher
+from .schedules import TimeSchedule, make_schedule, refine_teacher
 from .score_models import (
     FEATURE_DIM,
     ORACLE_MIN_INTERVALS,

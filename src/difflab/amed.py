@@ -264,8 +264,7 @@ def amed_step(model, params, x, t_hi, t_lo, carry=None, *, base=None, eps_cur=No
 def amed_sample(model, params, schedule, x_T, base: SolverKind | None = None, afs: bool = False) -> Trajectory:
     """Run the learned solver (base=None) or the learned plugin over a schedule."""
     x = np.asarray(x_T, dtype=np.float64)
-    use_afs = afs or (base is not None and base.afs)
-    return _walk_schedule(partial(amed_step, model, params, base=base), schedule, x, use_afs, "amed")
+    return _walk_schedule(partial(amed_step, model, params, base=base), schedule, x, afs, "amed")
 
 
 # ---------------------------------------------------------------------------

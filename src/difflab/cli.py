@@ -50,7 +50,7 @@ def _out_path(path: str) -> str:
 
 def _cmd_sample(args) -> int:
     model = load_model(args.model)
-    solver = parse_solver_spec(args.solver, afs=args.afs)
+    solver = parse_solver_spec(args.solver)
     kind, n, rho = _parse_schedule_spec(args.schedule)
     if args.nfe is not None:
         n = nfe_to_steps(solver, args.nfe, args.afs)
@@ -60,7 +60,7 @@ def _cmd_sample(args) -> int:
     if args.schedule_out:
         write_schedule_csv(schedule, _out_path(args.schedule_out))
     x_T = stream(args.seed, "x_T").standard_normal(model.dim) * schedule.t_max
-    traj = sample(model, solver, schedule, x_T)
+    traj = sample(model, solver, schedule, x_T, afs=args.afs)
     write_trajectory_csv(traj, _out_path(args.out))
     print(f"wrote {args.out}: {len(traj.nodes)} nodes, nfe={traj.nfe}")
     return 0
@@ -136,7 +136,7 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_bound_check(args) -> int:
-    params = BoundParams(a=args.a, b=args.b, d=args.d) if args.a else BoundParams.default(args.d)
+    params = BoundParams(a=args.a, b=args.b, d=args.d) if args.a is not None else BoundParams.default(args.d)
     rep = mc_shell_check(params, args.s, args.t, trials=args.trials, seed=args.seed,
                          substeps=args.substeps)
     doc = {

@@ -5,9 +5,8 @@ affine subspace.  The grid search measures, per interval, how much moving the
 two-evaluation split point away from the geometric midpoint improves agreement
 with a high-accuracy reference trajectory.  The remaining functions implement
 a scaled-logistic envelope for off-plane deviation, the closed-form shell
-radius of the induced zero-drift diffusion, a Monte-Carlo check of that
-radius, and a report comparing realized step errors against the resulting
-additive bound.
+radius of the induced zero-drift diffusion and a Monte-Carlo check of that
+radius (the ``bound-check`` command).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import numpy as np
 
 from .rng import stream
 from .schedules import TimeSchedule
-from .score_models import ORACLE_SUBSTEPS, GaussianMixture, reference_solve
 from .solvers import SolverKind, split_step, step_dpm2, substep
 from .trajectory import Trajectory
 
@@ -89,20 +87,6 @@ def cumulative_variance(traj: Trajectory) -> np.ndarray:
     if cum[-1] <= 0:
         return np.ones_like(cum)
     return cum / cum[-1]
-
-
-def plane_deviations(traj: Trajectory, k: int = 2):
-    """Per-node absolute distance from the trajectory's own rank-k subspace.
-
-    Returns (times, deviations); feed these to fit_bound_params to calibrate
-    the deviation envelope from trajectory dumps.
-    """
-    x = _single_states(traj)
-    pca = pca_trajectory(traj)
-    basis = pca.components[:k]
-    xc = x - pca.mean
-    recon = xc @ basis.T @ basis + pca.mean
-    return traj.times, np.linalg.norm(x - recon, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +248,6 @@ def shell_radius(params: BoundParams, s: float, t: float) -> float:
     return params.a / math.sqrt(params.b) * math.sqrt(total)
 
 
-def shell_sigma2(params: BoundParams, s: float, t: float) -> float:
-    """Per-coordinate variance of the diffusion endpoint, r^2 / d."""
-    r = shell_radius(params, s, t)
-    return r * r / params.d
-
-
 @dataclass(frozen=True)
 class ShellReport:
     mean_norm: float
@@ -306,94 +284,3 @@ def mc_shell_check(params: BoundParams, s: float, t: float, trials: int, seed: i
         trials=trials,
         substeps=substeps,
     )
-
-
-def fit_bound_params(taus, deviations, d: int, b_grid=None) -> BoundParams:
-    """Least-squares fit of the logistic envelope to (time, deviation) samples.
-
-    For each candidate b the optimal a is closed-form; the (a, b) pair with
-    the smallest residual wins.
-    """
-    taus = np.asarray(taus, dtype=np.float64)
-    dev = np.asarray(deviations, dtype=np.float64)
-    if b_grid is None:
-        b_grid = np.geomspace(0.1, 30.0, 60)
-    best = None
-    for b in b_grid:
-        g = 0.5 * np.tanh(0.5 * b * taus)
-        denom = float(g @ g)
-        if denom <= 0:
-            continue
-        a = float(g @ dev) / denom
-        if a <= 0:
-            continue
-        resid = float(np.sum((a * g - dev) ** 2))
-        if best is None or resid < best[0]:
-            best = (resid, a, float(b))
-    if best is None:
-        raise ValueError("could not fit a positive envelope to the data")
-    return BoundParams(a=best[1], b=best[2], d=d)
-
-
-# ---------------------------------------------------------------------------
-# Step-error bound report
-
-
-@dataclass
-class BoundStepRow:
-    t_hi: float
-    t_lo: float
-    mean_actual: float
-    max_actual: float
-    bound: float
-    mean_ratio: float
-    violations: int
-
-
-@dataclass
-class BoundReport:
-    rows: list
-    batch: int
-    violation_rate: float
-
-
-def bound_report(model: GaussianMixture, schedule: TimeSchedule, params_trained, boundcfg: BoundParams,
-                 batch: int = 64, seed: int = 0, substeps: int = ORACLE_SUBSTEPS) -> BoundReport:
-    """Compare realized per-interval step errors against f(s) + f(t) + r(s, t).
-
-    For every interval the learned single step is taken from the reference
-    state at the interval top and compared with the reference state at the
-    bottom.  Report-only: whether the envelope holds depends on the model.
-    """
-    from .amed import amed_step  # local import: geometry stays usable without the predictor
-
-    rng = stream(seed, "bound")
-    x_T = rng.standard_normal((batch, model.dim)) * schedule.t_max
-    ref = reference_solve(model, x_T, schedule, substeps=substeps)
-    ts = schedule.times[::-1]
-    rows = []
-    total_viol = 0
-    for i in range(schedule.n - 1):
-        t_hi, t_lo = float(ts[i]), float(ts[i + 1])
-        x_a, _, _ = amed_step(model, params_trained, ref.nodes[i][1], t_hi, t_lo)
-        actual = np.linalg.norm(ref.nodes[i + 1][1] - x_a, axis=-1)
-        bound = (
-            float(logistic_bound(boundcfg, t_lo))
-            + float(logistic_bound(boundcfg, t_hi))
-            + shell_radius(boundcfg, t_lo, t_hi)
-        )
-        viol = int(np.sum(actual > bound))
-        total_viol += viol
-        rows.append(
-            BoundStepRow(
-                t_hi=t_hi,
-                t_lo=t_lo,
-                mean_actual=float(actual.mean()),
-                max_actual=float(actual.max()),
-                bound=bound,
-                mean_ratio=float((actual / bound).mean()),
-                violations=viol,
-            )
-        )
-    rate = total_viol / (batch * (schedule.n - 1))
-    return BoundReport(rows=rows, batch=batch, violation_rate=rate)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -153,9 +153,8 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
             for nfe in cfg.nfe:
                 n = nfe_to_steps(kind, nfe, cfg.afs)
                 schedule = make_schedule(cfg.schedule_kind, n, cfg.t_min, cfg.t_max, rho=cfg.rho)
-                run_kind = SolverKind(tag=kind.tag, r=kind.r, order=kind.order, afs=cfg.afs)
                 t0 = time.perf_counter()
-                traj = sample(model, run_kind, schedule, x_T)
+                traj = sample(model, kind, schedule, x_T, afs=cfg.afs)
                 elapsed = time.perf_counter() - t0
                 err = float(np.mean(np.linalg.norm(traj.endpoint - ref_endpoint, axis=-1)))
                 sw = sliced_wasserstein(traj.endpoint, data, cfg.projections, seed=cfg.seed)
@@ -190,22 +189,43 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
     return report
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_value_types(doc: dict) -> None:
+    """Raise ConfigError naming the first key whose JSON value has the wrong type."""
+    annotations = {f.name: f.type for f in fields(RunConfig)}
+    for key, value in doc.items():
+        kind = annotations[key]
+        if key == "solvers":
+            ok, want = isinstance(value, list) and all(isinstance(v, str) for v in value), "a list of strings"
+        elif key == "nfe":
+            ok, want = isinstance(value, list) and all(_is_int(v) for v in value), "a list of integers"
+        elif kind == "int":
+            ok, want = _is_int(value), "an integer"
+        elif kind == "float":
+            ok, want = _is_int(value) or isinstance(value, float), "a number"
+        elif kind == "bool":
+            ok, want = isinstance(value, bool), "true or false"
+        else:  # model, schedule_kind, outdir
+            ok, want = isinstance(value, str) or (key == "outdir" and value is None), "a string"
+        if not ok:
+            raise ConfigError(f"config key {key!r} must be {want}; got {value!r}")
+
+
 def load_run_config(path) -> RunConfig:
     """Read a flat key-value JSON config document."""
     from .solvers import parse_solver_spec
 
     with open(path) as f:
         doc = json.load(f)
-    known = {
-        "model", "solvers", "nfe", "schedule_kind", "rho", "t_min", "t_max",
-        "afs", "batch", "seed", "outdir", "oracle_substeps", "oracle_nodes",
-        "projections",
-    }
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "model" not in doc or "solvers" not in doc:
         raise ConfigError("config must name a model file and a solver list")
+    _check_value_types(doc)
     solvers = tuple(parse_solver_spec(s) for s in doc["solvers"])
     kwargs = {k: v for k, v in doc.items() if k not in ("model", "solvers")}
     if "nfe" in kwargs:

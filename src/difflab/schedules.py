@@ -100,16 +100,6 @@ def _geom(t_lo, t_hi, r):
     return t_lo**r * t_hi ** (1.0 - r)
 
 
-def geometric_intermediate(t_lo: float, t_hi: float, r: float) -> float:
-    """Split point t_lo^r * t_hi^(1-r); r=1 collapses onto t_lo, r=0.5 is the
-    geometric mean."""
-    if not 0 < t_lo < t_hi:
-        raise ValueError("need 0 < t_lo < t_hi")
-    if not 0 < r <= 1:
-        raise ValueError("r must lie in (0, 1]")
-    return float(_geom(t_lo, t_hi, r))
-
-
 def write_schedule_csv(schedule: TimeSchedule, path) -> None:
     """Export the grid as a single CSV column."""
     with open(path, "w") as f:

@@ -49,14 +49,11 @@ class SolverKind:
     r      -- intermediate-point exponent for dpm2 (r=0.5 is the default
               geometry, r=1 degenerates to the Heun step).
     order  -- maximum history order for ipndm.
-    afs    -- replace the first model evaluation of a run by the analytic
-              initial direction x/t, saving one evaluation.
     """
 
     tag: str
     r: float = 0.5
     order: int = 4
-    afs: bool = False
 
     def __post_init__(self):
         if self.tag not in SOLVER_TAGS:
@@ -248,22 +245,23 @@ def _walk_schedule(step, schedule, x, afs: bool, name: str) -> Trajectory:
     return Trajectory(nodes=nodes, nfe=nfe)
 
 
-def sample(model: GaussianMixture, kind: SolverKind, schedule, x_T) -> Trajectory:
+def sample(model: GaussianMixture, kind: SolverKind, schedule, x_T, afs: bool = False) -> Trajectory:
     """Run ``kind`` from the top of the schedule down to its floor.
 
+    afs replaces the run's first model call by the analytic direction x/t.
     Deterministic given x_T (which may be batched); see ``_walk_schedule``.
     """
     x = np.asarray(x_T, dtype=np.float64)
     if x.shape[-1] != model.dim:
         raise ValueError(f"state has dim {x.shape[-1]}, model has dim {model.dim}")
-    return _walk_schedule(partial(substep, model, kind), schedule, x, kind.afs, kind.tag)
+    return _walk_schedule(partial(substep, model, kind), schedule, x, afs, kind.tag)
 
 
-def parse_solver_spec(spec: str, afs: bool = False) -> SolverKind:
+def parse_solver_spec(spec: str) -> SolverKind:
     """Parse 'tag' or 'tag:param' (r for dpm2, order for ipndm)."""
     tag, _, arg = spec.partition(":")
     tag = tag.strip()
-    kw = {"afs": afs}
+    kw = {}
     if arg:
         if tag == "dpm2":
             kw["r"] = float(arg)

@@ -31,12 +31,6 @@ class Trajectory:
     def endpoint(self) -> np.ndarray:
         return self.nodes[-1][1]
 
-    def state_at(self, t: float, atol: float = 1e-12) -> np.ndarray:
-        for tn, x in self.nodes:
-            if abs(tn - t) <= atol * max(1.0, abs(t)):
-                return x
-        raise KeyError(f"no node at t={t!r}")
-
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """One row per node, header t,x_0..x_{d-1}, full double precision."""

@@ -188,7 +188,7 @@ def test_c07_nfe_accounting(gmm2_d8):
         )
         for tag in ("euler_ddim", "ipndm", "dpmpp_2m"):
             assert dl.sample(gmm2_d8, dl.SolverKind(tag), sch, x).nfe == n - 1
-            assert dl.sample(gmm2_d8, dl.SolverKind(tag, afs=True), sch, x).nfe == n - 2
+            assert dl.sample(gmm2_d8, dl.SolverKind(tag), sch, x, afs=True).nfe == n - 2
     budget.done("criterion 07: NFE accounting")
 
 

@@ -124,6 +124,12 @@ def test_bound_check_cli(capsys):
     assert abs(doc["ratio"] - 1.0) < 0.1
 
 
+def test_bound_check_rejects_explicit_zero_a():
+    # --a 0 is a value, not "unset": it must reach BoundParams and fail there
+    with pytest.raises(ValueError, match="must be positive"):
+        main(["bound-check", "--d", "4", "--s", "1.0", "--t", "5.0", "--trials", "8", "--a", "0"])
+
+
 def test_eval_cli(tmp_path, model_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({

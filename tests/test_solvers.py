@@ -65,7 +65,7 @@ def test_dpm2_half_uses_midpoint_slope_only(monkeypatch, gmm2_d8):
     calls = count_model_calls(monkeypatch, solvers)
     x = dl.stream(1, "w").standard_normal(8) * 10.0
     x_next, nfe, _ = dl.step_dpm2(gmm2_d8, x, 4.0, 1.0, 0.5)
-    s = dl.geometric_intermediate(1.0, 4.0, 0.5)
+    s = dl.schedules._geom(1.0, 4.0, 0.5)
     assert nfe == 2 and calls[1] == s
     x_s = x + (s - 4.0) * dl.eval_model(gmm2_d8, x, 4.0).epsilon
     manual = x + (1.0 - 4.0) * dl.eval_model(gmm2_d8, x_s, s).epsilon
@@ -191,7 +191,7 @@ def test_nfe_accounting(monkeypatch, gmm2_d8, tag, per, afs):
     for n in range(2, 7):
         sch = dl.make_schedule("polynomial", n, 0.002, 80.0, rho=7.0)
         calls.clear()
-        traj = dl.sample(gmm2_d8, dl.SolverKind(tag, afs=afs), sch, x)
+        traj = dl.sample(gmm2_d8, dl.SolverKind(tag), sch, x, afs=afs)
         assert traj.nfe == per * (n - 1) - (1 if afs else 0)
         assert len(calls) == traj.nfe
         assert traj.nodes[0][0] == 80.0 and traj.nodes[-1][0] == 0.002
@@ -289,15 +289,6 @@ def test_dpm2_r1_equals_heun_property(gmm2_d8):
     check()
 
 
-def test_trajectory_state_at(gmm2_d8, poly_schedule):
-    x = dl.stream(2, "sa").standard_normal(8) * 80.0
-    traj = dl.sample(gmm2_d8, dl.SolverKind("euler_ddim"), poly_schedule, x)
-    t1 = float(poly_schedule.times[1])
-    np.testing.assert_array_equal(traj.state_at(t1), traj.nodes[-2][1])
-    with pytest.raises(KeyError):
-        traj.state_at(12.345)
-
-
 def test_trajectory_csv_roundtrip(tmp_path, gmm2_d8, poly_schedule):
     x = dl.stream(12, "csv").standard_normal(8) * 80.0
     traj = dl.sample(gmm2_d8, dl.SolverKind("euler_ddim"), poly_schedule, x)
@@ -317,7 +308,6 @@ def test_parse_solver_spec():
 
     assert parse_solver_spec("dpm2:0.3").r == 0.3
     assert parse_solver_spec("ipndm:2").order == 2
-    assert parse_solver_spec("heun_edm", afs=True).afs
     with pytest.raises(ValueError):
         parse_solver_spec("euler_ddim:3")
 
