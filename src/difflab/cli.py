@@ -11,10 +11,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .amed import TrainConfig, save_predictor, train
+from .amed import PredictorParams, TrainConfig, amed_sample, save_predictor, train
 from .geometry import (
     BoundParams,
     cumulative_variance,
@@ -30,14 +31,7 @@ from .score_models import ORACLE_SUBSTEPS, load_model, reference_solve
 from .solvers import parse_solver_spec, sample
 from .trajectory import read_trajectory_csv, write_trajectory_csv
 
-
-def _parse_schedule_spec(spec: str):
-    """'kind[,N[,rho]]', e.g. 'polynomial,6,7' or 'uniform,8'."""
-    parts = [p.strip() for p in spec.split(",")]
-    kind = parts[0]
-    n = int(parts[1]) if len(parts) > 1 and parts[1] else None
-    rho = float(parts[2]) if len(parts) > 2 and parts[2] else 7.0
-    return kind, n, rho
+_HELD_OUT = 256  # states in train-amed's held-out batch
 
 
 def _out_path(path: str) -> str:
@@ -48,15 +42,16 @@ def _out_path(path: str) -> str:
     return path
 
 
+def _schedule(args):
+    return make_schedule(args.schedule_kind, args.N, args.t_min, args.t_max, rho=args.rho)
+
+
 def _cmd_sample(args) -> int:
     model = load_model(args.model)
     solver = parse_solver_spec(args.solver)
-    kind, n, rho = _parse_schedule_spec(args.schedule)
     if args.nfe is not None:
-        n = nfe_to_steps(solver, args.nfe, args.afs)
-    if n is None:
-        raise SystemExit("schedule spec carries no N and --nfe not given")
-    schedule = make_schedule(kind, n, args.t_min, args.t_max, rho=rho)
+        args.N = nfe_to_steps(solver, args.nfe, args.afs)
+    schedule = _schedule(args)
     if args.schedule_out:
         write_schedule_csv(schedule, _out_path(args.schedule_out))
     x_T = stream(args.seed, "x_T").standard_normal(model.dim) * schedule.t_max
@@ -80,7 +75,7 @@ def _cmd_train_amed(args) -> int:
         seed=args.seed,
         learn_time_scale=args.time_scale,
     )
-    schedule = make_schedule(args.schedule_kind, args.N, args.t_min, args.t_max, rho=args.rho)
+    schedule = _schedule(args)
     result = train(model, cfg, schedule)
     save_predictor(result.params, _out_path(args.out))
     if args.loss_out:
@@ -89,6 +84,17 @@ def _cmd_train_amed(args) -> int:
         f"trained on {args.images} images ({result.losses.shape[0]} loops); "
         f"first-loop mean loss {result.losses[0].mean():.6g}, "
         f"last-loop mean loss {result.losses[-1].mean():.6g}; wrote {args.out}"
+    )
+    # Fixed held-out batch, independent of --seed; one reference serves both rows.
+    held = stream(77, "held").standard_normal((_HELD_OUT, model.dim)) * schedule.t_max
+    ref = reference_solve(model, held, schedule).endpoint
+    errs = {}
+    for label, params in (("untrained", PredictorParams.zeros()), ("trained", result.params)):
+        traj = amed_sample(model, params, schedule, held, base=student)
+        errs[label] = float(np.mean(np.linalg.norm(traj.endpoint - ref, axis=-1)))
+    print(
+        f"held-out mean endpoint L2 ({_HELD_OUT} states, nfe={traj.nfe}): "
+        f"untrained {errs['untrained']:.6g}, trained {errs['trained']:.6g}"
     )
     return 0
 
@@ -125,7 +131,7 @@ def _cmd_align(args) -> int:
     base = parse_solver_spec(args.solver)
     lo, hi, step = (float(v) for v in args.grid.split(":"))
     grid = np.arange(lo, hi + 0.5 * step, step)
-    schedule = make_schedule(args.schedule_kind, args.N, args.t_min, args.t_max, rho=args.rho)
+    schedule = _schedule(args)
     x_T = stream(args.seed, "align").standard_normal((args.batch, model.dim)) * schedule.t_max
     oracle = reference_solve(model, x_T, schedule, substeps=args.oracle_substeps)
     result = grid_align(model, base, schedule, grid, oracle)
@@ -181,27 +187,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="run one solver and dump the trajectory CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--solver", required=True)
-    p.add_argument("--schedule", default="polynomial,8,7",
-                   help="kind[,N[,rho]]; N may be overridden by --nfe")
-    p.add_argument("--nfe", type=int, default=None)
+    p.add_argument("--nfe", type=int, default=None, help="evaluation budget; overrides --N")
     p.add_argument("--afs", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t-min", type=float, default=0.002)
-    p.add_argument("--t-max", type=float, default=80.0)
     p.add_argument("--out", default="traj.csv")
     p.add_argument("--schedule-out", default=None)
+    add_schedule_flags(p, default_n=8)
     p.set_defaults(func=_cmd_sample)
 
+    train_defaults = {f.name: f.default for f in fields(TrainConfig)}
     p = sub.add_parser("train-amed", help="distill the step predictor")
     p.add_argument("--model", required=True)
     p.add_argument("--student", default="amed", help="'amed' or a base solver spec")
     p.add_argument("--teacher", required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--M", type=int, default=2)
-    p.add_argument("--images", type=int, default=10_000)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--M", type=int, default=train_defaults["m"])
+    p.add_argument("--images", type=int, default=train_defaults["images"])
+    p.add_argument("--batch", type=int, default=train_defaults["batch"])
+    p.add_argument("--lr", type=float, default=train_defaults["lr"])
+    p.add_argument("--seed", type=int, default=train_defaults["seed"])
     p.add_argument("--time-scale", action="store_true")
     p.add_argument("--out", default="predictor.json")
     p.add_argument("--loss-out", default=None)

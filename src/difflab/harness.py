@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -110,23 +110,12 @@ class MetricsReport:
 
     def to_doc(self) -> dict:
         # wall-clock deliberately excluded: report files are byte-deterministic
-        return {
-            "entries": [
-                {
-                    "solver": e.solver,
-                    "nfe": e.nfe,
-                    "steps": e.steps,
-                    "mean_endpoint_l2": e.mean_endpoint_l2,
-                    "sliced_w2": e.sliced_w2,
-                    "nfe_observed": e.nfe_observed,
-                }
-                for e in self.entries
-            ],
-            "orders": self.orders,
-        }
+        return {"entries": [asdict(e) for e in self.entries], "orders": self.orders}
 
 
-_CSV_HEADER = "solver,nfe,steps,mean_endpoint_l2,sliced_w2,nfe_observed\n"
+def _csv_line(values) -> str:
+    """One CSV line; floats as repr so the report round-trips exactly."""
+    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values) + "\n"
 
 
 def run_experiment(cfg: RunConfig) -> MetricsReport:
@@ -174,12 +163,9 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
 
     if outdir:
         with open(os.path.join(outdir, "metrics.csv"), "w") as f:
-            f.write(_CSV_HEADER)
+            f.write(_csv_line(col.name for col in fields(RunEntry)))
             for e in report.entries:
-                f.write(
-                    f"{e.solver},{e.nfe},{e.steps},{e.mean_endpoint_l2!r},"
-                    f"{e.sliced_w2!r},{e.nfe_observed}\n"
-                )
+                f.write(_csv_line(astuple(e)))
         with open(os.path.join(outdir, "metrics.json"), "w") as f:
             json.dump(report.to_doc(), f, indent=2)
             f.write("\n")

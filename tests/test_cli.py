@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ def test_sample_writes_trajectory(tmp_path, model_path, capsys):
     out = tmp_path / "traj.csv"
     rc = main([
         "sample", "--model", model_path, "--solver", "heun_edm",
-        "--schedule", "polynomial,6,7", "--seed", "3", "--out", str(out),
+        "--N", "6", "--seed", "3", "--out", str(out),
     ])
     assert rc == 0
     traj = dl.read_trajectory_csv(out)
@@ -33,7 +34,7 @@ def test_sample_nfe_overrides_schedule_n(tmp_path, model_path):
     out = tmp_path / "traj.csv"
     main([
         "sample", "--model", model_path, "--solver", "euler_ddim",
-        "--schedule", "polynomial,6,7", "--nfe", "12", "--out", str(out),
+        "--N", "6", "--nfe", "12", "--out", str(out),
     ])
     assert len(dl.read_trajectory_csv(out).nodes) == 13
 
@@ -44,7 +45,7 @@ def test_sample_rejects_parity_conflict(tmp_path, model_path):
     with pytest.raises(ConfigError, match="even NFE"):
         main([
             "sample", "--model", model_path, "--solver", "dpm2",
-            "--schedule", "polynomial", "--nfe", "7", "--out", str(tmp_path / "t.csv"),
+            "--nfe", "7", "--out", str(tmp_path / "t.csv"),
         ])
 
 
@@ -53,7 +54,7 @@ def test_sample_schedule_export(tmp_path, model_path):
     sched_out = tmp_path / "sched.csv"
     main([
         "sample", "--model", model_path, "--solver", "euler_ddim",
-        "--schedule", "uniform,5", "--out", str(out), "--schedule-out", str(sched_out),
+        "--schedule-kind", "uniform", "--N", "5", "--out", str(out), "--schedule-out", str(sched_out),
     ])
     lines = sched_out.read_text().strip().splitlines()
     assert lines[0] == "t" and len(lines) == 6
@@ -74,11 +75,62 @@ def test_train_amed_cli(tmp_path, model_path, capsys):
     assert curve.shape == (2, 2)
 
 
+def test_train_amed_defaults_are_train_config_defaults():
+    from dataclasses import fields
+
+    from difflab.cli import build_parser
+
+    args = build_parser().parse_args(["train-amed", "--model", "m.json", "--teacher", "dpm2", "--N", "4"])
+    want = {f.name: f.default for f in fields(dl.TrainConfig)}
+    got = {"m": args.M, "batch": args.batch, "images": args.images, "lr": args.lr, "seed": args.seed}
+    assert got == {k: want[k] for k in got}
+
+
+def test_train_amed_accepts_parameterised_specs(tmp_path, model_path, capsys):
+    rc = main([
+        "train-amed", "--model", model_path, "--student", "dpm2:0.3", "--teacher", "ipndm:2",
+        "--N", "3", "--M", "1", "--images", "32", "--batch", "16", "--out", str(tmp_path / "p.json"),
+    ])
+    assert rc == 0
+    assert "held-out mean endpoint L2 (256 states, nfe=8)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("student, nfe", [("amed", 4), ("dpm2", 8)])
+def test_train_amed_held_out_line(tmp_path, model_path, capsys, monkeypatch, student, nfe):
+    import difflab.amed
+    import difflab.cli
+
+    calls = []
+
+    def counting_reference_solve(*args, **kwargs):
+        calls.append(args)
+        return dl.reference_solve(*args, **kwargs)
+
+    for module in (difflab.cli, difflab.amed):
+        monkeypatch.setattr(module, "reference_solve", counting_reference_solve)
+    rc = main([
+        "train-amed", "--model", model_path, "--student", student, "--teacher", "dpm2",
+        "--N", "3", "--M", "1", "--images", "32", "--batch", "16", "--out", str(tmp_path / "p.json"),
+    ])
+    assert rc == 0
+    assert len(calls) == 1  # one reference serves the trained and the untrained row
+    line = capsys.readouterr().out.splitlines()[-1]
+    m = re.fullmatch(
+        rf"held-out mean endpoint L2 \(256 states, nfe={nfe}\): untrained (\S+), trained (\S+)", line
+    )
+    assert m is not None, line
+    held = dl.stream(77, "held").standard_normal((256, 4)) * 80.0
+    sch = dl.make_schedule("polynomial", 3, 0.002, 80.0)
+    base = None if student == "amed" else dl.SolverKind(student)
+    untrained = np.mean(dl.endpoint_errors(dl.load_model(model_path), dl.PredictorParams.zeros(), sch, held, base=base))
+    assert float(m.group(1)) == pytest.approx(untrained, rel=1e-5)
+
+
 def test_pca_cli(tmp_path, model_path):
     traj_path = tmp_path / "traj.csv"
     main([
         "sample", "--model", model_path, "--solver", "euler_ddim",
-        "--schedule", "polynomial,8,7", "--out", str(traj_path),
+        "--out", str(traj_path),
     ])
     out = tmp_path / "pca.csv"
     rc = main(["pca", "--in", str(traj_path), "--out", str(out)])
@@ -96,7 +148,7 @@ def test_pca_cli_batch_dir(tmp_path, model_path):
     for seed in range(3):
         main([
             "sample", "--model", model_path, "--solver", "euler_ddim",
-            "--schedule", "polynomial,6,7", "--seed", str(seed),
+            "--N", "6", "--seed", str(seed),
             "--out", str(batch_dir / f"t{seed}.csv"),
         ])
     out = tmp_path / "pca.csv"
@@ -156,14 +208,7 @@ def test_cli_outdir_env(tmp_path, model_path, monkeypatch):
     monkeypatch.setenv(ENV_OUTDIR, str(tmp_path / "dflt"))
     main([
         "sample", "--model", model_path, "--solver", "euler_ddim",
-        "--schedule", "uniform,4", "--out", "rel.csv",
+        "--schedule-kind", "uniform", "--N", "4", "--out", "rel.csv",
     ])
     assert (tmp_path / "dflt" / "rel.csv").exists()
 
-
-def test_sample_requires_node_count(tmp_path, model_path):
-    with pytest.raises(SystemExit):
-        main([
-            "sample", "--model", model_path, "--solver", "euler_ddim",
-            "--schedule", "polynomial", "--out", str(tmp_path / "t.csv"),
-        ])

@@ -239,3 +239,27 @@ def test_committed_report_reproduces(tmp_path):
     assert got["orders"].keys() == want["orders"].keys()
     for label, order in want["orders"].items():
         assert got["orders"][label] == pytest.approx(order, rel=1e-9, abs=0), label
+
+
+def test_orders_config_matches_exact_solution(monkeypatch):
+    """configs/orders_gauss1_d4.json: every row's error equals its error against the exact flow.
+
+    On the single Gaussian the reference's own error (about 2e-9) sits far
+    below the best solver's (about 2e-3), so the report's endpoint errors
+    are the solvers' true errors to a relative 1e-5.
+    """
+    monkeypatch.delenv(dl.harness.ENV_OUTDIR, raising=False)
+    cfg = load_run_config(ROOT / "configs" / "orders_gauss1_d4.json")
+    assert cfg.outdir is None and len(cfg.solvers) == 5 and cfg.nfe == (8, 16, 32, 64)
+    model = dl.load_model(ROOT / cfg.model)
+    report = run_experiment(dataclasses.replace(cfg, model=model))
+    x_T = dl.stream(cfg.seed, "x_T").standard_normal((cfg.batch, model.dim)) * cfg.t_max
+    exact = dl.exact_trajectory(model, x_T, cfg.t_min, cfg.t_max)
+    kinds = {kind.label(): kind for kind in cfg.solvers}
+    assert len(report.entries) == 20
+    for e in report.entries:
+        schedule = dl.make_schedule(cfg.schedule_kind, e.steps, cfg.t_min, cfg.t_max, rho=cfg.rho)
+        traj = dl.sample(model, kinds[e.solver], schedule, x_T)
+        err = float(np.mean(np.linalg.norm(traj.endpoint - exact, axis=-1)))
+        assert e.mean_endpoint_l2 == pytest.approx(err, rel=1e-5, abs=0), (e.solver, e.nfe)
+    assert all(order is not None for order in report.orders.values())
