@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from .metrics import order_estimate, sliced_wasserstein
 from .rng import stream
-from .schedules import make_schedule
+from .schedules import SCHEDULE_KINDS, make_schedule
 from .score_models import ORACLE_SUBSTEPS, GaussianMixture, load_model, reference_solve, sample_data
 from .solvers import SolverKind, sample
 
@@ -77,8 +78,17 @@ class RunConfig:
     projections: int = 64
 
     def __post_init__(self):
-        if self.batch < 0:
-            raise ConfigError("batch must be non-negative")
+        for key, ok, want in (
+            ("batch", self.batch >= 0, "non-negative"),
+            ("oracle_substeps", self.oracle_substeps >= 32, "at least 32"),
+            ("oracle_nodes", self.oracle_nodes >= 2, "at least 2"),
+            ("projections", self.projections >= 1, "at least 1"),
+            ("schedule_kind", self.schedule_kind in SCHEDULE_KINDS, f"one of {list(SCHEDULE_KINDS)}"),
+            ("t_min", 0 < self.t_min < self.t_max, f"positive and below t_max ({self.t_max!r})"),
+            ("rho", self.rho > 0, "positive"),
+        ):
+            if not ok:
+                raise ConfigError(f"config key {key!r} must be {want}; got {getattr(self, key)!r}")
         solvers = tuple(self.solvers)
         if not solvers:
             raise ConfigError("need at least one solver")
@@ -118,8 +128,25 @@ def _csv_line(values) -> str:
     return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values) + "\n"
 
 
+@contextmanager
+def _phase(wallclock: dict, name: str):
+    """Add the wall time of the block to ``wallclock[name]``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        wallclock[name] = wallclock.get(name, 0.0) + time.perf_counter() - t0
+
+
 def run_experiment(cfg: RunConfig) -> MetricsReport:
-    """Run the configured grid and (optionally) persist CSV/JSON reports."""
+    """Run the configured grid and (optionally) persist CSV/JSON reports.
+
+    ``report.wallclock`` (and ``timing.json``) holds the seconds spent in the
+    reference (``oracle``), in each solver run (``<label>@<nfe>``), in the
+    endpoint errors, sliced W2 and order fits together (``metrics``), and in
+    the whole call up to the sidecar itself (``total``).
+    """
+    start = time.perf_counter()
     model = load_model(cfg.model) if isinstance(cfg.model, (str, os.PathLike)) else cfg.model
     report = MetricsReport()
     outdir = cfg.resolve_outdir()
@@ -132,9 +159,8 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
         ref_schedule = make_schedule(
             cfg.schedule_kind, cfg.oracle_nodes, cfg.t_min, cfg.t_max, rho=cfg.rho
         )
-        t0 = time.perf_counter()
-        ref_endpoint = reference_solve(model, x_T, ref_schedule, cfg.oracle_substeps).endpoint
-        report.wallclock["oracle"] = time.perf_counter() - t0
+        with _phase(report.wallclock, "oracle"):
+            ref_endpoint = reference_solve(model, x_T, ref_schedule, cfg.oracle_substeps).endpoint
 
         for kind in cfg.solvers:
             label = kind.label()
@@ -142,11 +168,11 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
             for nfe in cfg.nfe:
                 n = nfe_to_steps(kind, nfe, cfg.afs)
                 schedule = make_schedule(cfg.schedule_kind, n, cfg.t_min, cfg.t_max, rho=cfg.rho)
-                t0 = time.perf_counter()
-                traj = sample(model, kind, schedule, x_T, afs=cfg.afs)
-                elapsed = time.perf_counter() - t0
-                err = float(np.mean(np.linalg.norm(traj.endpoint - ref_endpoint, axis=-1)))
-                sw = sliced_wasserstein(traj.endpoint, data, cfg.projections, seed=cfg.seed)
+                with _phase(report.wallclock, f"{label}@{nfe}"):
+                    traj = sample(model, kind, schedule, x_T, afs=cfg.afs)
+                with _phase(report.wallclock, "metrics"):
+                    err = float(np.mean(np.linalg.norm(traj.endpoint - ref_endpoint, axis=-1)))
+                    sw = sliced_wasserstein(traj.endpoint, data, cfg.projections, seed=cfg.seed)
                 report.entries.append(
                     RunEntry(
                         solver=label,
@@ -157,9 +183,9 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
                         nfe_observed=traj.nfe,
                     )
                 )
-                report.wallclock[f"{label}@{nfe}"] = elapsed
                 errs.append((nfe, err))
-            report.orders[label] = order_estimate(errs) if len(errs) >= 3 else None
+            with _phase(report.wallclock, "metrics"):
+                report.orders[label] = order_estimate(errs) if len(errs) >= 3 else None
 
     if outdir:
         with open(os.path.join(outdir, "metrics.csv"), "w") as f:
@@ -169,6 +195,8 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
         with open(os.path.join(outdir, "metrics.json"), "w") as f:
             json.dump(report.to_doc(), f, indent=2)
             f.write("\n")
+    report.wallclock["total"] = time.perf_counter() - start
+    if outdir:
         with open(os.path.join(outdir, "timing.json"), "w") as f:
             json.dump(report.wallclock, f, indent=2)
             f.write("\n")

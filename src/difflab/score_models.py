@@ -6,13 +6,16 @@ deviation s by noise level t gives another isotropic Gaussian with variance
 s^2 + t^2.  The marginal score is therefore available in closed form, and with
 it the noise prediction eps(x, t) = -t * score; the data prediction
 x - t * eps is formed by the solvers that use it.  Each evaluation also
-exposes a feature vector (the posterior component responsibilities,
-zero-padded to a fixed width) playing the role a network's bottleneck
+keeps the posterior component responsibilities, from which a fixed-width
+feature vector is formed on read, playing the role a network's bottleneck
 activation would play for a learned model.
 
-Cost model of ``eval_model``: two matrix products of the (batch, d) states
-with the (d, K) component means per call and O(batch * (K + d)) memory; no
-(batch, K, d) tensor is formed.  Its precision contract: each row's noise
+Cost model of ``eval_model``: two matrix products per call, the (batch, d)
+states with the (d, K) component means and the (batch, K) weighted
+responsibilities with the (K, 1 + d) matrix [1 | means], plus O(K) work per
+time for the per-time K-vectors (inverse variances and logit biases), and
+O(batch * (K + d)) memory; no (batch, K, d) tensor is formed, and no feature
+vector unless one is read.  Its precision contract: each row's noise
 prediction agrees with the direct per-component form to 1e-9 of the row's
 largest |eps|.
 """
@@ -20,6 +23,7 @@ largest |eps|.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +32,8 @@ from .schedules import refine_teacher
 from .trajectory import Trajectory
 
 # Width of the per-evaluation feature vector.  Responsibilities of the
-# perturbed mixture are written into the first K slots, the rest stay zero.
+# perturbed mixture fill the first min(K, FEATURE_DIM) slots, the rest stay
+# zero; a mixture with more components is truncated.
 FEATURE_DIM = 16
 
 # Default RK4 substeps per schedule interval of the reference trajectory, and
@@ -95,6 +100,7 @@ class GaussianMixture:
         mc = m - centre
         object.__setattr__(self, "_centre", _lock(centre))
         object.__setattr__(self, "_means_ct", _lock(np.ascontiguousarray(mc.T)))
+        object.__setattr__(self, "_ones_means", _lock(np.hstack([np.ones((mc.shape[0], 1)), mc])))
         object.__setattr__(self, "_mean_sq", _lock(np.einsum("kd,kd->k", mc, mc)))
         object.__setattr__(self, "_s2", _lock(s * s))
         object.__setattr__(self, "_log_w", _lock(np.log(w)))
@@ -115,14 +121,30 @@ class GaussianMixture:
 
 @dataclass(frozen=True)
 class ModelEval:
-    """One model evaluation: noise prediction and feature vector.
+    """One model evaluation: noise prediction and component responsibilities.
 
-    feature is a probability vector over mixture components padded to
-    FEATURE_DIM.
+    ``responsibilities`` has shape (..., K), or is None for an evaluation
+    that reports no state information (a ``zero_feature`` model, or a test
+    stand-in).  ``feature`` is formed from it only when read.
     """
 
     epsilon: np.ndarray
-    feature: np.ndarray
+    responsibilities: np.ndarray | None = None
+
+    @property
+    def feature(self) -> np.ndarray:
+        """The FEATURE_DIM-wide feature vector over the batch dimensions.
+
+        The first min(K, FEATURE_DIM) responsibilities, zero-padded; for
+        K > FEATURE_DIM the vector is truncated and no longer sums to one.
+        All zeros when ``responsibilities`` is None.
+        """
+        resp = self.responsibilities
+        feature = np.zeros(np.shape(self.epsilon)[:-1] + (FEATURE_DIM,))
+        if resp is not None:
+            k = min(resp.shape[-1], FEATURE_DIM)
+            feature[..., :k] = resp[..., :k]
+        return feature
 
 
 def eval_model(model: GaussianMixture, x, t) -> ModelEval:
@@ -133,43 +155,53 @@ def eval_model(model: GaussianMixture, x, t) -> ModelEval:
     one vectorized call use a different time per batch element.
 
     The per-component differences x - mu_k are never formed.  With x and the
-    means taken relative to the mixture mean, squared distances expand to
-    |x|^2 - 2 x.mu_k + |mu_k|^2 and the prediction to
-    t * (x * sum_k a_k - sum_k a_k mu_k), where a_k = rho_k / (s_k^2 + t^2)
-    and rho_k are the responsibilities (see the module docstring for cost
-    and precision).
+    means taken relative to the mixture mean, the component log-densities are
+    (x.mu_k - |x|^2/2) / v_k + b_k, where v_k = s_k^2 + t^2 and the bias b_k
+    collects log w_k, -d/2 log v_k and -|mu_k|^2 / (2 v_k); 1/v and b are
+    K-vectors per time.  The prediction is t * (x * sum_k a_k - sum_k a_k mu_k)
+    with a_k = rho_k / v_k and rho_k the responsibilities; one product with
+    the per-model matrix [1 | mu] gives both sums (see the module docstring
+    for cost and precision).
     """
     x = np.asarray(x, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
     if x.shape[-1] != model.dim:
         raise ValueError(f"state has dim {x.shape[-1]}, model has dim {model.dim}")
-    if not np.isfinite(x).all() or not np.isfinite(t).all():
-        raise ValueError("non-finite input to model evaluation")
-    if (t <= 0).any():
-        raise ValueError("time must be strictly positive")
+    if not isinstance(t, float):
+        t = np.asarray(t, dtype=np.float64)
+        if t.ndim == 0:
+            t = float(t)
+    if isinstance(t, float):
+        if not (np.isfinite(x).all() and math.isfinite(t)):
+            raise ValueError("non-finite input to model evaluation")
+        if t <= 0:
+            raise ValueError("time must be strictly positive")
+        tt = t
+    else:
+        if not (np.isfinite(x).all() and np.isfinite(t).all()):
+            raise ValueError("non-finite input to model evaluation")
+        if (t <= 0).any():
+            raise ValueError("time must be strictly positive")
+        tt = t[..., None]
 
-    tt = t[..., None]
+    inv_var = 1.0 / (model._s2 + tt * tt)                               # (..., K)
+    bias = model._log_w + 0.5 * (model.dim * np.log(inv_var) - model._mean_sq * inv_var)
     xc = x - model._centre
-    var = model._s2 + tt * tt                                           # (..., K)
-    sq = np.einsum("...d,...d->...", xc, xc)[..., None] - 2.0 * (xc @ model._means_ct) + model._mean_sq
+    g = xc @ model._means_ct
+    g -= 0.5 * np.einsum("...d,...d->...", xc, xc)[..., None]
     # Log-densities of the perturbed components, constants independent of k dropped.
-    logp = model._log_w - 0.5 * (sq / var + model.dim * np.log(var))
+    logp = g * inv_var
+    logp += bias
     logp -= logp.max(axis=-1, keepdims=True)                            # log-sum-exp stabilization
-    resp = np.exp(logp)
+    resp = np.exp(logp, out=logp)
     resp /= resp.sum(axis=-1, keepdims=True)                            # (..., K)
 
-    a = resp / var
-    # tt * (xc * sum_k a_k - a @ mu), formed in place once at full broadcast shape
-    # (xc itself may be a single state shared by many times).
-    eps = xc * a.sum(axis=-1, keepdims=True)
-    eps -= a @ model._means_ct.T
+    sums = (resp * inv_var) @ model._ones_means                         # (..., 1 + d)
+    # tt * (xc * sum_k a_k - sum_k a_k mu_k), formed at full broadcast shape
+    # before anything is written in place (xc may be one state shared by many times).
+    eps = xc * sums[..., :1]
+    eps -= sums[..., 1:]
     eps *= tt
-
-    k = min(model.n_components, FEATURE_DIM)
-    feature = np.zeros(resp.shape[:-1] + (FEATURE_DIM,))
-    if not model.zero_feature:
-        feature[..., :k] = resp[..., :k]
-    return ModelEval(epsilon=eps, feature=feature)
+    return ModelEval(epsilon=eps, responsibilities=None if model.zero_feature else resp)
 
 
 def exact_trajectory(model: GaussianMixture, x_T, t: float, T: float) -> np.ndarray:

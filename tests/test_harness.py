@@ -136,10 +136,38 @@ def test_timing_sidecar_records_oracle(tmp_path):
                     outdir=str(tmp_path), oracle_nodes=5)
     run_experiment(cfg)
     timing = json.loads((tmp_path / "timing.json").read_text())
-    assert set(timing) == {"oracle", "euler_ddim@4"}
+    assert set(timing) == {"oracle", "euler_ddim@4", "metrics", "total"}
     assert timing["oracle"] > 0
+    assert sum(v for k, v in timing.items() if k != "total") <= timing["total"]
     for name in ("metrics.csv", "metrics.json"):
         assert "oracle" not in (tmp_path / name).read_text()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("batch", -1),
+        ("oracle_substeps", 31),
+        ("oracle_nodes", 1),
+        ("projections", 0),
+        ("schedule_kind", "cosine"),
+        ("t_min", 0.0),
+        ("t_min", 100.0),
+        ("t_max", 0.001),
+        ("rho", 0.0),
+        ("rho", -7.0),
+    ],
+)
+def test_run_config_rejects_out_of_range_values(tmp_path, key, value):
+    # Raised at construction, before any model call, naming the key (t_max
+    # below t_min is reported on t_min, the key the bound is checked on).
+    named = "t_min" if key == "t_max" else key
+    with pytest.raises(ConfigError, match=f"config key '{named}'"):
+        RunConfig(model=make_gmm(1, 2, 3), solvers=(dl.SolverKind("euler_ddim"),), nfe=(8,), **{key: value})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "m.json", "solvers": ["euler_ddim"], key: value}))
+    with pytest.raises(ConfigError, match=f"config key '{named}'"):
+        load_run_config(path)
 
 
 def test_run_config_from_json(tmp_path):

@@ -103,6 +103,43 @@ def test_eval_per_row_times_match_row_calls():
     _assert_evals_close(got, [dl.eval_model(m, row, t) for row, t in zip(x, T_GRID)])
 
 
+def direct_feature(model, x, t):
+    """The first FEATURE_DIM responsibilities of one state, zero-padded, one component at a time."""
+    var = model.stds**2 + t * t
+    logp = np.array([
+        np.log(model.weights[k]) - 0.5 * ((x - model.means[k]) @ (x - model.means[k])) / var[k]
+        - 0.5 * model.dim * np.log(var[k])
+        for k in range(model.n_components)
+    ])
+    resp = np.exp(logp - logp.max())
+    resp /= resp.sum()
+    feature = np.zeros(FEATURE_DIM)
+    k = min(model.n_components, FEATURE_DIM)
+    feature[:k] = resp[:k]
+    return feature
+
+
+@pytest.mark.parametrize("k", [1, 4, 16, 64])
+def test_feature_is_padded_truncated_responsibilities(k):
+    base = make_gmm(40 + k, k, 8, spread=3.0)
+    flagged = dl.GaussianMixture(weights=base.weights, means=base.means, stds=base.stds, zero_feature=True)
+    rng = dl.stream(8, "feature", k)
+    x = _probe_states(base, 1.0, 3, rng)
+    t = 0.7
+    cases = [
+        (x[0], t, [direct_feature(base, x[0], t)]),
+        (x, t, [direct_feature(base, row, t) for row in x]),
+        (x[0], T_GRID, [direct_feature(base, x[0], s) for s in T_GRID]),
+    ]
+    for xs, ts, want in cases:
+        ev = dl.eval_model(base, xs, ts)
+        assert ev.feature.shape == np.shape(ev.epsilon)[:-1] + (FEATURE_DIM,)
+        np.testing.assert_allclose(np.reshape(ev.feature, (-1, FEATURE_DIM)), want, rtol=0, atol=EVAL_RTOL)
+        zeroed = dl.eval_model(flagged, xs, ts)
+        assert zeroed.feature.shape == ev.feature.shape and np.all(zeroed.feature == 0.0)
+        np.testing.assert_array_equal(zeroed.epsilon, ev.epsilon)
+
+
 def test_feature_is_padded_probability_vector():
     m = make_gmm(4, 3, 4)
     ev = dl.eval_model(m, np.ones(4), 2.0)
@@ -176,15 +213,29 @@ def test_epsilon_matches_log_density_gradient():
         np.testing.assert_allclose(eps, -t * fd, rtol=1e-6, atol=1e-9)
 
 
+NON_FINITE = "non-finite input"
+NOT_POSITIVE = "strictly positive"
+BAD_TIMES = [(0.0, NOT_POSITIVE), (-1.0, NOT_POSITIVE), (np.nan, NON_FINITE), (np.inf, NON_FINITE), (-np.inf, NON_FINITE)]
+# t as a Python float, an np.float64, a 0-d array and a per-row array.
+TIME_FORMS = (float, np.float64, np.array, lambda v: np.array([1.0, v]))
+
+
 def test_eval_validation():
     m = make_gmm(4, 2, 3)
-    with pytest.raises(ValueError):
-        dl.eval_model(m, np.zeros(3), 0.0)
-    with pytest.raises(ValueError):
-        dl.eval_model(m, np.zeros(3), -1.0)
-    with pytest.raises(ValueError):
-        dl.eval_model(m, np.array([np.nan, 0.0, 0.0]), 1.0)
-    with pytest.raises(ValueError):
+    x = np.zeros((2, 3))
+    for make_t in TIME_FORMS:
+        for value, message in BAD_TIMES:
+            with pytest.raises(ValueError, match=message):
+                dl.eval_model(m, x, make_t(value))
+            # A non-finite state is reported first, whatever is wrong with the time.
+            with pytest.raises(ValueError, match=NON_FINITE):
+                dl.eval_model(m, np.full((2, 3), np.nan), make_t(value))
+        for bad in (np.nan, np.inf, -np.inf):
+            x_bad = x.copy()
+            x_bad[1, 2] = bad
+            with pytest.raises(ValueError, match=NON_FINITE):
+                dl.eval_model(m, x_bad, make_t(1.0))
+    with pytest.raises(ValueError, match="dim"):
         dl.eval_model(m, np.zeros(4), 1.0)
 
 
@@ -414,7 +465,7 @@ def test_oracle_divergence_names_interval(monkeypatch):
         from difflab.score_models import ModelEval
 
         eps = np.full(np.shape(x), 1e308)
-        return ModelEval(epsilon=eps, feature=np.zeros(np.shape(x)[:-1] + (16,)))
+        return ModelEval(epsilon=eps)
 
     monkeypatch.setattr(sm, "eval_model", exploding)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -11,7 +11,7 @@ def const_field(vec):
 
     def fake_eval(model, x, t):
         eps = np.broadcast_to(np.asarray(vec, dtype=float), np.shape(x)).copy()
-        return ModelEval(epsilon=eps, feature=np.zeros(np.shape(x)[:-1] + (16,)))
+        return ModelEval(epsilon=eps)
 
     return fake_eval
 
@@ -238,7 +238,7 @@ def test_divergence_aborts_with_interval(monkeypatch, gmm2_d8, poly_schedule):
     def exploding(model, x, t):
         calls["n"] += 1
         eps = np.full(np.shape(x), 1e308)
-        return ModelEval(epsilon=eps, feature=np.zeros(np.shape(x)[:-1] + (16,)))
+        return ModelEval(epsilon=eps)
 
     monkeypatch.setattr(solvers, "eval_model", exploding)
     with np.errstate(over="ignore"), pytest.raises(dl.DivergenceError) as err:
