@@ -6,9 +6,7 @@ from .amed import (
     TrainResult,
     amed_sample,
     amed_step,
-    endpoint_errors,
     load_predictor,
-    predict,
     save_predictor,
     train,
 )
@@ -30,7 +28,6 @@ from .rng import stream
 from .schedules import TimeSchedule, make_schedule, refine_teacher
 from .score_models import (
     FEATURE_DIM,
-    ORACLE_MIN_INTERVALS,
     ORACLE_SUBSTEPS,
     DivergenceError,
     GaussianMixture,
@@ -41,7 +38,6 @@ from .score_models import (
     oracle_solve,
     reference_solve,
     sample_data,
-    save_model,
 )
 from .solvers import (
     SolverKind,

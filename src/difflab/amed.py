@@ -26,14 +26,7 @@ import numpy as np
 
 from .rng import stream
 from .schedules import TimeSchedule, refine_teacher
-from .score_models import (
-    FEATURE_DIM,
-    ORACLE_SUBSTEPS,
-    DivergenceError,
-    GaussianMixture,
-    eval_model,
-    reference_solve,
-)
+from .score_models import FEATURE_DIM, DivergenceError, GaussianMixture, ModelEval, eval_model
 from .solvers import SolverKind, _check_interval, _walk_schedule, sample, split_step
 from .trajectory import Trajectory
 
@@ -168,12 +161,6 @@ def predict_with_cache(params: PredictorParams, h, t_hi, t_lo):
     return PredictorOutput(r=r, c=c, a=a), cache
 
 
-def predict(params: PredictorParams, h, t_hi, t_lo) -> PredictorOutput:
-    """Deterministic forward pass; see PredictorParams for the output ranges."""
-    out, _ = predict_with_cache(params, h, t_hi, t_lo)
-    return out
-
-
 def predictor_vjp(params: PredictorParams, cache, g_r, g_c, g_a=None) -> dict:
     """Exact parameter gradients given per-sample upstream output sensitivities."""
     o, u, z1, z2, h = cache["o"], cache["u"], cache["z1"], cache["z2"], cache["h"]
@@ -230,21 +217,18 @@ class AdamState:
         return replace(params, **out)
 
 
-def _zero_feature_like(x, feature_dim):
-    shape = np.asarray(x).shape[:-1] + (feature_dim,)
-    return np.zeros(shape)
-
-
 def _predict_for_step(model, params, x, t_hi, t_lo, eps_cur):
-    """Current slope, its model calls, and the predictor outputs for one interval."""
+    """Current slope, its model calls, and the predictor outputs for one interval.
+
+    An injected slope (the analytic first step) costs no call and carries no
+    state information: its ModelEval's feature is all zeros.
+    """
     if eps_cur is None:
-        ev0 = eval_model(model, x, t_hi)
-        eps1, feat, nfe = ev0.epsilon, ev0.feature, 1
+        ev, nfe = eval_model(model, x, t_hi), 1
     else:
-        # Analytically substituted first slope: no evaluation, no feature.
-        eps1, feat, nfe = np.asarray(eps_cur, dtype=np.float64), _zero_feature_like(x, params.feature_dim), 0
-    out, cache = predict_with_cache(params, feat, t_hi, t_lo)
-    return eps1, nfe, out, cache
+        ev, nfe = ModelEval(np.asarray(eps_cur, dtype=np.float64)), 0
+    out, cache = predict_with_cache(params, ev.feature, t_hi, t_lo)
+    return ev.epsilon, nfe, out, cache
 
 
 def amed_step(model, params, x, t_hi, t_lo, carry=None, *, base=None, eps_cur=None):
@@ -322,12 +306,8 @@ _PROBE_ROWS = {"r": ((0, 1), (0, 2)), "c": ((1, 0), (2, 0)), "a": ((0, 3), (0, 4
 
 
 def step_loss(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur=None) -> float:
-    """Batch-mean L2 gap to the teacher state after one student step."""
-    _check_interval(t_hi, t_lo)
-    eps1, _, out, _ = _predict_for_step(model, params, x, t_hi, t_lo, eps_cur)
-    x_next, _, _ = split_step(
-        model, x, t_hi, t_lo, out.r, base=student, c=out.c, a=out.a, carry=carry, eps_cur=eps1
-    )
+    """Batch-mean L2 gap to the teacher state after one ``amed_step``."""
+    x_next, _, _ = amed_step(model, params, x, t_hi, t_lo, carry, base=student, eps_cur=eps_cur)
     return float(np.mean(np.linalg.norm(x_next - y, axis=-1)))
 
 
@@ -426,13 +406,6 @@ def train(model: GaussianMixture, cfg: TrainConfig, schedule: TimeSchedule) -> T
     return TrainResult(params=params, losses=losses)
 
 
-def endpoint_errors(model, params, schedule, x_T, base=None, afs=False, substeps=ORACLE_SUBSTEPS):
-    """Per-sample endpoint L2 distance between the learned sampler and the oracle."""
-    traj = amed_sample(model, params, schedule, x_T, base=base, afs=afs)
-    ref = reference_solve(model, x_T, schedule, substeps=substeps)
-    return np.linalg.norm(traj.endpoint - ref.endpoint, axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 
@@ -451,7 +424,10 @@ def save_predictor(params: PredictorParams, path) -> None:
 def load_predictor(path) -> PredictorParams:
     """Read a save_predictor checkpoint; malformed content raises ValueError naming path and key."""
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: not JSON ({e})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a predictor checkpoint")
     if doc.get("version") != CHECKPOINT_VERSION:

@@ -15,7 +15,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .amed import PredictorParams, TrainConfig, amed_sample, save_predictor, train
+from .amed import PredictorParams, TrainConfig, amed_sample, load_predictor, save_predictor, train
 from .geometry import (
     BoundParams,
     cumulative_variance,
@@ -26,7 +26,7 @@ from .geometry import (
 )
 from .harness import ENV_OUTDIR, load_run_config, nfe_to_steps, run_experiment
 from .rng import stream
-from .schedules import make_schedule, write_schedule_csv
+from .schedules import SCHEDULE_KINDS, make_schedule, write_schedule_csv
 from .score_models import ORACLE_SUBSTEPS, load_model, reference_solve
 from .solvers import parse_solver_spec, sample
 from .trajectory import read_trajectory_csv, write_trajectory_csv
@@ -77,7 +77,8 @@ def _cmd_train_amed(args) -> int:
     )
     schedule = _schedule(args)
     result = train(model, cfg, schedule)
-    save_predictor(result.params, _out_path(args.out))
+    out = _out_path(args.out)
+    save_predictor(result.params, out)
     if args.loss_out:
         np.savetxt(_out_path(args.loss_out), result.losses, delimiter=",")
     print(
@@ -86,10 +87,11 @@ def _cmd_train_amed(args) -> int:
         f"last-loop mean loss {result.losses[-1].mean():.6g}; wrote {args.out}"
     )
     # Fixed held-out batch, independent of --seed; one reference serves both rows.
+    # The trained row scores the checkpoint as written.
     held = stream(77, "held").standard_normal((_HELD_OUT, model.dim)) * schedule.t_max
     ref = reference_solve(model, held, schedule).endpoint
     errs = {}
-    for label, params in (("untrained", PredictorParams.zeros()), ("trained", result.params)):
+    for label, params in (("untrained", PredictorParams.zeros()), ("trained", load_predictor(out))):
         traj = amed_sample(model, params, schedule, held, base=student)
         errs[label] = float(np.mean(np.linalg.norm(traj.endpoint - ref, axis=-1)))
     print(
@@ -176,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_schedule_flags(p, default_n=None):
-        p.add_argument("--schedule-kind", default="polynomial",
-                       choices=("polynomial", "logsnr", "uniform"))
+        p.add_argument("--schedule-kind", default="polynomial", choices=SCHEDULE_KINDS)
         p.add_argument("--rho", type=float, default=7.0)
         p.add_argument("--t-min", type=float, default=0.002)
         p.add_argument("--t-max", type=float, default=80.0)

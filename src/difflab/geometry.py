@@ -18,6 +18,7 @@ import numpy as np
 
 from .rng import stream
 from .schedules import TimeSchedule
+from .score_models import eval_model
 from .solvers import SolverKind, split_step, step_dpm2, substep
 from .trajectory import Trajectory
 
@@ -115,19 +116,20 @@ class AlignmentResult:
         return self.best_r.mean(axis=-1)
 
 
-def _search_step(model, base: SolverKind, x, t_hi, t_lo, r, carry):
+def _search_step(model, base: SolverKind, x, t_hi, t_lo, r, carry, eps_cur=None):
     """One interval with split exponent r, following the base solver.
 
     dpm2 consumes r natively; other solvers are split into two substeps at
     the corresponding intermediate point with neutral scaling.  r = 1
     collapses the split onto the interval bottom, leaving a single substep.
-    Returns the step's ``(x_next, nfe, carry)``.
+    eps_cur, if given, is the slope at x (shared by all candidates of an
+    interval).  Returns the step's ``(x_next, nfe, carry)``.
     """
     if base.tag == "dpm2":
-        return step_dpm2(model, x, t_hi, t_lo, r)
+        return step_dpm2(model, x, t_hi, t_lo, r, eps_cur=eps_cur)
     if np.all(np.asarray(r) == 1.0):
-        return substep(model, base, x, t_hi, t_lo, carry)
-    return split_step(model, x, t_hi, t_lo, r, base=base, carry=carry)
+        return substep(model, base, x, t_hi, t_lo, carry, eps_cur=eps_cur)
+    return split_step(model, x, t_hi, t_lo, r, base=base, carry=carry, eps_cur=eps_cur)
 
 
 def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Trajectory) -> AlignmentResult:
@@ -149,9 +151,8 @@ def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Tr
         raise ValueError("reference trajectory was not produced on this schedule")
 
     ts = schedule.times[::-1]
-    x0 = np.asarray(oracle.nodes[0][1], dtype=np.float64)
-    batched = x0.ndim == 2
-    n_b = x0.shape[0] if batched else 1
+    x0 = np.atleast_2d(np.asarray(oracle.nodes[0][1], dtype=np.float64))  # a single state is a batch of one
+    n_b = x0.shape[0]
     steps = schedule.n - 1
 
     x_base, carry_base = x0, None
@@ -162,14 +163,12 @@ def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Tr
         t_hi, t_lo = float(ts[i]), float(ts[i + 1])
         y = np.asarray(oracle.nodes[i + 1][1], dtype=np.float64)
         x_base, _, carry_base = _search_step(model, base, x_base, t_hi, t_lo, 0.5, carry_base)
-        cands = [_search_step(model, base, x_sea, t_hi, t_lo, r, carry_sea) for r in grid]
+        eps_cur = eval_model(model, x_sea, t_hi).epsilon
+        cands = [_search_step(model, base, x_sea, t_hi, t_lo, r, carry_sea, eps_cur) for r in grid]
         dists = np.stack([np.linalg.norm(xc - y, axis=-1) for xc, _, _ in cands])
         pick = np.argmin(dists, axis=0)
-        if batched:
-            x_sea = np.stack([xc for xc, _, _ in cands])[pick, np.arange(n_b)]
-            carry_sea = _gather_carry([c for _, _, c in cands], pick, n_b)
-        else:
-            x_sea, _, carry_sea = cands[int(pick)]
+        x_sea = np.stack([xc for xc, _, _ in cands])[pick, np.arange(n_b)]
+        carry_sea = _gather_carry([c for _, _, c in cands], pick, n_b)
         d_base = np.linalg.norm(x_base - y, axis=-1)
         d_sea = np.linalg.norm(x_sea - y, axis=-1)
         best_r[i] = np.array(grid)[pick]

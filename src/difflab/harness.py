@@ -141,24 +141,29 @@ def _phase(wallclock: dict, name: str):
 def run_experiment(cfg: RunConfig) -> MetricsReport:
     """Run the configured grid and (optionally) persist CSV/JSON reports.
 
-    ``report.wallclock`` (and ``timing.json``) holds the seconds spent in the
-    reference (``oracle``), in each solver run (``<label>@<nfe>``), in the
-    endpoint errors, sliced W2 and order fits together (``metrics``), and in
-    the whole call up to the sidecar itself (``total``).
+    ``report.wallclock`` (and ``timing.json``) holds the seconds spent in
+    model load, output directory, input and data draws and the reference
+    schedule (``setup``), in the reference (``oracle``), in building each
+    solver schedule and running the solver on it (``<label>@<nfe>``), in the
+    endpoint errors, sliced W2 and order fits together (``metrics``), in
+    writing the CSV and JSON reports (``write``), and in the whole call up
+    to the sidecar itself (``total``).
     """
     start = time.perf_counter()
-    model = load_model(cfg.model) if isinstance(cfg.model, (str, os.PathLike)) else cfg.model
     report = MetricsReport()
-    outdir = cfg.resolve_outdir()
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
+    with _phase(report.wallclock, "setup"):
+        model = load_model(cfg.model) if isinstance(cfg.model, (str, os.PathLike)) else cfg.model
+        outdir = cfg.resolve_outdir()
+        if outdir:
+            os.makedirs(outdir, exist_ok=True)
+        if cfg.batch > 0:
+            x_T = stream(cfg.seed, "x_T").standard_normal((cfg.batch, model.dim)) * cfg.t_max
+            data = sample_data(model, cfg.batch, stream(cfg.seed, "data"))
+            ref_schedule = make_schedule(
+                cfg.schedule_kind, cfg.oracle_nodes, cfg.t_min, cfg.t_max, rho=cfg.rho
+            )
 
     if cfg.batch > 0:
-        x_T = stream(cfg.seed, "x_T").standard_normal((cfg.batch, model.dim)) * cfg.t_max
-        data = sample_data(model, cfg.batch, stream(cfg.seed, "data"))
-        ref_schedule = make_schedule(
-            cfg.schedule_kind, cfg.oracle_nodes, cfg.t_min, cfg.t_max, rho=cfg.rho
-        )
         with _phase(report.wallclock, "oracle"):
             ref_endpoint = reference_solve(model, x_T, ref_schedule, cfg.oracle_substeps).endpoint
 
@@ -166,9 +171,9 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
             label = kind.label()
             errs = []
             for nfe in cfg.nfe:
-                n = nfe_to_steps(kind, nfe, cfg.afs)
-                schedule = make_schedule(cfg.schedule_kind, n, cfg.t_min, cfg.t_max, rho=cfg.rho)
                 with _phase(report.wallclock, f"{label}@{nfe}"):
+                    n = nfe_to_steps(kind, nfe, cfg.afs)
+                    schedule = make_schedule(cfg.schedule_kind, n, cfg.t_min, cfg.t_max, rho=cfg.rho)
                     traj = sample(model, kind, schedule, x_T, afs=cfg.afs)
                 with _phase(report.wallclock, "metrics"):
                     err = float(np.mean(np.linalg.norm(traj.endpoint - ref_endpoint, axis=-1)))
@@ -188,13 +193,14 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
                 report.orders[label] = order_estimate(errs) if len(errs) >= 3 else None
 
     if outdir:
-        with open(os.path.join(outdir, "metrics.csv"), "w") as f:
-            f.write(_csv_line(col.name for col in fields(RunEntry)))
-            for e in report.entries:
-                f.write(_csv_line(astuple(e)))
-        with open(os.path.join(outdir, "metrics.json"), "w") as f:
-            json.dump(report.to_doc(), f, indent=2)
-            f.write("\n")
+        with _phase(report.wallclock, "write"):
+            with open(os.path.join(outdir, "metrics.csv"), "w") as f:
+                f.write(_csv_line(col.name for col in fields(RunEntry)))
+                for e in report.entries:
+                    f.write(_csv_line(astuple(e)))
+            with open(os.path.join(outdir, "metrics.json"), "w") as f:
+                json.dump(report.to_doc(), f, indent=2)
+                f.write("\n")
     report.wallclock["total"] = time.perf_counter() - start
     if outdir:
         with open(os.path.join(outdir, "timing.json"), "w") as f:

@@ -332,15 +332,3 @@ def load_model(path) -> GaussianMixture:
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
 
-
-def save_model(model: GaussianMixture, path) -> None:
-    cfg = {
-        "components": [
-            {"weight": float(w), "mean": [float(v) for v in mu], "std": float(s)}
-            for w, mu, s in zip(model.weights, model.means, model.stds)
-        ],
-        "zero_feature": model.zero_feature,
-    }
-    with open(path, "w") as f:
-        json.dump(cfg, f, indent=2)
-        f.write("\n")

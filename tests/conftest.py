@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,20 @@ def make_gmm(seed, k, d, spread=2.0, s_lo=0.5, s_hi=1.0, centered=False):
         weights /= weights.sum()
     stds = rng.uniform(s_lo, s_hi, k)
     return dl.GaussianMixture(weights=weights, means=means, stds=stds)
+
+
+def save_model(model, path):
+    """Write a mixture in the JSON form that ``load_model`` reads."""
+    cfg = {
+        "components": [
+            {"weight": float(w), "mean": [float(v) for v in mu], "std": float(s)}
+            for w, mu, s in zip(model.weights, model.means, model.stds)
+        ],
+        "zero_feature": model.zero_feature,
+    }
+    with open(path, "w") as f:
+        json.dump(cfg, f, indent=2)
+        f.write("\n")
 
 
 @pytest.fixture

@@ -135,13 +135,19 @@ def test_c05_training_gain():
     model = train_model_c5()
     sch = dl.make_schedule("polynomial", 4, 0.002, 80.0, rho=7.0)
     held = dl.stream(77, "held").standard_normal((256, 16)) * 80.0
-    base_err = float(np.mean(amed.endpoint_errors(model, PredictorParams.zeros(), sch, held)))
+    ref = dl.reference_solve(model, held, sch).endpoint
+
+    def held_out_error(params):
+        traj = dl.amed_sample(model, params, sch, held)
+        return float(np.mean(np.linalg.norm(traj.endpoint - ref, axis=-1)))
+
+    base_err = held_out_error(PredictorParams.zeros())
     cfg = TrainConfig(
         teacher=dl.SolverKind("dpm2"), student=None, m=1,
         batch=128, images=10_000, lr=1e-3, seed=0,
     )
     result = amed.train(model, cfg, sch)
-    err = float(np.mean(amed.endpoint_errors(model, result.params, sch, held)))
+    err = held_out_error(result.params)
     gain = (base_err - err) / base_err
     assert gain >= 0.05, f"gain {gain:.3f} below 5%"
     budget.done(f"criterion 05: learned-solver training gain ({100 * gain:.1f}%)")
@@ -156,17 +162,19 @@ def test_c06_plugin_gain():
     for nfe in (4, 6, 8):
         n = nfe // 2 + 1
         sch = dl.make_schedule("polynomial", n, 0.002, 80.0, rho=7.0)
-        untrained = float(
-            np.mean(amed.endpoint_errors(model, PredictorParams.zeros(), sch, held, base=base))
-        )
+        ref = dl.reference_solve(model, held, sch).endpoint
+
+        def held_out_error(params):
+            traj = dl.amed_sample(model, params, sch, held, base=base)
+            return float(np.mean(np.linalg.norm(traj.endpoint - ref, axis=-1)))
+
+        untrained = held_out_error(PredictorParams.zeros())
         cfg = TrainConfig(
             teacher=base, student=base, m=2,
             batch=128, images=10_000, lr=3e-3, seed=0,
         )
         result = amed.train(model, cfg, sch)
-        trained = float(
-            np.mean(amed.endpoint_errors(model, result.params, sch, held, base=base))
-        )
+        trained = held_out_error(result.params)
         gains[nfe] = (untrained - trained) / untrained
         assert trained <= untrained, f"NFE={nfe}: trained {trained:.4f} > untrained {untrained:.4f}"
     sweep = ", ".join(f"NFE {k}: {100 * v:+.1f}%" for k, v in gains.items())

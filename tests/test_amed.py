@@ -11,7 +11,6 @@ from difflab import amed
 from difflab.amed import (
     PredictorParams,
     TrainConfig,
-    predict,
     predict_with_cache,
     predictor_vjp,
     step_loss,
@@ -35,15 +34,15 @@ def rand_params(seed=0, hidden=4, emb_dim=8, outputs=3, scale=0.3):
 
 def test_zero_params_emit_neutral_outputs():
     p = PredictorParams.zeros(outputs=3)
-    out = predict(p, np.zeros(16), 80.0, 30.0)
+    out = predict_with_cache(p, np.zeros(16), 80.0, 30.0)[0]
     assert out.r == 0.5 and out.c == 1.0 and out.a == 1.0
 
 
 def test_predict_is_pure():
     p = rand_params()
     h = dl.stream(1, "h").random(16)
-    a = predict(p, h, 10.0, 2.0)
-    b = predict(p, h, 10.0, 2.0)
+    a = predict_with_cache(p, h, 10.0, 2.0)[0]
+    b = predict_with_cache(p, h, 10.0, 2.0)[0]
     assert a.r == b.r and a.c == b.c and a.a == b.a
 
 
@@ -51,10 +50,10 @@ def test_feature_sensitivity_and_zero_feature_independence():
     p = rand_params(scale=0.5)
     rng = dl.stream(2, "h")
     h1, h2 = rng.random(16), rng.random(16)
-    o1, o2 = predict(p, h1, 10.0, 2.0), predict(p, h2, 10.0, 2.0)
+    o1, o2 = predict_with_cache(p, h1, 10.0, 2.0)[0], predict_with_cache(p, h2, 10.0, 2.0)[0]
     assert o1.r != o2.r  # feature path is live
-    z = predict(p, np.zeros(16), 10.0, 2.0)
-    z2 = predict(p, np.zeros(16), 10.0, 2.0)
+    z = predict_with_cache(p, np.zeros(16), 10.0, 2.0)[0]
+    z2 = predict_with_cache(p, np.zeros(16), 10.0, 2.0)[0]
     assert z.r == z2.r  # zeroed feature makes the output state-independent
 
 
@@ -62,7 +61,7 @@ def test_feature_sensitivity_and_zero_feature_independence():
 @settings(max_examples=60, deadline=None)
 def test_output_ranges(b1, b2, b3):
     p = replace(PredictorParams.zeros(outputs=3), b3=np.array([b1, b2, b3]))
-    out = predict(p, np.zeros(16), 50.0, 10.0)
+    out = predict_with_cache(p, np.zeros(16), 50.0, 10.0)[0]
     assert 0.0 < out.r < 1.0
     assert 0.0 < out.c < 2.0
     assert 0.5 < out.a < 1.5
@@ -75,12 +74,14 @@ def test_param_budget_enforced():
     assert PredictorParams.zeros().n_params <= 20_000
 
 
-def test_amed_step_zero_init_equals_dpm2(gmm2_d8, poly_schedule):
+@pytest.mark.parametrize("afs", [False, True])
+def test_amed_step_zero_init_equals_dpm2(gmm2_d8, poly_schedule, afs):
+    # With AFS the first interval's predictor reads the all-zero feature.
     zp = PredictorParams.zeros()
     for seed in range(10):
         x = dl.stream(seed, "eq2").standard_normal(8) * 80.0
-        t1 = dl.amed_sample(gmm2_d8, zp, poly_schedule, x)
-        t2 = dl.sample(gmm2_d8, dl.SolverKind("dpm2", r=0.5), poly_schedule, x)
+        t1 = dl.amed_sample(gmm2_d8, zp, poly_schedule, x, afs=afs)
+        t2 = dl.sample(gmm2_d8, dl.SolverKind("dpm2", r=0.5), poly_schedule, x, afs=afs)
         assert t1.nfe == t2.nfe
         for (ta, xa), (tb, xb) in zip(t1.nodes, t2.nodes):
             np.testing.assert_array_equal(xa, xb)
@@ -166,7 +167,7 @@ def test_time_scale_changes_second_eval(monkeypatch, gmm2_d8, poly_schedule):
 
     calls = count_model_calls(monkeypatch, solvers_mod, amed)
     p3 = replace(PredictorParams.zeros(outputs=3), b3=np.array([0.0, 0.0, 2.0]))
-    out = predict(p3, np.zeros(16), 10.0, 2.0)
+    out = predict_with_cache(p3, np.zeros(16), 10.0, 2.0)[0]
     assert out.a > 1.0
     x = dl.stream(5, "ts").standard_normal(8) * 10.0
     x_scaled, _, _ = amed.amed_step(gmm2_d8, p3, x, 10.0, 2.0)
@@ -363,10 +364,16 @@ def test_training_improves_held_out_endpoint(n):
     m = make_gmm(9, 4, 16, spread=6.0, s_lo=0.1, s_hi=0.3)
     sch = dl.make_schedule("polynomial", n, 0.002, 80.0, rho=7.0)
     held = dl.stream(77, "held").standard_normal((256, 16)) * 80.0
-    base_err = float(np.mean(amed.endpoint_errors(m, PredictorParams.zeros(), sch, held)))
+    ref = dl.reference_solve(m, held, sch).endpoint
+
+    def held_out_error(params):
+        traj = dl.amed_sample(m, params, sch, held)
+        return float(np.mean(np.linalg.norm(traj.endpoint - ref, axis=-1)))
+
+    base_err = held_out_error(PredictorParams.zeros())
     cfg = TrainConfig(teacher=dl.SolverKind("dpm2"), student=None, m=1, batch=128, images=10_000, lr=1e-3, seed=0)
     res = amed.train(m, cfg, sch)
-    err = float(np.mean(amed.endpoint_errors(m, res.params, sch, held)))
+    err = held_out_error(res.params)
     assert err <= 0.95 * base_err
 
 
@@ -403,6 +410,14 @@ def test_checkpoint_version_check(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"version": 99, "emb_dim": 16, "arrays": {}}')
     with pytest.raises(ValueError):
+        amed.load_predictor(path)
+
+
+def test_checkpoint_not_json_names_path(tmp_path):
+    # An empty file is what train-amed reads back from --out /dev/null.
+    path = tmp_path / "empty.json"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty.json: not JSON"):
         amed.load_predictor(path)
 
 
@@ -458,4 +473,4 @@ def test_predictor_overflow_raises_numeric_error():
     h = np.full(16, 1e8)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):
-            predict(huge, h, 10.0, 2.0)
+            predict_with_cache(huge, h, 10.0, 2.0)

@@ -139,6 +139,22 @@ def test_grid_align_first_step_nonnegative(gmm2_d8, poly_schedule):
         assert np.all(res.alignment[0] >= -1e-12)
 
 
+@pytest.mark.parametrize("tag", ["dpm2", "euler_ddim", "ipndm"])
+def test_grid_align_counted_model_calls(monkeypatch, gmm2_d8, poly_schedule, tag):
+    import difflab.geometry as geometry_mod
+    import difflab.solvers as solvers_mod
+    from test_solvers import count_model_calls
+
+    x = dl.stream(4, "align").standard_normal((8, 8)) * 80.0
+    oracle = dl.oracle_solve(gmm2_d8, x, poly_schedule, 64)
+    calls = count_model_calls(monkeypatch, solvers_mod, geometry_mod)
+    grid = [0.25, 0.5, 0.75]
+    dl.grid_align(gmm2_d8, dl.SolverKind(tag), poly_schedule, grid, oracle)
+    # Per interval: the r = 0.5 baseline step (2 calls), one slope at the
+    # searched state shared by every candidate, one call per candidate split.
+    assert len(calls) == (poly_schedule.n - 1) * (2 + 1 + len(grid))
+
+
 def test_grid_align_positive_mean_on_mixture():
     model = make_gmm(31, 2, 16)
     sch = dl.make_schedule("polynomial", 6, 0.002, 80.0, rho=7.0)

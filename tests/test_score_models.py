@@ -11,7 +11,7 @@ import difflab as dl
 from difflab.harness import load_run_config
 from difflab.score_models import FEATURE_DIM
 
-from conftest import make_gmm
+from conftest import make_gmm, save_model
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -333,7 +333,7 @@ def test_oracle_default_certified(model_file):
     reference nodes, five solvers at NFE 8-64) on each shipped model and
     estimates the reference's error on the same initial states, on the
     17-node reference grid and on the 3-, 4- and 6-node student schedules
-    that endpoint_errors and the align command integrate on.
+    that the held-out scoring of train-amed and the align command integrate on.
     """
     cfg = load_run_config(ROOT / "configs" / "eval_example.json")
     model = dl.load_model(ROOT / "configs" / model_file)
@@ -413,7 +413,7 @@ def test_afs_direction_aligns_at_large_t(seed):
 def test_model_roundtrip(tmp_path):
     m = make_gmm(6, 3, 4)
     path = tmp_path / "model.json"
-    dl.save_model(m, path)
+    save_model(m, path)
     m2 = dl.load_model(path)
     np.testing.assert_allclose(m2.weights, m.weights, rtol=1e-15)
     np.testing.assert_array_equal(m2.means, m.means)
