@@ -47,8 +47,6 @@ from .solvers import (
     split_step,
     step_dpm2,
     step_dpmpp_2m,
-    step_euler,
-    step_heun,
     step_ipndm,
 )
 from .trajectory import read_trajectory_csv, write_trajectory_csv

@@ -26,7 +26,7 @@ import numpy as np
 
 from .rng import stream
 from .schedules import TimeSchedule, refine_teacher
-from .score_models import FEATURE_DIM, DivergenceError, GaussianMixture, ModelEval, eval_model
+from .score_models import FEATURE_DIM, DivergenceError, GaussianMixture, ModelEval, _read_json, eval_model
 from .solvers import SolverKind, _check_interval, _walk_schedule, sample, split_step
 from .trajectory import Trajectory
 
@@ -312,7 +312,7 @@ def step_loss(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur=None
 
 
 def _fd_probes(v, name):
-    """Central finite-difference points (v + delta, v - delta), clipped to the output's range."""
+    """Central FD points (v + delta, v - delta), clipped to the output's range, which keeps v+ > v-."""
     lo, hi = _FD_BOUNDS[name]
     delta = 1e-3 * np.maximum(np.abs(v), 1e-3)
     return np.clip(v + delta, lo, hi), np.clip(v - delta, lo, hi)
@@ -366,9 +366,7 @@ def step_loss_grad(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur
     sens = {}
     for name, (vp, vm) in probes.items():
         plus, minus = _PROBE_ROWS[name]
-        denom = np.asarray(vp - vm)
-        denom = np.where(denom == 0, 1.0, denom)
-        sens[name] = (norms[plus] - norms[minus]) / denom / n_samples
+        sens[name] = (norms[plus] - norms[minus]) / (vp - vm) / n_samples
     grads = predictor_vjp(params, cache, sens["r"], sens["c"], sens.get("a"))
     return loss, grads, x_next, carry_next
 
@@ -423,13 +421,7 @@ def save_predictor(params: PredictorParams, path) -> None:
 
 def load_predictor(path) -> PredictorParams:
     """Read a save_predictor checkpoint; malformed content raises ValueError naming path and key."""
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: not JSON ({e})") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: not a predictor checkpoint")
+    doc = _read_json(path)
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
     emb_dim = doc.get("emb_dim")

@@ -162,8 +162,9 @@ def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Tr
     for i in range(steps):
         t_hi, t_lo = float(ts[i]), float(ts[i + 1])
         y = np.asarray(oracle.nodes[i + 1][1], dtype=np.float64)
-        x_base, _, carry_base = _search_step(model, base, x_base, t_hi, t_lo, 0.5, carry_base)
         eps_cur = eval_model(model, x_sea, t_hi).epsilon
+        eps_base = eps_cur if i == 0 else None  # both runs start at the reference's top node
+        x_base, _, carry_base = _search_step(model, base, x_base, t_hi, t_lo, 0.5, carry_base, eps_base)
         cands = [_search_step(model, base, x_sea, t_hi, t_lo, r, carry_sea, eps_cur) for r in grid]
         dists = np.stack([np.linalg.norm(xc - y, axis=-1) for xc, _, _ in cands])
         pick = np.argmin(dists, axis=0)

@@ -21,8 +21,8 @@ import numpy as np
 from .metrics import order_estimate, sliced_wasserstein
 from .rng import stream
 from .schedules import SCHEDULE_KINDS, make_schedule
-from .score_models import ORACLE_SUBSTEPS, GaussianMixture, load_model, reference_solve, sample_data
-from .solvers import SolverKind, sample
+from .score_models import ORACLE_SUBSTEPS, GaussianMixture, _read_json, load_model, reference_solve, sample_data
+from .solvers import SolverKind, parse_solver_spec, sample
 
 ENV_OUTDIR = "DIFFLAB_OUTDIR"
 
@@ -236,10 +236,7 @@ def _check_value_types(doc: dict) -> None:
 
 def load_run_config(path) -> RunConfig:
     """Read a flat key-value JSON config document."""
-    from .solvers import parse_solver_spec
-
-    with open(path) as f:
-        doc = json.load(f)
+    doc = _read_json(path, ConfigError)
     unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")

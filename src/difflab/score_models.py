@@ -290,6 +290,20 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _read_json(path, error=ValueError) -> dict:
+    """The JSON object stored at path; anything else raises ``error`` naming the path."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except OSError as e:
+        raise error(f"{path}: cannot read ({e.strerror})") from None
+    except ValueError as e:  # not JSON, or not UTF-8 text
+        raise error(f"{path}: not JSON ({e})") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: not a JSON object")
+    return doc
+
+
 def load_model(path) -> GaussianMixture:
     """Load a mixture from a JSON config: {"components": [{weight, mean, std}, ...]}.
 
@@ -298,9 +312,8 @@ def load_model(path) -> GaussianMixture:
     file raises ValueError naming the path and, where one is at fault, the
     component index and key.
     """
-    with open(path) as f:
-        cfg = json.load(f)
-    comps = cfg.get("components") if isinstance(cfg, dict) else None
+    cfg = _read_json(path)
+    comps = cfg.get("components")
     if not comps:
         raise ValueError(f"{path}: no components")
     means = []

@@ -1,21 +1,23 @@
 """Baseline ODE solvers under a single stepping interface.
 
 Every solver advances the flow ODE dx/dt = eps(x, t) from a higher time t_hi
-to a lower time t_lo.  Every step returns ``(x_next, nfe, carry)``: nfe counts
-the model calls it made, carry is the history the next step consumes (None
-for single-step solvers, the newest-first past slopes up to order - 1 for
-ipndm, (t_hi, denoised) for dpmpp_2m).  Two hooks exist for composition:
-``eps_cur`` injects a precomputed (or analytically substituted) slope at the
-current state at no model call, and ``scale`` multiplies the step's direction
-term, which is how a learned per-step rescaling wraps a base solver.  Times
-may be scalars or per-sample arrays broadcast against a batched state.
+to a lower time t_lo.  The five solver tags share three step rules: euler_ddim
+is the order-1 Adams-Bashforth step of ``step_ipndm`` and heun_edm the
+``step_dpm2`` split at r = 1.  Every step returns ``(x_next, nfe, carry)``: nfe
+counts the model calls it made, carry is the history the next step consumes
+(None for single-step solvers and order-1 ipndm, the newest-first past slopes
+up to order - 1 for ipndm, (t_hi, denoised) for dpmpp_2m).  Two hooks exist
+for composition: ``eps_cur`` injects a precomputed (or analytically
+substituted) slope at the current state at no model call, and ``scale``
+multiplies the step's direction term, which is how a learned per-step
+rescaling wraps a base solver.  Times may be scalars or per-sample arrays
+broadcast against a batched state.
 
 ``split_step`` is the one interval-split primitive; each solver that splits
 an interval is one choice of its parameters (r, w, c, a, base), the rest
 left at their defaults (w = c = 1, a and base None):
 
-    step_dpm2            r,                 w = 1/(2r), c = scale
-    step_heun            r = 1,             w = 1/2,    c = scale
+    step_dpm2            r (heun_edm: 1),   w = 1/(2r), c = scale
     amed_step            learned r, c[, a]; base = the wrapped solver, if any
     geometry.grid_align  searched r,        base = any solver but dpm2
 """
@@ -100,14 +102,6 @@ def _current(model, x, t_hi, eps_cur):
     return eval_model(model, x, t_hi).epsilon, 1
 
 
-def step_euler(model, x, t_hi, t_lo, *, eps_cur=None, scale=1.0):
-    """Explicit rectangle step x + (t_lo - t_hi) * eps(x, t_hi)."""
-    _check_interval(t_hi, t_lo)
-    eps, nfe = _current(model, x, t_hi, eps_cur)
-    x_next = x + _col(t_lo - t_hi, x) * (_col(scale, x) * eps)
-    return x_next, nfe, None
-
-
 def split_step(model, x, t_hi, t_lo, r, *, base=None, w=1.0, c=1.0, a=None, carry=None, eps_cur=None):
     """Split the interval at s = t_lo^r * t_hi^(1-r), evaluate there, finish scaled.
 
@@ -135,22 +129,16 @@ def split_step(model, x, t_hi, t_lo, r, *, base=None, w=1.0, c=1.0, a=None, carr
     return x_next, nfe + n1 + 1 + n2, carry
 
 
-def step_heun(model, x, t_hi, t_lo, *, eps_cur=None, scale=1.0):
-    """Trapezoidal correction: Euler predictor, then average the two slopes."""
-    _check_interval(t_hi, t_lo)
-    return split_step(model, x, t_hi, t_lo, 1.0, w=0.5, c=scale, eps_cur=eps_cur)
-
-
 def step_dpm2(model, x, t_hi, t_lo, r=0.5, *, eps_cur=None, scale=1.0):
     """Two-evaluation step with a movable intermediate point.
 
     Euler to s = t_lo^r * t_hi^(1-r), evaluate there, and take the full step
     with slope weights (1/(2r), 1 - 1/(2r)).  r=0.5 uses only the midpoint
-    slope; r=1 reproduces the Heun step bitwise.
+    slope; r=1 is the Heun trapezoid, the step heun_edm runs.
     """
     _check_interval(t_hi, t_lo)
     r = np.asarray(r, dtype=np.float64)
-    if not (np.all(r > 0) and np.all(r <= 1)):
+    if not ((r > 0) & (r <= 1)).all():
         raise ValueError("r must lie in (0, 1]")
     return split_step(model, x, t_hi, t_lo, r, w=1.0 / (2.0 * r), c=scale, eps_cur=eps_cur)
 
@@ -159,7 +147,7 @@ def step_ipndm(model, x, t_hi, t_lo, history=(), *, eps_cur=None, scale=1.0, max
     """Adams-Bashforth step on the slope, order set by the available history.
 
     history holds the most recent past slopes, newest first (at most three).
-    With no history this is the Euler step.  Returns the new slope prepended.
+    With no history this is the Euler step.  Returns the new slope prepended (None at max_order 1).
     """
     _check_interval(t_hi, t_lo)
     history = tuple(history)
@@ -172,7 +160,7 @@ def step_ipndm(model, x, t_hi, t_lo, history=(), *, eps_cur=None, scale=1.0, max
     for c, past in zip(coeffs[1:], history):
         combo = combo + c * past
     x_next = x + _col(t_lo - t_hi, x) * (_col(scale, x) * combo)
-    return x_next, nfe, ((eps,) + history)[: max_order - 1]
+    return x_next, nfe, ((eps,) + history)[: max_order - 1] or None
 
 
 def step_dpmpp_2m(model, x, t_hi, t_lo, prev=None, *, eps_cur=None, scale=1.0):
@@ -209,16 +197,12 @@ def step_dpmpp_2m(model, x, t_hi, t_lo, prev=None, *, eps_cur=None, scale=1.0):
 def substep(model, kind: SolverKind, x, t_hi, t_lo, carry=None, *, eps_cur=None, scale=1.0):
     """Apply one update of ``kind``; carry is the history its previous step returned."""
     tag = kind.tag
-    if tag == "euler_ddim":
-        return step_euler(model, x, t_hi, t_lo, eps_cur=eps_cur, scale=scale)
-    if tag == "heun_edm":
-        return step_heun(model, x, t_hi, t_lo, eps_cur=eps_cur, scale=scale)
-    if tag == "dpm2":
-        return step_dpm2(model, x, t_hi, t_lo, kind.r, eps_cur=eps_cur, scale=scale)
-    if tag == "ipndm":
-        return step_ipndm(
-            model, x, t_hi, t_lo, carry or (), eps_cur=eps_cur, scale=scale, max_order=kind.order
-        )
+    if tag in ("heun_edm", "dpm2"):
+        r = 1.0 if tag == "heun_edm" else kind.r
+        return step_dpm2(model, x, t_hi, t_lo, r, eps_cur=eps_cur, scale=scale)
+    if tag in ("euler_ddim", "ipndm"):
+        order = 1 if tag == "euler_ddim" else kind.order
+        return step_ipndm(model, x, t_hi, t_lo, carry or (), eps_cur=eps_cur, scale=scale, max_order=order)
     if tag == "dpmpp_2m":
         return step_dpmpp_2m(model, x, t_hi, t_lo, carry, eps_cur=eps_cur, scale=scale)
     raise ValueError(f"unknown solver tag {tag!r}")

@@ -89,7 +89,7 @@ def test_amed_step_zero_init_equals_dpm2(gmm2_d8, poly_schedule, afs):
 
 def test_plugin_zero_init_is_pure_interval_split(gmm2_d8, poly_schedule):
     from difflab.schedules import _geom
-    from difflab.solvers import step_euler
+    from difflab.solvers import substep
 
     zp = PredictorParams.zeros()
     x = dl.stream(1, "pl").standard_normal(8) * 80.0
@@ -99,8 +99,8 @@ def test_plugin_zero_init_is_pure_interval_split(gmm2_d8, poly_schedule):
     for i in range(len(ts) - 1):
         t_hi, t_lo = float(ts[i]), float(ts[i + 1])
         s = float(_geom(t_lo, t_hi, np.float64(0.5)))
-        cur, _, _ = step_euler(gmm2_d8, cur, t_hi, s)
-        cur, _, _ = step_euler(gmm2_d8, cur, s, t_lo)
+        cur, _, _ = substep(gmm2_d8, dl.SolverKind("euler_ddim"), cur, t_hi, s)
+        cur, _, _ = substep(gmm2_d8, dl.SolverKind("euler_ddim"), cur, s, t_lo)
         np.testing.assert_array_equal(cur, traj.nodes[i + 1][1])
 
 
@@ -411,6 +411,19 @@ def test_checkpoint_version_check(tmp_path):
     path.write_text('{"version": 99, "emb_dim": 16, "arrays": {}}')
     with pytest.raises(ValueError):
         amed.load_predictor(path)
+
+
+@pytest.mark.parametrize("logit", [-50.0, 50.0])
+def test_fd_probes_straddle_the_output_extremes(logit):
+    # step_loss_grad divides by vp - vm, so the clipped probes of a saturated output must still differ.
+    params = replace(PredictorParams.zeros(outputs=3), b3=np.full(3, logit))
+    out, _ = predict_with_cache(params, np.zeros(dl.FEATURE_DIM), 2.0, 1.0)
+    extremes = {"r": (1e-9, 1 - 1e-9), "c": (2e-9, 2 - 2e-9), "a": (0.5, 1.5)}
+    for name, (lo, hi) in extremes.items():
+        v = getattr(out, name)
+        assert v == pytest.approx(hi if logit > 0 else lo, rel=1e-15, abs=0)
+        vp, vm = amed._fd_probes(v, name)
+        assert vp > vm
 
 
 def test_checkpoint_not_json_names_path(tmp_path):

@@ -205,6 +205,15 @@ def test_run_config_rejects_mistyped_values(tmp_path, key, value):
         load_run_config(cfg_path)
 
 
+@pytest.mark.parametrize("content, why", [("", "not JSON"), ("5", "not a JSON object"), (None, "cannot read")])
+def test_run_config_not_a_json_object_names_path(tmp_path, content, why):
+    cfg_path = tmp_path / "run.json"
+    if content is not None:
+        cfg_path.write_text(content)
+    with pytest.raises(ConfigError, match=rf"run\.json: {why}"):
+        load_run_config(cfg_path)
+
+
 def test_outdir_env_var(tmp_path, monkeypatch):
     from difflab.harness import ENV_OUTDIR
 

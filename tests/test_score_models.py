@@ -448,6 +448,14 @@ def test_load_model_names_non_numeric_value(tmp_path, key, value):
         dl.load_model(path)
 
 
+@pytest.mark.parametrize("content, why", [("", "not JSON"), ("5", "not a JSON object")])
+def test_load_model_not_a_json_object_names_path(tmp_path, content, why):
+    path = tmp_path / "model.json"
+    path.write_text(content)
+    with pytest.raises(ValueError, match=rf"model\.json: {why}"):
+        dl.load_model(path)
+
+
 def test_sample_data_statistics():
     m = dl.GaussianMixture(weights=[0.25, 0.75], means=[[-4.0], [4.0]], stds=[0.5, 0.5])
     xs = dl.sample_data(m, 20_000, dl.stream(0, "data"))

@@ -33,20 +33,20 @@ def count_model_calls(monkeypatch, *modules):
 def test_euler_step_value(monkeypatch, single_gaussian):
     calls = count_model_calls(monkeypatch, solvers)
     x = np.array([2.0, 0.0])
-    x_next, nfe, carry = dl.step_euler(single_gaussian, x, 1.0, 0.5)
+    x_next, nfe, carry = solvers.substep(single_gaussian, dl.SolverKind("euler_ddim"), x, 1.0, 0.5)
     np.testing.assert_array_equal(x_next, [1.5, 0.0])
     assert nfe == 1 and carry is None and calls == [1.0]
 
 
 def test_euler_rejects_zero_step(single_gaussian):
     with pytest.raises(ValueError):
-        dl.step_euler(single_gaussian, np.zeros(2), 1.0, 1.0)
+        solvers.substep(single_gaussian, dl.SolverKind("euler_ddim"), np.zeros(2), 1.0, 1.0)
 
 
 def test_stationary_point_fixed():
     m = dl.GaussianMixture(weights=[0.5, 0.5], means=[[1.0, 0.0], [-1.0, 0.0]], stds=[1.0, 1.0])
     x = np.zeros(2)
-    x_next, _, _ = dl.step_euler(m, x, 2.0, 1.0)
+    x_next, _, _ = solvers.substep(m, dl.SolverKind("euler_ddim"), x, 2.0, 1.0)
     np.testing.assert_allclose(x_next, x, atol=1e-14)
 
 
@@ -93,8 +93,8 @@ def test_constant_field_exactness(monkeypatch, gmm2_d8):
         x2, _, _ = solvers.step_dpm2(gmm2_d8, x, 5.0, 1.0, r)
         np.testing.assert_allclose(x2, want, rtol=1e-12)
     # heun equals euler exactly
-    xe, _, _ = solvers.step_euler(gmm2_d8, x, 5.0, 1.0)
-    xh, _, _ = solvers.step_heun(gmm2_d8, x, 5.0, 1.0)
+    xe, _, _ = solvers.substep(gmm2_d8, dl.SolverKind("euler_ddim"), x, 5.0, 1.0)
+    xh, _, _ = solvers.substep(gmm2_d8, dl.SolverKind("heun_edm"), x, 5.0, 1.0)
     np.testing.assert_allclose(xh, xe, rtol=1e-14)
     # ipndm with any history of the same constant matches euler
     for hist_len in (1, 2, 3):
@@ -104,9 +104,12 @@ def test_constant_field_exactness(monkeypatch, gmm2_d8):
 
 def test_ipndm_empty_history_is_euler_bitwise(gmm2_d8):
     x = dl.stream(4, "h").standard_normal(8) * 20.0
-    xe, _, _ = dl.step_euler(gmm2_d8, x, 3.0, 1.0)
+    euler = x + (1.0 - 3.0) * dl.eval_model(gmm2_d8, x, 3.0).epsilon
+    xe, _, carry = solvers.substep(gmm2_d8, dl.SolverKind("euler_ddim"), x, 3.0, 1.0)
     xi, _, _ = dl.step_ipndm(gmm2_d8, x, 3.0, 1.0, [])
-    np.testing.assert_array_equal(xi, xe)
+    np.testing.assert_array_equal(xe, euler)
+    np.testing.assert_array_equal(xi, euler)
+    assert carry is None
 
 
 def test_ipndm_history_contract(gmm2_d8):
@@ -125,7 +128,7 @@ def test_ipndm_low_orders_through_sample(gmm2_d8, poly_schedule, order):
     cur, carry = x, None
     for i in range(1, len(ts)):
         cur, nfe, carry = solvers.substep(gmm2_d8, kind, cur, float(ts[i - 1]), float(ts[i]), carry)
-        assert nfe == 1 and len(carry) == min(i, order - 1)
+        assert nfe == 1 and len(carry or ()) == min(i, order - 1)
         np.testing.assert_array_equal(cur, traj.nodes[i][1])
     below = dl.SolverKind("euler_ddim") if order == 1 else dl.SolverKind("ipndm", order=order - 1)
     lower = dl.sample(gmm2_d8, below, poly_schedule, x)
@@ -283,8 +286,11 @@ def test_dpm2_r1_equals_heun_property(gmm2_d8):
         t_hi = t_lo * ratio if ratio > 1.2 else t_lo * 1.2
         x = dl.stream(seed, "prop").standard_normal(8) * t_hi
         xa, _, _ = dl.step_dpm2(gmm2_d8, x, t_hi, t_lo, 1.0)
-        xb, _, _ = dl.step_heun(gmm2_d8, x, t_hi, t_lo)
-        np.testing.assert_array_equal(xa, xb)
+        # Heun's trapezoid: average the slopes at x and at the Euler predictor.
+        h = t_lo - t_hi
+        e1 = dl.eval_model(gmm2_d8, x, t_hi).epsilon
+        e2 = dl.eval_model(gmm2_d8, x + h * e1, t_lo).epsilon
+        np.testing.assert_array_equal(xa, x + h * (0.5 * e2 + 0.5 * e1))
 
     check()
 
