@@ -41,7 +41,6 @@ from .score_models import (
 )
 from .solvers import (
     SolverKind,
-    Trajectory,
     afs_direction,
     sample,
     split_step,
@@ -49,6 +48,6 @@ from .solvers import (
     step_dpmpp_2m,
     step_ipndm,
 )
-from .trajectory import read_trajectory_csv, write_trajectory_csv
+from .trajectory import Trajectory, read_trajectory_csv, write_trajectory_csv
 
 __version__ = "0.1.0"

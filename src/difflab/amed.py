@@ -26,9 +26,9 @@ import numpy as np
 
 from .rng import stream
 from .schedules import TimeSchedule, refine_teacher
-from .score_models import FEATURE_DIM, DivergenceError, GaussianMixture, ModelEval, _read_json, eval_model
-from .solvers import SolverKind, _check_interval, _walk_schedule, sample, split_step
-from .trajectory import Trajectory
+from .score_models import FEATURE_DIM, GaussianMixture, ModelEval, _read_json, eval_model
+from .solvers import SolverKind, _check_interval, afs_direction, sample, split_step
+from .trajectory import DivergenceError, Trajectory, _walk_schedule
 
 CHECKPOINT_VERSION = 1
 
@@ -116,14 +116,10 @@ class PredictorParams:
     @classmethod
     def init(cls, rng: np.random.Generator, feature_dim=FEATURE_DIM, hidden=64, emb_dim=16, outputs=2):
         """Random feature path, zero output layer: outputs start exactly neutral."""
-        return cls(
+        return replace(
+            cls.zeros(feature_dim, hidden, emb_dim, outputs),
             w1=rng.standard_normal((feature_dim, hidden)) / math.sqrt(feature_dim),
-            b1=np.zeros(hidden),
             w2=rng.standard_normal((hidden, hidden)) / math.sqrt(hidden),
-            b2=np.zeros(hidden),
-            w3=np.zeros((hidden + emb_dim, outputs)),
-            b3=np.zeros(outputs),
-            emb_dim=emb_dim,
         )
 
 
@@ -248,7 +244,8 @@ def amed_step(model, params, x, t_hi, t_lo, carry=None, *, base=None, eps_cur=No
 def amed_sample(model, params, schedule, x_T, base: SolverKind | None = None, afs: bool = False) -> Trajectory:
     """Run the learned solver (base=None) or the learned plugin over a schedule."""
     x = np.asarray(x_T, dtype=np.float64)
-    return _walk_schedule(partial(amed_step, model, params, base=base), schedule, x, afs, "amed")
+    eps0 = afs_direction(x, schedule.t_max) if afs else None
+    return _walk_schedule(partial(amed_step, model, params, base=base), schedule, x, eps0, "amed")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .rng import stream
 from .schedules import SCHEDULE_KINDS, make_schedule, write_schedule_csv
 from .score_models import ORACLE_SUBSTEPS, load_model, reference_solve
 from .solvers import parse_solver_spec, sample
-from .trajectory import read_trajectory_csv, write_trajectory_csv
+from .trajectory import read_trajectory_csv, write_csv, write_trajectory_csv
 
 _HELD_OUT = 256  # states in train-amed's held-out batch
 
@@ -111,18 +111,14 @@ def _cmd_pca(args) -> int:
         )
     if not paths:
         raise SystemExit("nothing to analyze: pass --in and/or --batch")
-    errs, cums, times = [], [], None
-    for p in paths:
-        traj = read_trajectory_csv(p)
-        errs.append(projection_error(traj, min(2, traj.states.shape[1])))
-        cums.append(cumulative_variance(traj))
-        times = traj.times
-    err = np.mean(np.stack(errs), axis=0)
-    cum = np.mean(np.stack(cums), axis=0)
-    with open(_out_path(args.out), "w") as f:
-        f.write("t,rel_projection_error_k2\n")
-        for t, e in zip(times, err):
-            f.write(f"{float(t)!r},{float(e)!r}\n")
+    trajs = [read_trajectory_csv(p) for p in paths]
+    times = trajs[0].times
+    for p, traj in zip(paths, trajs):
+        if not np.array_equal(traj.times, times):
+            raise ValueError(f"{p}: node times differ from those of {paths[0]}; cannot average node by node")
+    err = np.mean(np.stack([projection_error(tr, min(2, tr.states.shape[1])) for tr in trajs]), axis=0)
+    cum = np.mean(np.stack([cumulative_variance(tr) for tr in trajs]), axis=0)
+    write_csv(_out_path(args.out), ["t", "rel_projection_error_k2"], zip(times.tolist(), err.tolist()))
     print(f"wrote {args.out} (averaged over {len(paths)} trajectories)" if len(paths) > 1 else f"wrote {args.out}")
     print("cumulative variance by k: " + ", ".join(f"{v:.6f}" for v in cum))
     return 0

@@ -2,17 +2,18 @@
 
 The PCA utilities quantify how close a sampling trajectory is to a low-rank
 affine subspace.  The grid search measures, per interval, how much moving the
-two-evaluation split point away from the geometric midpoint improves agreement
-with a high-accuracy reference trajectory.  The remaining functions implement
-a scaled-logistic envelope for off-plane deviation, the closed-form shell
-radius of the induced zero-drift diffusion and a Monte-Carlo check of that
-radius (the ``bound-check`` command).
+split point away from the geometric midpoint (the baseline, a schedule walk)
+improves agreement with a high-accuracy reference trajectory.  The remaining
+functions implement a scaled-logistic envelope for off-plane deviation, the
+closed-form shell radius of the induced zero-drift diffusion and a Monte-Carlo
+check of that radius from one exact-law draw (the ``bound-check`` command).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .rng import stream
 from .schedules import TimeSchedule
 from .score_models import eval_model
 from .solvers import SolverKind, split_step, step_dpm2, substep
-from .trajectory import Trajectory
+from .trajectory import Trajectory, _walk_schedule, write_csv
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ class AlignmentResult:
         return self.best_r.mean(axis=-1)
 
 
-def _search_step(model, base: SolverKind, x, t_hi, t_lo, r, carry, eps_cur=None):
+def _search_step(model, base: SolverKind, r, x, t_hi, t_lo, carry=None, eps_cur=None):
     """One interval with split exponent r, following the base solver.
 
     dpm2 consumes r natively; other solvers are split into two substeps at
@@ -135,9 +136,11 @@ def _search_step(model, base: SolverKind, x, t_hi, t_lo, r, carry, eps_cur=None)
 def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Trajectory) -> AlignmentResult:
     """Greedy per-interval search of the split exponent against a reference.
 
-    The baseline fixes r = 0.5 everywhere; the searched trajectory picks, at
-    each interval and per batch element, the grid value whose step lands
-    closest to the reference node, then continues from its own choice.
+    The baseline walks the schedule at r = 0.5; the searched trajectory picks,
+    at each interval and per batch element, the grid value whose step lands
+    closest to the reference node, then continues from its own choice.  A
+    history-based base (ipndm) keeps the newest-first past slopes every
+    candidate holds: the r = 1 candidate, one substep, holds one fewer.
     """
     grid = [float(r) for r in grid]
     if not grid:
@@ -155,22 +158,22 @@ def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Tr
     n_b = x0.shape[0]
     steps = schedule.n - 1
 
-    x_base, carry_base = x0, None
+    eps_cur = eval_model(model, x0, float(ts[0])).epsilon
+    baseline = _walk_schedule(partial(_search_step, model, base, 0.5), schedule, x0, eps_cur, "grid_align baseline")
     x_sea, carry_sea = x0, None
     best_r = np.zeros((steps, n_b))
     alignment = np.zeros((steps, n_b))
     for i in range(steps):
         t_hi, t_lo = float(ts[i]), float(ts[i + 1])
         y = np.asarray(oracle.nodes[i + 1][1], dtype=np.float64)
-        eps_cur = eval_model(model, x_sea, t_hi).epsilon
-        eps_base = eps_cur if i == 0 else None  # both runs start at the reference's top node
-        x_base, _, carry_base = _search_step(model, base, x_base, t_hi, t_lo, 0.5, carry_base, eps_base)
-        cands = [_search_step(model, base, x_sea, t_hi, t_lo, r, carry_sea, eps_cur) for r in grid]
+        if i > 0:
+            eps_cur = eval_model(model, x_sea, t_hi).epsilon
+        cands = [_search_step(model, base, r, x_sea, t_hi, t_lo, carry_sea, eps_cur) for r in grid]
         dists = np.stack([np.linalg.norm(xc - y, axis=-1) for xc, _, _ in cands])
         pick = np.argmin(dists, axis=0)
         x_sea = np.stack([xc for xc, _, _ in cands])[pick, np.arange(n_b)]
         carry_sea = _gather_carry([c for _, _, c in cands], pick, n_b)
-        d_base = np.linalg.norm(x_base - y, axis=-1)
+        d_base = np.linalg.norm(baseline.nodes[i + 1][1] - y, axis=-1)
         d_sea = np.linalg.norm(x_sea - y, axis=-1)
         best_r[i] = np.array(grid)[pick]
         alignment[i] = d_base - d_sea
@@ -178,28 +181,19 @@ def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Tr
 
 
 def _gather_carry(carries, pick, n_b):
-    """Per-sample selection among candidate history tuples; scalar entries broadcast."""
+    """Per-sample selection of the newest-first history entries all candidates hold; scalars broadcast."""
     if carries[0] is None:
         return None
-    if len({len(c) for c in carries}) != 1:
-        raise ValueError(
-            "split search mixes degenerate (r=1) and interior candidates for a "
-            "history-based solver; use a grid inside (0, 1) instead"
-        )
     idx = np.arange(n_b)
     return tuple(
         np.stack([np.broadcast_to(c[j], (n_b,) + np.shape(c[j])[1:]) for c in carries])[pick, idx]
-        for j in range(len(carries[0]))
+        for j in range(min(len(c) for c in carries))
     )
 
 
 def write_alignment_csv(result: AlignmentResult, path) -> None:
-    with open(path, "w") as f:
-        f.write("step,t,mean_best_r,mean_alignment\n")
-        for i, (t, r, al) in enumerate(
-            zip(result.target_times, result.mean_best_r, result.mean_alignment)
-        ):
-            f.write(f"{i},{float(t)!r},{float(r)!r},{float(al)!r}\n")
+    cols = (result.target_times.tolist(), result.mean_best_r.tolist(), result.mean_alignment.tolist())
+    write_csv(path, ["step", "t", "mean_best_r", "mean_alignment"], zip(range(len(cols[0])), *cols))
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +251,22 @@ class ShellReport:
     substeps: int
 
 
-def mc_shell_check(params: BoundParams, s: float, t: float, trials: int, seed: int, substeps: int = 200) -> ShellReport:
-    """Euler-Maruyama simulation of the zero-drift diffusion from t down to s.
+def mc_shell_check(params: BoundParams, s: float, t: float, trials: int, seed: int,
+                   substeps: int = 200) -> ShellReport:
+    """Euler-Maruyama endpoints of the zero-drift diffusion from t down to s.
 
-    Reports the sample mean of the endpoint norm and its relative spread, to
-    be compared against shell_radius.
+    The endpoint, a sum of independent Gaussian increments, is drawn from its
+    exact law sqrt(v) N(0, I), v = sum_k f(tau_k)^2 |dtau_k| / d over
+    ``substeps`` uniform steps.  Reports the sample mean of the endpoint norm
+    and its relative spread, to be compared against shell_radius.
     """
     if not 0 < s < t:
         raise ValueError("need 0 < s < t")
     if trials < 1 or substeps < 1:
         raise ValueError("trials and substeps must be positive")
-    rng = stream(seed, "shell")
     taus = np.linspace(t, s, substeps + 1)
-    z = np.zeros((trials, params.d))
-    for k in range(substeps):
-        g = float(logistic_bound(params, taus[k])) / math.sqrt(params.d)
-        dt = abs(float(taus[k + 1] - taus[k]))
-        z += g * math.sqrt(dt) * rng.standard_normal((trials, params.d))
+    v = float(np.sum(logistic_bound(params, taus[:-1]) ** 2 * np.abs(np.diff(taus)))) / params.d
+    z = math.sqrt(v) * stream(seed, "shell").standard_normal((trials, params.d))
     norms = np.linalg.norm(z, axis=1)
     mean = float(norms.mean())
     rel = float(norms.std() / mean) if mean > 0 else 0.0

@@ -23,6 +23,7 @@ from .rng import stream
 from .schedules import SCHEDULE_KINDS, make_schedule
 from .score_models import ORACLE_SUBSTEPS, GaussianMixture, _read_json, load_model, reference_solve, sample_data
 from .solvers import SolverKind, parse_solver_spec, sample
+from .trajectory import write_csv
 
 ENV_OUTDIR = "DIFFLAB_OUTDIR"
 
@@ -123,11 +124,6 @@ class MetricsReport:
         return {"entries": [asdict(e) for e in self.entries], "orders": self.orders}
 
 
-def _csv_line(values) -> str:
-    """One CSV line; floats as repr so the report round-trips exactly."""
-    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values) + "\n"
-
-
 @contextmanager
 def _phase(wallclock: dict, name: str):
     """Add the wall time of the block to ``wallclock[name]``."""
@@ -194,10 +190,8 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
 
     if outdir:
         with _phase(report.wallclock, "write"):
-            with open(os.path.join(outdir, "metrics.csv"), "w") as f:
-                f.write(_csv_line(col.name for col in fields(RunEntry)))
-                for e in report.entries:
-                    f.write(_csv_line(astuple(e)))
+            header = [f.name for f in fields(RunEntry)]
+            write_csv(os.path.join(outdir, "metrics.csv"), header, map(astuple, report.entries))
             with open(os.path.join(outdir, "metrics.json"), "w") as f:
                 json.dump(report.to_doc(), f, indent=2)
                 f.write("\n")

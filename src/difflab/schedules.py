@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .trajectory import write_csv
+
 SCHEDULE_KINDS = ("polynomial", "logsnr", "uniform")
 
 
@@ -102,7 +104,4 @@ def _geom(t_lo, t_hi, r):
 
 def write_schedule_csv(schedule: TimeSchedule, path) -> None:
     """Export the grid as a single CSV column."""
-    with open(path, "w") as f:
-        f.write("t\n")
-        for t in schedule.times:
-            f.write(repr(float(t)) + "\n")
+    write_csv(path, ["t"], ([t] for t in schedule.times.tolist()))

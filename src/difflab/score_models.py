@@ -25,11 +25,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .schedules import refine_teacher
-from .trajectory import Trajectory
+from .trajectory import DivergenceError, Trajectory, _walk_schedule  # DivergenceError: re-exported
 
 # Width of the per-evaluation feature vector.  Responsibilities of the
 # perturbed mixture fill the first min(K, FEATURE_DIM) slots, the rest stay
@@ -45,10 +46,6 @@ FEATURE_DIM = 16
 # bar for ``reference_solve`` on 3-, 4- and 6-node schedules.
 ORACLE_SUBSTEPS = 32
 ORACLE_MIN_INTERVALS = 16
-
-
-class DivergenceError(RuntimeError):
-    """Numerical integration or sampling produced a non-finite state."""
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
@@ -220,13 +217,17 @@ def exact_trajectory(model: GaussianMixture, x_T, t: float, T: float) -> np.ndar
     return mu + (np.asarray(x_T, dtype=np.float64) - mu) * scale
 
 
-def _rk4_step(model: GaussianMixture, x, t0: float, t1: float):
-    h = t1 - t0
-    k1 = eval_model(model, x, t0).epsilon
-    k2 = eval_model(model, x + 0.5 * h * k1, t0 + 0.5 * h).epsilon
-    k3 = eval_model(model, x + 0.5 * h * k2, t0 + 0.5 * h).epsilon
-    k4 = eval_model(model, x + h * k3, t1).epsilon
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_interval(model: GaussianMixture, substeps: int, x, t_hi: float, t_lo: float, carry=None, eps_cur=None):
+    """``substeps`` uniform classical RK4 steps from t_hi to t_lo; returns (x, nfe, None)."""
+    grid = np.linspace(t_hi, t_lo, substeps + 1)
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        h = t1 - t0
+        k1 = eval_model(model, x, t0).epsilon
+        k2 = eval_model(model, x + 0.5 * h * k1, t0 + 0.5 * h).epsilon
+        k3 = eval_model(model, x + 0.5 * h * k2, t0 + 0.5 * h).epsilon
+        k4 = eval_model(model, x + h * k3, t1).epsilon
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x, 4 * substeps, None
 
 
 def oracle_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_SUBSTEPS) -> Trajectory:
@@ -247,18 +248,8 @@ def oracle_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_S
     """
     if substeps < 32:
         raise ValueError("oracle requires substeps >= 32 per interval")
-    ts = schedule.times[::-1]
     x = np.asarray(x_T, dtype=np.float64)
-    nodes = [(float(ts[0]), x)]
-    for i in range(len(ts) - 1):
-        t_hi, t_lo = float(ts[i]), float(ts[i + 1])
-        grid = np.linspace(t_hi, t_lo, substeps + 1)
-        for k in range(substeps):
-            x = _rk4_step(model, x, grid[k], grid[k + 1])
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"oracle diverged in interval [{t_lo:g}, {t_hi:g}]")
-        nodes.append((t_lo, x))
-    return Trajectory(nodes=nodes, nfe=4 * substeps * (len(ts) - 1))
+    return _walk_schedule(partial(_rk4_interval, model, substeps), schedule, x, None, "oracle")
 
 
 def reference_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_SUBSTEPS) -> Trajectory:

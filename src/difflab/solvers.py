@@ -11,7 +11,8 @@ for composition: ``eps_cur`` injects a precomputed (or analytically
 substituted) slope at the current state at no model call, and ``scale``
 multiplies the step's direction term, which is how a learned per-step
 rescaling wraps a base solver.  Times may be scalars or per-sample arrays
-broadcast against a batched state.
+broadcast against a batched state.  ``sample`` walks ``substep`` down the
+schedule with ``trajectory._walk_schedule``.
 
 ``split_step`` is the one interval-split primitive; each solver that splits
 an interval is one choice of its parameters (r, w, c, a, base), the rest
@@ -30,8 +31,8 @@ from functools import partial
 import numpy as np
 
 from .schedules import _geom
-from .score_models import DivergenceError, GaussianMixture, eval_model
-from .trajectory import Trajectory
+from .score_models import GaussianMixture, eval_model
+from .trajectory import Trajectory, _walk_schedule
 
 SOLVER_TAGS = ("euler_ddim", "heun_edm", "dpm2", "ipndm", "dpmpp_2m")
 
@@ -208,27 +209,6 @@ def substep(model, kind: SolverKind, x, t_hi, t_lo, carry=None, *, eps_cur=None,
     raise ValueError(f"unknown solver tag {tag!r}")
 
 
-def _walk_schedule(step, schedule, x, afs: bool, name: str) -> Trajectory:
-    """The one schedule loop of ``sample`` and ``amed_sample``: step top-down.
-
-    step(x, t_hi, t_lo, carry, eps_cur=...) follows the step contract; AFS
-    replaces interval 0's first slope, NFE is summed, and a non-finite state
-    aborts naming the interval rather than being clamped.
-    """
-    ts = schedule.times[::-1]
-    nodes = [(float(ts[0]), x)]
-    nfe, carry = 0, None
-    for i in range(len(ts) - 1):
-        t_hi, t_lo = float(ts[i]), float(ts[i + 1])
-        eps_cur = afs_direction(x, t_hi) if (afs and i == 0) else None
-        x, n, carry = step(x, t_hi, t_lo, carry, eps_cur=eps_cur)
-        nfe += n
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"{name} diverged in interval [{t_lo:g}, {t_hi:g}]")
-        nodes.append((t_lo, x))
-    return Trajectory(nodes=nodes, nfe=nfe)
-
-
 def sample(model: GaussianMixture, kind: SolverKind, schedule, x_T, afs: bool = False) -> Trajectory:
     """Run ``kind`` from the top of the schedule down to its floor.
 
@@ -238,7 +218,8 @@ def sample(model: GaussianMixture, kind: SolverKind, schedule, x_T, afs: bool = 
     x = np.asarray(x_T, dtype=np.float64)
     if x.shape[-1] != model.dim:
         raise ValueError(f"state has dim {x.shape[-1]}, model has dim {model.dim}")
-    return _walk_schedule(partial(substep, model, kind), schedule, x, afs, kind.tag)
+    eps0 = afs_direction(x, schedule.t_max) if afs else None
+    return _walk_schedule(partial(substep, model, kind), schedule, x, eps0, kind.tag)
 
 
 def parse_solver_spec(spec: str) -> SolverKind:

@@ -1,10 +1,18 @@
-"""Sampling trajectories and their CSV representation."""
+"""Trajectories, the one schedule walk that records them, and the one CSV writer.
+
+``sample``, ``amed_sample``, ``oracle_solve`` and ``grid_align``'s baseline
+each pass one step function to ``_walk_schedule``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+class DivergenceError(RuntimeError):
+    """Numerical integration or sampling produced a non-finite state."""
 
 
 @dataclass
@@ -32,15 +40,45 @@ class Trajectory:
         return self.nodes[-1][1]
 
 
+def _walk_schedule(step, schedule, x, eps0, name: str) -> Trajectory:
+    """Step from the top of the schedule down to its floor, recording every node.
+
+    step(x, t_hi, t_lo, carry, eps_cur=...) returns ``(x_next, nfe, carry)``;
+    eps0, if not None, is interval 0's first slope (the analytic first step,
+    or one the caller already computed).  NFE is summed, and a non-finite
+    state aborts naming the interval rather than being clamped.
+    """
+    ts = schedule.times[::-1]
+    nodes = [(float(ts[0]), x)]
+    nfe, carry = 0, None
+    for i in range(len(ts) - 1):
+        t_hi, t_lo = float(ts[i]), float(ts[i + 1])
+        x, n, carry = step(x, t_hi, t_lo, carry, eps_cur=eps0 if i == 0 else None)
+        nfe += n
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(f"{name} diverged in interval [{t_lo:g}, {t_hi:g}]")
+        nodes.append((t_lo, x))
+    return Trajectory(nodes=nodes, nfe=nfe)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows of Python ints, strings and floats (str(float) is its repr).
+
+    Convert numpy values first (``.tolist()``, ``float``): in numpy 2 their repr is not the number.
+    """
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(map(str, row)) + "\n")
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """One row per node, header t,x_0..x_{d-1}, full double precision."""
-    d = np.asarray(traj.nodes[0][1]).shape[-1]
-    if np.asarray(traj.nodes[0][1]).ndim != 1:
+    x0 = np.asarray(traj.nodes[0][1])
+    if x0.ndim != 1:
         raise ValueError("CSV export expects a single (unbatched) trajectory")
-    with open(path, "w") as f:
-        f.write("t," + ",".join(f"x_{i}" for i in range(d)) + "\n")
-        for t, x in traj.nodes:
-            f.write(repr(float(t)) + "," + ",".join(repr(float(v)) for v in x) + "\n")
+    header = ["t"] + [f"x_{i}" for i in range(x0.shape[-1])]
+    write_csv(path, header, ([float(t)] + np.asarray(x, dtype=np.float64).tolist() for t, x in traj.nodes))
 
 
 def read_trajectory_csv(path) -> Trajectory:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +157,31 @@ def test_pca_cli_batch_dir(tmp_path, model_path):
     rc = main(["pca", "--batch", str(batch_dir), "--out", str(out)])
     assert rc == 0
     assert len(out.read_text().strip().splitlines()) == 7
+
+
+def test_pca_cli_batch_rejects_mismatched_times(tmp_path, model_path):
+    # dumps on different schedules cannot be averaged node by node
+    batch_dir = tmp_path / "trajs"
+    batch_dir.mkdir()
+    for name, extra in (("a", []), ("b", []), ("c", ["--rho", "3"])):
+        main(["sample", "--model", model_path, "--solver", "euler_ddim", "--N", "6",
+              "--out", str(batch_dir / f"{name}.csv"), *extra])
+    with pytest.raises(ValueError, match=r"c\.csv: node times differ from those of .*a\.csv"):
+        main(["pca", "--batch", str(batch_dir), "--out", str(tmp_path / "pca.csv")])
+    main(["sample", "--model", model_path, "--solver", "euler_ddim", "--N", "7", "--out", str(batch_dir / "c.csv")])
+    with pytest.raises(ValueError, match=r"c\.csv: node times differ"):
+        main(["pca", "--batch", str(batch_dir), "--out", str(tmp_path / "pca.csv")])
+
+
+def test_align_cli_ipndm_default_grid(tmp_path):
+    # the default grid holds r = 1, whose candidate keeps one fewer past slope than the split candidates
+    out = tmp_path / "align.csv"
+    model = Path(__file__).resolve().parent.parent / "configs" / "gmm2_d8.json"
+    rc = main(["align", "--model", str(model), "--solver", "ipndm", "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "step,t,mean_best_r,mean_alignment"
+    assert len(lines) == 6
 
 
 def test_align_cli(tmp_path, model_path):

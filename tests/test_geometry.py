@@ -188,9 +188,13 @@ def test_grid_align_multistep_bases(gmm2_d8, poly_schedule):
         assert np.all(res.alignment[0] >= -1e-12)
 
 
-@pytest.mark.parametrize("tag,grid", [("ipndm", [0.3, 0.5, 0.7]), ("dpmpp_2m", [0.3, 0.5, 0.7, 1.0])])
+@pytest.mark.parametrize(
+    "tag,grid",
+    [("ipndm", [0.3, 0.5, 0.7]), ("dpmpp_2m", [0.3, 0.5, 0.7, 1.0]), ("ipndm", [0.3, 0.5, 0.7, 1.0])],
+)
 def test_grid_align_batched_matches_rows(gmm2_d8, poly_schedule, tag, grid):
-    # the per-sample gather of the history carry must follow each row's own picks
+    # the per-sample gather of the history carry must follow each row's own picks;
+    # with r = 1 in the grid, ipndm's candidates hold histories of different lengths
     x = dl.stream(10, "rows").standard_normal((6, 8)) * 80.0
     oracle = dl.oracle_solve(gmm2_d8, x, poly_schedule, 64)
     kind = dl.SolverKind(tag)
@@ -277,16 +281,20 @@ def test_mc_shell_check_null_diffusion():
     assert rep.mean_norm < 1e-11
 
 
+def test_mc_shell_check_matches_chi_mean():
+    # the endpoint is sqrt(v) times a standard normal in d dimensions, so its norm is sqrt(v) * chi_d
+    bp = BoundParams.default(64)
+    s, t, substeps, trials = 1.0, 10.0, 200, 4096
+    taus = np.linspace(t, s, substeps + 1)
+    v = sum(dl.logistic_bound(bp, taus[k]) ** 2 * (taus[k] - taus[k + 1]) for k in range(substeps)) / bp.d
+    chi_mean = math.sqrt(2.0 * v) * math.exp(math.lgamma((bp.d + 1) / 2) - math.lgamma(bp.d / 2))
+    rep = dl.mc_shell_check(bp, s, t, trials=trials, seed=3, substeps=substeps)
+    std_err = rep.rel_std * rep.mean_norm / math.sqrt(trials)
+    assert abs(rep.mean_norm - chi_mean) <= 3.0 * std_err
+
+
 def test_mc_shell_check_substep_insensitive():
     bp = BoundParams.default(64)
     a = dl.mc_shell_check(bp, 1.0, 10.0, trials=2048, seed=0, substeps=400)
     b = dl.mc_shell_check(bp, 1.0, 10.0, trials=2048, seed=0, substeps=200)
     assert abs(a.mean_norm - b.mean_norm) < 0.01 * a.mean_norm
-
-
-def test_grid_align_rejects_mixed_history_lengths(gmm2_d8, poly_schedule):
-    # batched history-based search cannot mix the degenerate r=1 candidate
-    x = dl.stream(4, "mix").standard_normal((4, 8)) * 80.0
-    oracle = dl.oracle_solve(gmm2_d8, x, poly_schedule, 64)
-    with pytest.raises(ValueError, match="history-based"):
-        dl.grid_align(gmm2_d8, dl.SolverKind("ipndm"), poly_schedule, [0.5, 1.0], oracle)

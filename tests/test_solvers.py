@@ -309,6 +309,15 @@ def test_trajectory_csv_roundtrip(tmp_path, gmm2_d8, poly_schedule):
         np.testing.assert_array_equal(xa, xb)
 
 
+def test_write_csv_exact_text(tmp_path):
+    from difflab.trajectory import write_csv
+
+    path = tmp_path / "t.csv"
+    third = float(np.float64(1.0) / 3.0)
+    write_csv(path, ["i", "tag", "a", "b", "c", "d", "e"], [(3, "dpm2", 0.1, 1e-05, 1e16, float("nan"), third)])
+    assert path.read_text() == "i,tag,a,b,c,d,e\n3,dpm2,0.1,1e-05,1e+16,nan,0.3333333333333333\n"
+
+
 def test_parse_solver_spec():
     from difflab.solvers import parse_solver_spec
 
