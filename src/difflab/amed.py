@@ -59,6 +59,8 @@ class PredictorParams:
     Feature path: two tanh layers (w1/b1 then w2/b2).  The hidden state is
     concatenated with the time embedding and mapped by w3/b3 to 2 or 3 logits,
     squashed to r in (0,1), c in (0,2) and, when present, a in (0.5,1.5).
+    The embedding width is read off the weights (w3 has hidden + emb_dim
+    rows); the ``emb_dim`` key that older checkpoints carry is ignored.
     """
 
     w1: np.ndarray
@@ -67,15 +69,14 @@ class PredictorParams:
     b2: np.ndarray
     w3: np.ndarray
     b3: np.ndarray
-    emb_dim: int = 16
 
     def __post_init__(self):
-        if self.emb_dim < 4 or self.emb_dim % 4 != 0:
-            raise ValueError(f"emb_dim must be a positive multiple of 4, got {self.emb_dim}")
         h = self.w1.shape[1]
         if self.b1.shape != (h,) or self.w2.shape != (h, h) or self.b2.shape != (h,):
             raise ValueError("inconsistent feature-path shapes")
-        if self.w3.shape[0] != h + self.emb_dim or self.b3.shape != (self.w3.shape[1],):
+        if self.emb_dim < 4 or self.emb_dim % 4 != 0:
+            raise ValueError(f"emb_dim must be a positive multiple of 4, got {self.emb_dim}")
+        if self.b3.shape != (self.w3.shape[1],):
             raise ValueError("inconsistent output-layer shapes")
         if self.outputs not in (2, 3):
             raise ValueError("predictor must emit 2 or 3 outputs")
@@ -94,6 +95,10 @@ class PredictorParams:
         return self.w1.shape[1]
 
     @property
+    def emb_dim(self) -> int:
+        return self.w3.shape[0] - self.hidden
+
+    @property
     def outputs(self) -> int:
         return self.w3.shape[1]
 
@@ -110,7 +115,6 @@ class PredictorParams:
             b2=np.zeros(hidden),
             w3=np.zeros((hidden + emb_dim, outputs)),
             b3=np.zeros(outputs),
-            emb_dim=emb_dim,
         )
 
     @classmethod
@@ -407,7 +411,7 @@ def train(model: GaussianMixture, cfg: TrainConfig, schedule: TimeSchedule) -> T
 
 def save_predictor(params: PredictorParams, path) -> None:
     """Versioned JSON checkpoint: shapes plus row-major weight data, full doubles."""
-    doc = {"version": CHECKPOINT_VERSION, "emb_dim": params.emb_dim, "arrays": {}}
+    doc = {"version": CHECKPOINT_VERSION, "arrays": {}}
     for name in _PARAM_FIELDS:
         a = getattr(params, name)
         doc["arrays"][name] = {"shape": list(a.shape), "data": a.ravel(order="C").tolist()}
@@ -421,9 +425,6 @@ def load_predictor(path) -> PredictorParams:
     doc = _read_json(path)
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
-    emb_dim = doc.get("emb_dim")
-    if type(emb_dim) is not int:
-        raise ValueError(f"{path}: key 'emb_dim' must be an integer, got {emb_dim!r}")
     specs = doc.get("arrays")
     if not isinstance(specs, dict):
         raise ValueError(f"{path}: key 'arrays' must map array names to specs")
@@ -441,6 +442,6 @@ def load_predictor(path) -> PredictorParams:
         except (TypeError, ValueError) as e:
             raise ValueError(f"{path}: arrays.{name}: {e}") from None
     try:
-        return PredictorParams(emb_dim=emb_dim, **arrays)
+        return PredictorParams(**arrays)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

@@ -24,7 +24,7 @@ from .geometry import (
     projection_error,
     write_alignment_csv,
 )
-from .harness import ENV_OUTDIR, load_run_config, nfe_to_steps, run_experiment
+from .harness import ENV_OUTDIR, RunConfig, load_run_config, nfe_to_steps, run_experiment
 from .rng import stream
 from .schedules import SCHEDULE_KINDS, make_schedule, write_schedule_csv
 from .score_models import ORACLE_SUBSTEPS, load_model, reference_solve
@@ -80,7 +80,8 @@ def _cmd_train_amed(args) -> int:
     out = _out_path(args.out)
     save_predictor(result.params, out)
     if args.loss_out:
-        np.savetxt(_out_path(args.loss_out), result.losses, delimiter=",")
+        header = [f"interval_{k}" for k in range(result.losses.shape[1])]
+        write_csv(_out_path(args.loss_out), header, result.losses.tolist())
     print(
         f"trained on {args.images} images ({result.losses.shape[0]} loops); "
         f"first-loop mean loss {result.losses[0].mean():.6g}, "
@@ -110,7 +111,7 @@ def _cmd_pca(args) -> int:
             if p.endswith(".csv")
         )
     if not paths:
-        raise SystemExit("nothing to analyze: pass --in and/or --batch")
+        raise ValueError("nothing to analyze: pass --in and/or --batch")
     trajs = [read_trajectory_csv(p) for p in paths]
     times = trajs[0].times
     for p, traj in zip(paths, trajs):
@@ -173,11 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="difflab")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    run_defaults = {f.name: f.default for f in fields(RunConfig)}
+
     def add_schedule_flags(p, default_n=None):
-        p.add_argument("--schedule-kind", default="polynomial", choices=SCHEDULE_KINDS)
-        p.add_argument("--rho", type=float, default=7.0)
-        p.add_argument("--t-min", type=float, default=0.002)
-        p.add_argument("--t-max", type=float, default=80.0)
+        p.add_argument("--schedule-kind", default=run_defaults["schedule_kind"], choices=SCHEDULE_KINDS)
+        p.add_argument("--rho", type=float, default=run_defaults["rho"])
+        p.add_argument("--t-min", type=float, default=run_defaults["t_min"])
+        p.add_argument("--t-max", type=float, default=run_defaults["t_max"])
         if default_n is not None:
             p.add_argument("--N", type=int, default=default_n)
 
@@ -245,8 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as e:  # bad input: argparse's exit status and one line on stderr
+        parser.exit(2, f"difflab {args.command}: error: {e}\n")
 
 
 if __name__ == "__main__":

@@ -57,10 +57,8 @@ def pca_trajectory(traj: Trajectory) -> PcaResult:
     order = np.argsort(evals)[::-1]
     evals = np.clip(evals[order], 0.0, None)
     comps = evecs[:, order].T
-    for i, v in enumerate(comps):
-        idx = np.argmax(np.abs(v) > 1e-12)
-        if v[idx] < 0:
-            comps[i] = -v
+    lead = np.take_along_axis(comps, np.argmax(np.abs(comps) > 1e-12, axis=1)[:, None], axis=1)
+    comps = np.where(lead < 0, -comps, comps)
     return PcaResult(components=comps, eigenvalues=evals, mean=mean)
 
 

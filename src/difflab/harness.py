@@ -35,28 +35,17 @@ class ConfigError(ValueError):
 def nfe_to_steps(kind: SolverKind, nfe: int, afs: bool) -> int:
     """Number of schedule nodes N that makes ``kind`` consume exactly nfe evals.
 
-    Single-evaluation solvers: nfe = N-1 (N-2 with the analytic first step).
-    Two-evaluation solvers: nfe = 2(N-1), odd budgets only reachable with the
-    analytic first step.
+    One identity covers every solver: N nodes cost e * (N - 1) model calls,
+    e = ``kind.evals_per_interval``, one fewer with the analytic first step;
+    a budget that no N meets (the wrong parity at e = 2) raises ConfigError.
     """
     if nfe < 1:
         raise ConfigError("NFE must be positive")
-    if kind.evals_per_interval == 1:
-        n = nfe + 2 if afs else nfe + 1
-    else:
-        if afs:
-            if nfe % 2 == 0:
-                raise ConfigError(
-                    f"{kind.label()} with the analytic first step produces odd NFE; got {nfe}"
-                )
-            n = (nfe + 1) // 2 + 1
-        else:
-            if nfe % 2 == 1:
-                raise ConfigError(f"{kind.label()} produces even NFE; got {nfe} (enable AFS)")
-            n = nfe // 2 + 1
-    if n < 2:
-        raise ConfigError(f"NFE {nfe} leaves no interval for {kind.label()}")
-    return n
+    intervals, rest = divmod(nfe + afs, kind.evals_per_interval)
+    if rest:
+        parity, with_afs = ("odd", "with") if afs else ("even", "without")
+        raise ConfigError(f"{kind.label()} {with_afs} the analytic first step takes {parity} NFE only; got {nfe}")
+    return intervals + 1
 
 
 @dataclass(frozen=True)
@@ -80,8 +69,8 @@ class RunConfig:
 
     def __post_init__(self):
         for key, ok, want in (
-            ("batch", self.batch >= 0, "non-negative"),
-            ("oracle_substeps", self.oracle_substeps >= 32, "at least 32"),
+            ("batch", self.batch >= 1, "at least 1"),
+            ("oracle_substeps", self.oracle_substeps >= ORACLE_SUBSTEPS, f"at least {ORACLE_SUBSTEPS}"),
             ("oracle_nodes", self.oracle_nodes >= 2, "at least 2"),
             ("projections", self.projections >= 1, "at least 1"),
             ("schedule_kind", self.schedule_kind in SCHEDULE_KINDS, f"one of {list(SCHEDULE_KINDS)}"),
@@ -152,41 +141,37 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
         outdir = cfg.resolve_outdir()
         if outdir:
             os.makedirs(outdir, exist_ok=True)
-        if cfg.batch > 0:
-            x_T = stream(cfg.seed, "x_T").standard_normal((cfg.batch, model.dim)) * cfg.t_max
-            data = sample_data(model, cfg.batch, stream(cfg.seed, "data"))
-            ref_schedule = make_schedule(
-                cfg.schedule_kind, cfg.oracle_nodes, cfg.t_min, cfg.t_max, rho=cfg.rho
-            )
+        x_T = stream(cfg.seed, "x_T").standard_normal((cfg.batch, model.dim)) * cfg.t_max
+        data = sample_data(model, cfg.batch, stream(cfg.seed, "data"))
+        ref_schedule = make_schedule(cfg.schedule_kind, cfg.oracle_nodes, cfg.t_min, cfg.t_max, rho=cfg.rho)
 
-    if cfg.batch > 0:
-        with _phase(report.wallclock, "oracle"):
-            ref_endpoint = reference_solve(model, x_T, ref_schedule, cfg.oracle_substeps).endpoint
+    with _phase(report.wallclock, "oracle"):
+        ref_endpoint = reference_solve(model, x_T, ref_schedule, cfg.oracle_substeps).endpoint
 
-        for kind in cfg.solvers:
-            label = kind.label()
-            errs = []
-            for nfe in cfg.nfe:
-                with _phase(report.wallclock, f"{label}@{nfe}"):
-                    n = nfe_to_steps(kind, nfe, cfg.afs)
-                    schedule = make_schedule(cfg.schedule_kind, n, cfg.t_min, cfg.t_max, rho=cfg.rho)
-                    traj = sample(model, kind, schedule, x_T, afs=cfg.afs)
-                with _phase(report.wallclock, "metrics"):
-                    err = float(np.mean(np.linalg.norm(traj.endpoint - ref_endpoint, axis=-1)))
-                    sw = sliced_wasserstein(traj.endpoint, data, cfg.projections, seed=cfg.seed)
-                report.entries.append(
-                    RunEntry(
-                        solver=label,
-                        nfe=nfe,
-                        steps=n,
-                        mean_endpoint_l2=err,
-                        sliced_w2=sw,
-                        nfe_observed=traj.nfe,
-                    )
-                )
-                errs.append((nfe, err))
+    for kind in cfg.solvers:
+        label = kind.label()
+        errs = []
+        for nfe in cfg.nfe:
+            with _phase(report.wallclock, f"{label}@{nfe}"):
+                n = nfe_to_steps(kind, nfe, cfg.afs)
+                schedule = make_schedule(cfg.schedule_kind, n, cfg.t_min, cfg.t_max, rho=cfg.rho)
+                traj = sample(model, kind, schedule, x_T, afs=cfg.afs)
             with _phase(report.wallclock, "metrics"):
-                report.orders[label] = order_estimate(errs) if len(errs) >= 3 else None
+                err = float(np.mean(np.linalg.norm(traj.endpoint - ref_endpoint, axis=-1)))
+                sw = sliced_wasserstein(traj.endpoint, data, cfg.projections, seed=cfg.seed)
+            report.entries.append(
+                RunEntry(
+                    solver=label,
+                    nfe=nfe,
+                    steps=n,
+                    mean_endpoint_l2=err,
+                    sliced_w2=sw,
+                    nfe_observed=traj.nfe,
+                )
+            )
+            errs.append((nfe, err))
+        with _phase(report.wallclock, "metrics"):
+            report.orders[label] = order_estimate(errs) if len(errs) >= 3 else None
 
     if outdir:
         with _phase(report.wallclock, "write"):

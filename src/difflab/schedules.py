@@ -46,7 +46,7 @@ class TimeSchedule:
         return float(self.times[-1])
 
 
-def make_schedule(kind: str, n: int, t_min: float, t_max: float, rho: float = 7.0) -> TimeSchedule:
+def make_schedule(kind: str, n: int, t_min: float, t_max: float, rho: float | None = 7.0) -> TimeSchedule:
     """Build an N-node grid on [t_min, t_max].
 
     polynomial -- interpolate t^(1/rho) affinely and raise back (the grid that
@@ -90,8 +90,7 @@ def refine_teacher(schedule: TimeSchedule, m: int) -> TimeSchedule:
     if m < 1:
         raise ValueError("m must be >= 1")
     n_fine = (m + 1) * (schedule.n - 1) + 1
-    rho = schedule.rho if schedule.rho is not None else 7.0
-    return make_schedule(schedule.kind, n_fine, schedule.t_min, schedule.t_max, rho=rho)
+    return make_schedule(schedule.kind, n_fine, schedule.t_min, schedule.t_max, rho=schedule.rho)
 
 
 def _geom(t_lo, t_hi, r):

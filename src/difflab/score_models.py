@@ -235,7 +235,7 @@ def oracle_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_S
 
     Integrates the flow ODE from the top of the schedule down to its floor,
     splitting every schedule interval into ``substeps`` uniform sub-intervals
-    (at least 32, by default ``ORACLE_SUBSTEPS``), and records the state at
+    (by default, and at least, ``ORACLE_SUBSTEPS``), and records the state at
     every schedule node.  Deterministic; 4 * substeps model calls per
     interval.  The default is certified by test only on schedules at least
     as fine as 17 polynomial nodes (rho 7, [0.002, 80]), the reference grid
@@ -246,8 +246,8 @@ def oracle_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_S
     enough (mean endpoint error 6.8e-2 on configs/gmm4_d16.json with 3
     nodes); use ``reference_solve``, which refines such schedules first.
     """
-    if substeps < 32:
-        raise ValueError("oracle requires substeps >= 32 per interval")
+    if substeps < ORACLE_SUBSTEPS:
+        raise ValueError(f"oracle requires substeps >= {ORACLE_SUBSTEPS} per interval")
     x = np.asarray(x_T, dtype=np.float64)
     return _walk_schedule(partial(_rk4_interval, model, substeps), schedule, x, None, "oracle")
 

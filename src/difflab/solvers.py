@@ -71,10 +71,11 @@ class SolverKind:
         return 2 if self.tag in ("heun_edm", "dpm2") else 1
 
     def label(self) -> str:
+        """The spec ``parse_solver_spec`` reads back: the tag, ``dpm2:<repr(r)>`` or ``ipndm:<order>``."""
         if self.tag == "dpm2" and self.r != 0.5:
-            return f"dpm2(r={self.r:g})"
+            return f"dpm2:{float(self.r)!r}"
         if self.tag == "ipndm" and self.order != 4:
-            return f"ipndm({self.order})"
+            return f"ipndm:{self.order}"
         return self.tag
 
 
@@ -85,7 +86,7 @@ def _col(u, x) -> np.ndarray:
 
 
 def _check_interval(t_hi, t_lo) -> None:
-    if not np.all(np.asarray(t_lo) > 0) or not np.all(np.asarray(t_lo) < np.asarray(t_hi)):
+    if not np.all((0 < t_lo) & (t_lo < t_hi)):
         raise ValueError("need 0 < t_lo < t_hi")
 
 
@@ -138,8 +139,7 @@ def step_dpm2(model, x, t_hi, t_lo, r=0.5, *, eps_cur=None, scale=1.0):
     slope; r=1 is the Heun trapezoid, the step heun_edm runs.
     """
     _check_interval(t_hi, t_lo)
-    r = np.asarray(r, dtype=np.float64)
-    if not ((r > 0) & (r <= 1)).all():
+    if not np.all((0 < r) & (r <= 1)):
         raise ValueError("r must lie in (0, 1]")
     return split_step(model, x, t_hi, t_lo, r, w=1.0 / (2.0 * r), c=scale, eps_cur=eps_cur)
 

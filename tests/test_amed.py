@@ -406,6 +406,17 @@ def test_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(getattr(q, name), getattr(p, name))
 
 
+@pytest.mark.parametrize("stale", [8, 12])
+def test_checkpoint_ignores_stale_emb_dim_key(tmp_path, stale):
+    # Older checkpoints carry an emb_dim key; the width is read off w3, whatever the key says.
+    p = rand_params(seed=5, hidden=4, emb_dim=8, outputs=2)
+    path = _write_checkpoint(tmp_path, lambda d: d.update(emb_dim=stale))
+    q = amed.load_predictor(path)
+    assert q.emb_dim == 8
+    for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+        np.testing.assert_array_equal(getattr(q, name), getattr(p, name))
+
+
 def test_checkpoint_version_check(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"version": 99, "emb_dim": 16, "arrays": {}}')
@@ -444,9 +455,8 @@ def _write_checkpoint(tmp_path, mutate):
 
 
 def _emb_dim_6_with_matching_w3(doc):
-    # hidden 4 + emb_dim 6 rows: every shape agrees, only emb_dim itself is invalid.
+    # hidden 4 + emb_dim 6 rows: every shape agrees, only the width read off w3 is invalid.
     w3 = doc["arrays"]["w3"]
-    doc["emb_dim"] = 6
     w3["shape"] = [10, 2]
     w3["data"] = w3["data"][:20]
 
@@ -456,14 +466,11 @@ def _emb_dim_6_with_matching_w3(doc):
     [
         (lambda d: d["arrays"].pop("w2"), "w2"),
         (lambda d: d["arrays"].update(w4=d["arrays"]["b1"]), "w4"),
-        (lambda d: d.pop("emb_dim"), "emb_dim"),
         (lambda d: d["arrays"]["w1"].update(shape=[3, 5]), "w1"),
         (lambda d: d["arrays"]["b3"]["data"].__setitem__(0, "x"), "b3"),
-        (lambda d: d.update(emb_dim=4), "output-layer"),
         (_emb_dim_6_with_matching_w3, "emb_dim"),
     ],
-    ids=["missing_array", "extra_array", "missing_emb_dim", "shape_mismatch", "non_numeric", "inconsistent",
-         "emb_dim_not_multiple_of_4"],
+    ids=["missing_array", "extra_array", "shape_mismatch", "non_numeric", "emb_dim_not_multiple_of_4"],
 )
 def test_checkpoint_errors_name_path_and_key(tmp_path, mutate, key):
     path = _write_checkpoint(tmp_path, mutate)

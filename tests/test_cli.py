@@ -40,14 +40,21 @@ def test_sample_nfe_overrides_schedule_n(tmp_path, model_path):
     assert len(dl.read_trajectory_csv(out).nodes) == 13
 
 
-def test_sample_rejects_parity_conflict(tmp_path, model_path):
-    from difflab.harness import ConfigError
+def _fails_with(capsys, argv, pattern):
+    """Run the CLI and require exit status 2 with one stderr line matching pattern."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert re.search(pattern, err), err
 
-    with pytest.raises(ConfigError, match="even NFE"):
-        main([
-            "sample", "--model", model_path, "--solver", "dpm2",
-            "--nfe", "7", "--out", str(tmp_path / "t.csv"),
-        ])
+
+def test_sample_rejects_parity_conflict(tmp_path, model_path, capsys):
+    _fails_with(capsys, [
+        "sample", "--model", model_path, "--solver", "dpm2",
+        "--nfe", "7", "--out", str(tmp_path / "t.csv"),
+    ], "^difflab sample: error: .*even NFE")
 
 
 def test_sample_schedule_export(tmp_path, model_path):
@@ -72,7 +79,9 @@ def test_train_amed_cli(tmp_path, model_path, capsys):
     assert rc == 0
     params = dl.load_predictor(out)
     assert params.n_params <= 20_000
-    curve = np.loadtxt(loss_out, delimiter=",")
+    header, *rows = loss_out.read_text().splitlines()
+    assert header == "interval_0,interval_1"
+    curve = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert curve.shape == (2, 2)
 
 
@@ -85,6 +94,28 @@ def test_train_amed_defaults_are_train_config_defaults():
     want = {f.name: f.default for f in fields(dl.TrainConfig)}
     got = {"m": args.M, "batch": args.batch, "images": args.images, "lr": args.lr, "seed": args.seed}
     assert got == {k: want[k] for k in got}
+
+
+def test_schedule_flag_defaults_are_run_config_defaults():
+    from dataclasses import fields
+
+    from difflab.cli import build_parser
+
+    want = {f.name: f.default for f in fields(dl.RunConfig)}
+    for argv in (["sample", "--model", "m.json", "--solver", "dpm2"],
+                 ["train-amed", "--model", "m.json", "--teacher", "dpm2", "--N", "4"],
+                 ["align", "--model", "m.json", "--solver", "dpm2"]):
+        args = build_parser().parse_args(argv)
+        got = {k: getattr(args, k) for k in ("schedule_kind", "rho", "t_min", "t_max")}
+        assert got == {k: want[k] for k in got}
+
+
+def test_missing_input_exits_with_status_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    _fails_with(capsys, ["eval", "--config", str(missing)],
+                rf"^difflab eval: error: {re.escape(str(missing))}: cannot read")
+    _fails_with(capsys, ["pca", "--out", str(tmp_path / "pca.csv")], "^difflab pca: error: nothing to analyze")
+    _fails_with(capsys, ["pca", "--in", str(tmp_path / "none.csv")], "none.csv")
 
 
 def test_train_amed_accepts_parameterised_specs(tmp_path, model_path, capsys):
@@ -159,18 +190,17 @@ def test_pca_cli_batch_dir(tmp_path, model_path):
     assert len(out.read_text().strip().splitlines()) == 7
 
 
-def test_pca_cli_batch_rejects_mismatched_times(tmp_path, model_path):
+def test_pca_cli_batch_rejects_mismatched_times(tmp_path, model_path, capsys):
     # dumps on different schedules cannot be averaged node by node
     batch_dir = tmp_path / "trajs"
     batch_dir.mkdir()
     for name, extra in (("a", []), ("b", []), ("c", ["--rho", "3"])):
         main(["sample", "--model", model_path, "--solver", "euler_ddim", "--N", "6",
               "--out", str(batch_dir / f"{name}.csv"), *extra])
-    with pytest.raises(ValueError, match=r"c\.csv: node times differ from those of .*a\.csv"):
-        main(["pca", "--batch", str(batch_dir), "--out", str(tmp_path / "pca.csv")])
+    pca = ["pca", "--batch", str(batch_dir), "--out", str(tmp_path / "pca.csv")]
+    _fails_with(capsys, pca, r"c\.csv: node times differ from those of .*a\.csv")
     main(["sample", "--model", model_path, "--solver", "euler_ddim", "--N", "7", "--out", str(batch_dir / "c.csv")])
-    with pytest.raises(ValueError, match=r"c\.csv: node times differ"):
-        main(["pca", "--batch", str(batch_dir), "--out", str(tmp_path / "pca.csv")])
+    _fails_with(capsys, pca, r"c\.csv: node times differ")
 
 
 def test_align_cli_ipndm_default_grid(tmp_path):
@@ -203,10 +233,10 @@ def test_bound_check_cli(capsys):
     assert abs(doc["ratio"] - 1.0) < 0.1
 
 
-def test_bound_check_rejects_explicit_zero_a():
+def test_bound_check_rejects_explicit_zero_a(capsys):
     # --a 0 is a value, not "unset": it must reach BoundParams and fail there
-    with pytest.raises(ValueError, match="must be positive"):
-        main(["bound-check", "--d", "4", "--s", "1.0", "--t", "5.0", "--trials", "8", "--a", "0"])
+    _fails_with(capsys, ["bound-check", "--d", "4", "--s", "1.0", "--t", "5.0", "--trials", "8", "--a", "0"],
+                "must be positive")
 
 
 def test_eval_cli(tmp_path, model_path, capsys):

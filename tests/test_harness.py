@@ -66,20 +66,25 @@ def test_nfe_to_steps_rules():
         nfe_to_steps(euler, 0, False)
 
 
+@pytest.mark.parametrize("afs", [False, True])
+@pytest.mark.parametrize("tag", dl.solvers.SOLVER_TAGS)
+def test_nfe_to_steps_matches_brute_force(tag, afs):
+    # N nodes cost e * (N - 1) calls, one fewer with AFS; a budget no N >= 2 meets must raise.
+    kind = dl.SolverKind(tag)
+    e = kind.evals_per_interval
+    for nfe in range(1, 41):
+        fits = [n for n in range(2, 43) if e * (n - 1) - afs == nfe]
+        if fits:
+            assert nfe_to_steps(kind, nfe, afs) == fits[0]
+        else:
+            with pytest.raises(ConfigError, match=f"{'odd' if afs else 'even'} NFE only; got {nfe}"):
+                nfe_to_steps(kind, nfe, afs)
+
+
 def test_run_config_rejects_parity_conflicts():
     m = make_gmm(1, 1, 2)
     with pytest.raises(ConfigError):
         RunConfig(model=m, solvers=(dl.SolverKind("dpm2"),), nfe=(7,))
-
-
-def test_run_experiment_empty_batch(tmp_path):
-    m = make_gmm(1, 2, 3)
-    cfg = RunConfig(model=m, solvers=(dl.SolverKind("euler_ddim"),), nfe=(8,), batch=0,
-                    outdir=str(tmp_path))
-    report = run_experiment(cfg)
-    assert report.entries == []
-    csv = (tmp_path / "metrics.csv").read_text()
-    assert csv == "solver,nfe,steps,mean_endpoint_l2,sliced_w2,nfe_observed\n"
 
 
 def test_run_experiment_heun_beats_euler_at_16(tmp_path):
@@ -148,6 +153,7 @@ def test_timing_sidecar_records_oracle(tmp_path):
     "key, value",
     [
         ("batch", -1),
+        ("batch", 0),
         ("oracle_substeps", 31),
         ("oracle_nodes", 1),
         ("projections", 0),

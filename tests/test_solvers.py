@@ -327,6 +327,28 @@ def test_parse_solver_spec():
         parse_solver_spec("euler_ddim:3")
 
 
+def test_label_parses_back():
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    from difflab.solvers import parse_solver_spec
+
+    kinds = [dl.SolverKind(tag) for tag in dl.solvers.SOLVER_TAGS]
+    kinds += [dl.SolverKind("ipndm", order=k) for k in (1, 2, 3, 4)]
+    for kind in kinds:
+        assert parse_solver_spec(kind.label()) == kind
+    assert [k.label() for k in kinds[:5]] == list(dl.solvers.SOLVER_TAGS)
+
+    @given(st.floats(0.0, 1.0, exclude_min=True))
+    @example(0.123456789)
+    @settings(max_examples=200, deadline=None)
+    def check(r):
+        kind = dl.SolverKind("dpm2", r=r)
+        assert parse_solver_spec(kind.label()) == kind
+
+    check()
+
+
 @pytest.mark.parametrize(
     "body,where",
     [
