@@ -17,7 +17,6 @@ step and its probes run together as one step over a probe grid (see
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import partial
@@ -26,7 +25,7 @@ import numpy as np
 
 from .rng import stream
 from .schedules import TimeSchedule, refine_teacher
-from .score_models import FEATURE_DIM, GaussianMixture, ModelEval, _read_json, eval_model
+from .score_models import FEATURE_DIM, GaussianMixture, ModelEval, _read_json, _write_json, eval_model
 from .solvers import SolverKind, _check_interval, afs_direction, sample, split_step
 from .trajectory import DivergenceError, Trajectory, _walk_schedule
 
@@ -71,6 +70,8 @@ class PredictorParams:
     b3: np.ndarray
 
     def __post_init__(self):
+        if self.w1.shape[0] != FEATURE_DIM:
+            raise ValueError(f"w1 has {self.w1.shape[0]} rows, the feature is {FEATURE_DIM} wide")
         h = self.w1.shape[1]
         if self.b1.shape != (h,) or self.w2.shape != (h, h) or self.b2.shape != (h,):
             raise ValueError("inconsistent feature-path shapes")
@@ -85,10 +86,6 @@ class PredictorParams:
                 raise ValueError("predictor weights must be finite")
         if self.n_params > 20_000:
             raise ValueError(f"predictor has {self.n_params} parameters, budget is 20k")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.w1.shape[0]
 
     @property
     def hidden(self) -> int:
@@ -107,9 +104,9 @@ class PredictorParams:
         return sum(a.size for a in (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3))
 
     @classmethod
-    def zeros(cls, feature_dim=FEATURE_DIM, hidden=64, emb_dim=16, outputs=2):
+    def zeros(cls, hidden=64, emb_dim=16, outputs=2):
         return cls(
-            w1=np.zeros((feature_dim, hidden)),
+            w1=np.zeros((FEATURE_DIM, hidden)),
             b1=np.zeros(hidden),
             w2=np.zeros((hidden, hidden)),
             b2=np.zeros(hidden),
@@ -118,11 +115,11 @@ class PredictorParams:
         )
 
     @classmethod
-    def init(cls, rng: np.random.Generator, feature_dim=FEATURE_DIM, hidden=64, emb_dim=16, outputs=2):
+    def init(cls, rng: np.random.Generator, hidden=64, emb_dim=16, outputs=2):
         """Random feature path, zero output layer: outputs start exactly neutral."""
         return replace(
-            cls.zeros(feature_dim, hidden, emb_dim, outputs),
-            w1=rng.standard_normal((feature_dim, hidden)) / math.sqrt(feature_dim),
+            cls.zeros(hidden, emb_dim, outputs),
+            w1=rng.standard_normal((FEATURE_DIM, hidden)) / math.sqrt(FEATURE_DIM),
             w2=rng.standard_normal((hidden, hidden)) / math.sqrt(hidden),
         )
 
@@ -136,29 +133,21 @@ class PredictorOutput:
     a: np.ndarray | None = None
 
 
-def _forward(params: PredictorParams, h, t_hi, t_lo):
+def predict_with_cache(params: PredictorParams, h, t_hi, t_lo):
     h = np.asarray(h, dtype=np.float64)
-    if h.shape[-1] != params.feature_dim:
-        raise ValueError(f"feature has width {h.shape[-1]}, predictor expects {params.feature_dim}")
+    if h.shape[-1] != FEATURE_DIM:
+        raise ValueError(f"feature has width {h.shape[-1]}, predictor expects {FEATURE_DIM}")
     z1 = np.tanh(h @ params.w1 + params.b1)
     z2 = np.tanh(z1 @ params.w2 + params.b2)
-    emb = time_embedding(t_hi, t_lo, params.emb_dim)
-    if z2.ndim > emb.ndim:
-        emb = np.broadcast_to(emb, z2.shape[:-1] + emb.shape[-1:])
+    emb = np.broadcast_to(time_embedding(t_hi, t_lo, params.emb_dim), z2.shape[:-1] + (params.emb_dim,))
     u = np.concatenate([z2, emb], axis=-1)
     o = u @ params.w3 + params.b3
     if not np.all(np.isfinite(o)):
         raise FloatingPointError("non-finite predictor activations")
-    return {"h": h, "z1": z1, "z2": z2, "u": u, "o": o}
-
-
-def predict_with_cache(params: PredictorParams, h, t_hi, t_lo):
-    cache = _forward(params, h, t_hi, t_lo)
-    o = cache["o"]
     r = np.clip(_sigmoid(o[..., 0]), _SIGMOID_CLIP, 1.0 - _SIGMOID_CLIP)
     c = 2.0 * np.clip(_sigmoid(o[..., 1]), _SIGMOID_CLIP, 1.0 - _SIGMOID_CLIP)
     a = 0.5 + _sigmoid(o[..., 2]) if params.outputs == 3 else None
-    return PredictorOutput(r=r, c=c, a=a), cache
+    return PredictorOutput(r=r, c=c, a=a), {"h": h, "z1": z1, "z2": z2, "u": u, "o": o}
 
 
 def predictor_vjp(params: PredictorParams, cache, g_r, g_c, g_a=None) -> dict:
@@ -187,7 +176,7 @@ def predictor_vjp(params: PredictorParams, cache, g_r, g_c, g_a=None) -> dict:
     gb2 = gp2.sum(axis=0)
     g_p1 = (g_p2 @ params.w2.T) * (1.0 - z1**2)
     gp1 = flat(g_p1, params.hidden)
-    gw1 = flat(h, params.feature_dim).T @ gp1
+    gw1 = flat(h, FEATURE_DIM).T @ gp1
     gb1 = gp1.sum(axis=0)
     return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2, "w3": gw3, "b3": gb3}
 
@@ -195,11 +184,13 @@ def predictor_vjp(params: PredictorParams, cache, g_r, g_c, g_a=None) -> dict:
 _PARAM_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamState:
     """Per-parameter first/second moments with bias correction."""
 
-    def __init__(self, params: PredictorParams, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, params: PredictorParams):
         self.t = 0
         self.m = {k: np.zeros_like(getattr(params, k)) for k in _PARAM_FIELDS}
         self.v = {k: np.zeros_like(getattr(params, k)) for k in _PARAM_FIELDS}
@@ -209,11 +200,11 @@ class AdamState:
         out = {}
         for k in _PARAM_FIELDS:
             g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[k] / (1.0 - self.beta1**self.t)
-            v_hat = self.v[k] / (1.0 - self.beta2**self.t)
-            out[k] = getattr(params, k) - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[k] = _ADAM_BETA1 * self.m[k] + (1.0 - _ADAM_BETA1) * g
+            self.v[k] = _ADAM_BETA2 * self.v[k] + (1.0 - _ADAM_BETA2) * g * g
+            m_hat = self.m[k] / (1.0 - _ADAM_BETA1**self.t)
+            v_hat = self.v[k] / (1.0 - _ADAM_BETA2**self.t)
+            out[k] = getattr(params, k) - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         return replace(params, **out)
 
 
@@ -415,9 +406,7 @@ def save_predictor(params: PredictorParams, path) -> None:
     for name in _PARAM_FIELDS:
         a = getattr(params, name)
         doc["arrays"][name] = {"shape": list(a.shape), "data": a.ravel(order="C").tolist()}
-    with open(path, "w") as f:
-        json.dump(doc, f)
-        f.write("\n")
+    _write_json(path, doc)
 
 
 def load_predictor(path) -> PredictorParams:

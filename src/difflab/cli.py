@@ -26,7 +26,7 @@ from .geometry import (
 )
 from .harness import ENV_OUTDIR, RunConfig, load_run_config, nfe_to_steps, run_experiment
 from .rng import stream
-from .schedules import SCHEDULE_KINDS, make_schedule, write_schedule_csv
+from .schedules import SCHEDULE_KINDS, make_schedule
 from .score_models import ORACLE_SUBSTEPS, load_model, reference_solve
 from .solvers import parse_solver_spec, sample
 from .trajectory import read_trajectory_csv, write_csv, write_trajectory_csv
@@ -52,8 +52,6 @@ def _cmd_sample(args) -> int:
     if args.nfe is not None:
         args.N = nfe_to_steps(solver, args.nfe, args.afs)
     schedule = _schedule(args)
-    if args.schedule_out:
-        write_schedule_csv(schedule, _out_path(args.schedule_out))
     x_T = stream(args.seed, "x_T").standard_normal(model.dim) * schedule.t_max
     traj = sample(model, solver, schedule, x_T, afs=args.afs)
     write_trajectory_csv(traj, _out_path(args.out))
@@ -149,8 +147,8 @@ def _cmd_bound_check(args) -> int:
         "rel_std": rep.rel_std,
         "shell_radius": rep.radius,
         "ratio": rep.mean_norm / rep.radius,
-        "trials": rep.trials,
-        "substeps": rep.substeps,
+        "trials": args.trials,
+        "substeps": args.substeps,
     }
     print(json.dumps(doc, indent=2))
     return 0
@@ -191,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--afs", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="traj.csv")
-    p.add_argument("--schedule-out", default=None)
     add_schedule_flags(p, default_n=8)
     p.set_defaults(func=_cmd_sample)
 

@@ -245,8 +245,6 @@ class ShellReport:
     mean_norm: float
     rel_std: float
     radius: float
-    trials: int
-    substeps: int
 
 
 def mc_shell_check(params: BoundParams, s: float, t: float, trials: int, seed: int,
@@ -268,10 +266,4 @@ def mc_shell_check(params: BoundParams, s: float, t: float, trials: int, seed: i
     norms = np.linalg.norm(z, axis=1)
     mean = float(norms.mean())
     rel = float(norms.std() / mean) if mean > 0 else 0.0
-    return ShellReport(
-        mean_norm=mean,
-        rel_std=rel,
-        radius=shell_radius(params, s, t),
-        trials=trials,
-        substeps=substeps,
-    )
+    return ShellReport(mean_norm=mean, rel_std=rel, radius=shell_radius(params, s, t))

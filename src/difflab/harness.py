@@ -10,7 +10,6 @@ and written to a separate sidecar.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from contextlib import contextmanager
@@ -21,7 +20,9 @@ import numpy as np
 from .metrics import order_estimate, sliced_wasserstein
 from .rng import stream
 from .schedules import SCHEDULE_KINDS, make_schedule
-from .score_models import ORACLE_SUBSTEPS, GaussianMixture, _read_json, load_model, reference_solve, sample_data
+from .score_models import (
+    ORACLE_SUBSTEPS, GaussianMixture, _read_json, _write_json, load_model, reference_solve, sample_data,
+)
 from .solvers import SolverKind, parse_solver_spec, sample
 from .trajectory import write_csv
 
@@ -177,14 +178,10 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
         with _phase(report.wallclock, "write"):
             header = [f.name for f in fields(RunEntry)]
             write_csv(os.path.join(outdir, "metrics.csv"), header, map(astuple, report.entries))
-            with open(os.path.join(outdir, "metrics.json"), "w") as f:
-                json.dump(report.to_doc(), f, indent=2)
-                f.write("\n")
+            _write_json(os.path.join(outdir, "metrics.json"), report.to_doc(), indent=2)
     report.wallclock["total"] = time.perf_counter() - start
     if outdir:
-        with open(os.path.join(outdir, "timing.json"), "w") as f:
-            json.dump(report.wallclock, f, indent=2)
-            f.write("\n")
+        _write_json(os.path.join(outdir, "timing.json"), report.wallclock, indent=2)
     return report
 
 
@@ -224,6 +221,4 @@ def load_run_config(path) -> RunConfig:
     _check_value_types(doc)
     solvers = tuple(parse_solver_spec(s) for s in doc["solvers"])
     kwargs = {k: v for k, v in doc.items() if k not in ("model", "solvers")}
-    if "nfe" in kwargs:
-        kwargs["nfe"] = tuple(kwargs["nfe"])
     return RunConfig(model=doc["model"], solvers=solvers, **kwargs)

@@ -6,14 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectory import write_csv
-
 SCHEDULE_KINDS = ("polynomial", "logsnr", "uniform")
 
 
 @dataclass(frozen=True)
 class TimeSchedule:
-    """Strictly increasing grid t_1 = eps < ... < t_N = T with a kind tag."""
+    """Strictly increasing grid t_1 = eps < ... < t_N = T with a kind tag (and rho, if polynomial)."""
 
     times: np.ndarray
     kind: str
@@ -23,6 +21,8 @@ class TimeSchedule:
         t = np.asarray(self.times, dtype=np.float64)
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if self.kind == "polynomial" and not (self.rho is not None and self.rho > 0):
+            raise ValueError(f"a polynomial schedule needs a positive rho; got {self.rho!r}")
         if t.ndim != 1 or t.size < 2:
             raise ValueError("schedule needs at least two nodes")
         if t[0] <= 0:
@@ -60,8 +60,8 @@ def make_schedule(kind: str, n: int, t_min: float, t_max: float, rho: float | No
         raise ValueError("need 0 < t_min < t_max")
     u = np.arange(n, dtype=np.float64) / (n - 1)
     if kind == "polynomial":
-        if rho <= 0:
-            raise ValueError("rho must be positive")
+        if rho is None or rho <= 0:
+            raise ValueError(f"a polynomial schedule needs a positive rho; got {rho!r}")
         lo, hi = t_min ** (1.0 / rho), t_max ** (1.0 / rho)
         times = (lo + u * (hi - lo)) ** rho
     elif kind == "logsnr":
@@ -100,7 +100,3 @@ def _geom(t_lo, t_hi, r):
     r = np.asarray(r, dtype=np.float64)
     return t_lo**r * t_hi ** (1.0 - r)
 
-
-def write_schedule_csv(schedule: TimeSchedule, path) -> None:
-    """Export the grid as a single CSV column."""
-    write_csv(path, ["t"], ([t] for t in schedule.times.tolist()))

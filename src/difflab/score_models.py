@@ -295,6 +295,13 @@ def _read_json(path, error=ValueError) -> dict:
     return doc
 
 
+def _write_json(path, doc, indent=None) -> None:
+    """Write doc as JSON followed by a newline."""
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=indent)
+        f.write("\n")
+
+
 def load_model(path) -> GaussianMixture:
     """Load a mixture from a JSON config: {"components": [{weight, mean, std}, ...]}.
 

@@ -185,7 +185,7 @@ def step_dpmpp_2m(model, x, t_hi, t_lo, prev=None, *, eps_cur=None, scale=1.0):
         d_combo = denoised
     else:
         t_prev, denoised_prev = prev
-        if not np.all(np.asarray(t_prev) > np.asarray(t_hi)):
+        if not np.all(t_prev > t_hi):
             raise ValueError("previous step must come from a higher time")
         r0 = (np.log(t_prev) - np.log(t_hi)) / h
         w = _col(1.0 / (2.0 * r0), x)
@@ -204,9 +204,7 @@ def substep(model, kind: SolverKind, x, t_hi, t_lo, carry=None, *, eps_cur=None,
     if tag in ("euler_ddim", "ipndm"):
         order = 1 if tag == "euler_ddim" else kind.order
         return step_ipndm(model, x, t_hi, t_lo, carry or (), eps_cur=eps_cur, scale=scale, max_order=order)
-    if tag == "dpmpp_2m":
-        return step_dpmpp_2m(model, x, t_hi, t_lo, carry, eps_cur=eps_cur, scale=scale)
-    raise ValueError(f"unknown solver tag {tag!r}")
+    return step_dpmpp_2m(model, x, t_hi, t_lo, carry, eps_cur=eps_cur, scale=scale)
 
 
 def sample(model: GaussianMixture, kind: SolverKind, schedule, x_T, afs: bool = False) -> Trajectory:

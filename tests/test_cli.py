@@ -57,17 +57,6 @@ def test_sample_rejects_parity_conflict(tmp_path, model_path, capsys):
     ], "^difflab sample: error: .*even NFE")
 
 
-def test_sample_schedule_export(tmp_path, model_path):
-    out = tmp_path / "traj.csv"
-    sched_out = tmp_path / "sched.csv"
-    main([
-        "sample", "--model", model_path, "--solver", "euler_ddim",
-        "--schedule-kind", "uniform", "--N", "5", "--out", str(out), "--schedule-out", str(sched_out),
-    ])
-    lines = sched_out.read_text().strip().splitlines()
-    assert lines[0] == "t" and len(lines) == 6
-
-
 def test_train_amed_cli(tmp_path, model_path, capsys):
     out = tmp_path / "predictor.json"
     loss_out = tmp_path / "loss.csv"

@@ -88,13 +88,3 @@ def test_geometric_intermediate_monotone_in_r(t_lo, t_hi, r, dr):
     s2 = _geom(t_lo, t_hi, min(r + dr, 1.0))
     assert t_lo <= s2 <= s1 <= t_hi
 
-
-def test_schedule_csv(tmp_path):
-    sch = dl.make_schedule("polynomial", 5, 0.002, 80.0)
-    path = tmp_path / "sched.csv"
-    from difflab.schedules import write_schedule_csv
-
-    write_schedule_csv(sch, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t"
-    assert [float(v) for v in lines[1:]] == list(sch.times)
