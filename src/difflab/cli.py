@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -126,7 +126,12 @@ def _cmd_pca(args) -> int:
 def _cmd_align(args) -> int:
     model = load_model(args.model)
     base = parse_solver_spec(args.solver)
-    lo, hi, step = (float(v) for v in args.grid.split(":"))
+    try:
+        lo, hi, step = (float(v) for v in args.grid.split(":"))
+    except ValueError:
+        raise ValueError(f"--grid takes lo:hi:step, three numbers; got {args.grid!r}") from None
+    if not step > 0:
+        raise ValueError(f"--grid step must be positive; got {args.grid!r}")
     grid = np.arange(lo, hi + 0.5 * step, step)
     schedule = _schedule(args)
     x_T = stream(args.seed, "align").standard_normal((args.batch, model.dim)) * schedule.t_max
@@ -139,7 +144,8 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_bound_check(args) -> int:
-    params = BoundParams(a=args.a, b=args.b, d=args.d) if args.a is not None else BoundParams.default(args.d)
+    given = {k: getattr(args, k) for k in ("a", "b") if getattr(args, k) is not None}
+    params = replace(BoundParams.default(args.d), **given)
     rep = mc_shell_check(params, args.s, args.t, trials=args.trials, seed=args.seed,
                          substeps=args.substeps)
     doc = {
@@ -232,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--trials", type=int, default=4096)
     p.add_argument("--substeps", type=int, default=200)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=3.0)
+    p.add_argument("--a", type=float, default=None, help="default: BoundParams.default(d)")
+    p.add_argument("--b", type=float, default=None, help="default: BoundParams.default(d)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bound_check)
 

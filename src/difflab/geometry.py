@@ -154,6 +154,8 @@ def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Tr
     ts = schedule.times[::-1]
     x0 = np.atleast_2d(np.asarray(oracle.nodes[0][1], dtype=np.float64))  # a single state is a batch of one
     n_b = x0.shape[0]
+    if n_b == 0:
+        raise ValueError("reference trajectory holds no states")
     steps = schedule.n - 1
 
     eps_cur = eval_model(model, x0, float(ts[0])).epsilon
@@ -207,14 +209,15 @@ class BoundParams:
     d: int
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("a and b must be positive")
         if self.d < 1:
             raise ValueError("d must be a positive integer")
+        if self.a <= 0 or self.b <= 0:
+            raise ValueError("a and b must be positive")
 
     @classmethod
     def default(cls, d: int) -> "BoundParams":
-        return cls(a=math.sqrt(3.0 * d) / 15.0, b=3.0, d=d)
+        """a = sqrt(3d) / 15, b = 3; a d below 1 is refused by the constructor."""
+        return cls(a=math.sqrt(3.0 * max(d, 0)) / 15.0, b=3.0, d=d)
 
 
 def logistic_bound(params: BoundParams, tau) -> np.ndarray:

@@ -211,14 +211,17 @@ def _check_value_types(doc: dict) -> None:
 
 
 def load_run_config(path) -> RunConfig:
-    """Read a flat key-value JSON config document."""
+    """Read a flat key-value JSON config document; a fault raises ConfigError naming path."""
     doc = _read_json(path, ConfigError)
-    unknown = set(doc) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "model" not in doc or "solvers" not in doc:
-        raise ConfigError("config must name a model file and a solver list")
-    _check_value_types(doc)
-    solvers = tuple(parse_solver_spec(s) for s in doc["solvers"])
-    kwargs = {k: v for k, v in doc.items() if k not in ("model", "solvers")}
-    return RunConfig(model=doc["model"], solvers=solvers, **kwargs)
+    try:
+        unknown = set(doc) - {f.name for f in fields(RunConfig)}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if "model" not in doc or "solvers" not in doc:
+            raise ConfigError("config must name a model file and a solver list")
+        _check_value_types(doc)
+        solvers = tuple(parse_solver_spec(s) for s in doc["solvers"])
+        kwargs = {k: v for k, v in doc.items() if k not in ("model", "solvers")}
+        return RunConfig(model=doc["model"], solvers=solvers, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None

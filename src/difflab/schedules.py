@@ -99,4 +99,3 @@ def _geom(t_lo, t_hi, r):
     # (numpy's scalar and array pow can differ in the last ulp).
     r = np.asarray(r, dtype=np.float64)
     return t_lo**r * t_hi ** (1.0 - r)
-

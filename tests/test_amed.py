@@ -67,6 +67,41 @@ def test_output_ranges(b1, b2, b3):
     assert 0.5 < out.a < 1.5
 
 
+def _nan_w2(p):
+    w2 = p.w2.copy()
+    w2[0, 0] = np.nan
+    return {"w2": w2}
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        (lambda p: {"w1": np.zeros((8, p.hidden))}, "w1 has 8 rows, the feature is 16 wide"),
+        (lambda p: {"b1": np.zeros(p.hidden + 1)}, "feature-path shapes"),
+        (lambda p: {"b3": np.zeros(3)}, "output-layer shapes"),
+        (lambda p: {"w3": np.zeros((p.w3.shape[0], 4)), "b3": np.zeros(4)}, "2 or 3 outputs"),
+        (_nan_w2, "must be finite"),
+    ],
+    ids=["w1_width", "feature_path", "output_layer", "output_count", "non_finite"],
+)
+def test_predictor_params_reject_malformed_weights(fields, message):
+    p = PredictorParams.zeros(hidden=4, emb_dim=8)
+    with pytest.raises(ValueError, match=message):
+        replace(p, **fields(p))
+
+
+def test_predict_rejects_feature_of_wrong_width():
+    with pytest.raises(ValueError, match="feature has width 8, predictor expects 16"):
+        predict_with_cache(PredictorParams.zeros(), np.zeros((3, 8)), 10.0, 2.0)
+
+
+def test_predictor_vjp_needs_time_scale_gradient():
+    p = rand_params(outputs=3)
+    _, cache = predict_with_cache(p, np.zeros(16), 10.0, 2.0)
+    with pytest.raises(ValueError, match="time scale"):
+        predictor_vjp(p, cache, 1.0, 1.0)
+
+
 def test_param_budget_enforced():
     with pytest.raises(ValueError):
         PredictorParams.zeros(hidden=256)
@@ -394,6 +429,9 @@ def test_train_config_validation():
         TrainConfig(teacher=teacher, m=0)
     with pytest.raises(ValueError):
         TrainConfig(teacher=teacher, lr=-0.1)
+    for key in ("batch", "images"):
+        with pytest.raises(ValueError, match="batch and images must be positive"):
+            TrainConfig(teacher=teacher, **{key: 0})
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -461,6 +499,13 @@ def _emb_dim_6_with_matching_w3(doc):
     w3["data"] = w3["data"][:20]
 
 
+def _w1_8_rows(doc):
+    # A predictor built for an 8-wide feature: consistent shapes, the wrong width for this lab.
+    w1 = doc["arrays"]["w1"]
+    w1["shape"] = [8, 4]
+    w1["data"] = w1["data"][:32]
+
+
 @pytest.mark.parametrize(
     "mutate,key",
     [
@@ -469,8 +514,15 @@ def _emb_dim_6_with_matching_w3(doc):
         (lambda d: d["arrays"]["w1"].update(shape=[3, 5]), "w1"),
         (lambda d: d["arrays"]["b3"]["data"].__setitem__(0, "x"), "b3"),
         (_emb_dim_6_with_matching_w3, "emb_dim"),
+        (lambda d: d.update(arrays=[d["arrays"]["w1"]]), "'arrays' must map"),
+        (lambda d: d["arrays"]["w2"].pop("shape"), r"arrays\.w2 needs"),
+        (lambda d: d["arrays"]["b1"].pop("data"), r"arrays\.b1 needs"),
+        (_w1_8_rows, "w1 has 8 rows, the feature is 16 wide"),
     ],
-    ids=["missing_array", "extra_array", "shape_mismatch", "non_numeric", "emb_dim_not_multiple_of_4"],
+    ids=[
+        "missing_array", "extra_array", "shape_mismatch", "non_numeric", "emb_dim_not_multiple_of_4",
+        "arrays_not_a_mapping", "spec_without_shape", "spec_without_data", "w1_width",
+    ],
 )
 def test_checkpoint_errors_name_path_and_key(tmp_path, mutate, key):
     path = _write_checkpoint(tmp_path, mutate)

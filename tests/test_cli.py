@@ -228,6 +228,49 @@ def test_bound_check_rejects_explicit_zero_a(capsys):
                 "must be positive")
 
 
+def _bound_check(capsys, *flags):
+    assert main(["bound-check", "--d", "64", "--s", "1", "--t", "5", "--trials", "8", *flags]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_bound_check_a_and_b_apply_independently(capsys):
+    default = dl.BoundParams.default(64)
+    doc = _bound_check(capsys)
+    assert list(doc) == ["mean_norm", "rel_std", "shell_radius", "ratio", "trials", "substeps"]
+    assert (doc["trials"], doc["substeps"]) == (8, 200)
+    assert doc["shell_radius"] == dl.shell_radius(default, 1.0, 5.0)
+    for flags, want in (
+        (["--b", "5"], dl.BoundParams(a=default.a, b=5.0, d=64)),
+        (["--a", "2"], dl.BoundParams(a=2.0, b=default.b, d=64)),
+        (["--a", "2", "--b", "5"], dl.BoundParams(a=2.0, b=5.0, d=64)),
+    ):
+        got = _bound_check(capsys, *flags)["shell_radius"]
+        assert got == dl.shell_radius(want, 1.0, 5.0) and got != doc["shell_radius"], flags
+
+
+def test_bound_check_rejects_zero_dimension(capsys):
+    _fails_with(capsys, ["bound-check", "--d", "0", "--s", "1.0", "--t", "5.0", "--trials", "8"],
+                "^difflab bound-check: error: d must be a positive integer")
+
+
+@pytest.mark.parametrize(
+    "flags, pattern",
+    [
+        (["--grid", "0.1:1:0"], "--grid step must be positive"),
+        (["--grid", "0.1:1:-0.1"], "--grid step must be positive"),
+        (["--grid", "0.1:1"], "--grid takes lo:hi:step"),
+        (["--grid", "0.1:1:0.1:2"], "--grid takes lo:hi:step"),
+        (["--grid", "a:b:c"], "--grid takes lo:hi:step"),
+        (["--batch", "0"], "reference trajectory holds no states"),
+    ],
+)
+def test_align_rejects_bad_study_flags(tmp_path, model_path, capsys, flags, pattern):
+    out = tmp_path / "align.csv"
+    _fails_with(capsys, ["align", "--model", model_path, "--solver", "dpm2", "--N", "3", *flags, "--out", str(out)],
+                f"^difflab align: error: {pattern}")
+    assert not out.exists()
+
+
 def test_eval_cli(tmp_path, model_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({

@@ -98,6 +98,19 @@ def test_projection_error_flags_zero_norm_nodes():
     assert not np.isnan(errs[0]) and np.isnan(errs[1])
 
 
+def test_geometry_rejects_batched_trajectory():
+    nodes = [(t, np.ones((2, 3)) * t) for t in (3.0, 2.0, 1.0)]
+    for analysis in (dl.pca_trajectory, dl.cumulative_variance, lambda tr: dl.projection_error(tr, 1)):
+        with pytest.raises(ValueError, match="unbatched"):
+            analysis(Trajectory(nodes=nodes))
+
+
+@pytest.mark.parametrize("k", [0, 6])
+def test_projection_error_rank_range(k):
+    with pytest.raises(ValueError, match="1 <= k <= dim"):
+        dl.projection_error(line_trajectory(d=5), k)
+
+
 def test_pca_needs_three_nodes():
     with pytest.raises(ValueError):
         dl.pca_trajectory(Trajectory(nodes=[(2.0, np.zeros(3)), (1.0, np.zeros(3))]))
@@ -177,6 +190,9 @@ def test_grid_align_validation(gmm2_d8, poly_schedule):
     other = dl.make_schedule("polynomial", 4, 0.002, 80.0, rho=7.0)
     with pytest.raises(ValueError):
         dl.grid_align(gmm2_d8, dl.SolverKind("dpm2"), other, [0.5], oracle)
+    empty = dl.oracle_solve(gmm2_d8, np.zeros((0, 8)), poly_schedule)
+    with pytest.raises(ValueError, match="holds no states"):
+        dl.grid_align(gmm2_d8, dl.SolverKind("dpm2"), poly_schedule, [0.5], empty)
 
 
 def test_grid_align_multistep_bases(gmm2_d8, poly_schedule):
@@ -266,6 +282,26 @@ def test_shell_radius_validation():
         dl.shell_radius(bp, 2.0, 1.0)
     with pytest.raises(ValueError):
         BoundParams(a=-1.0, b=3.0, d=4)
+    # d is checked first: the default a is derived from it
+    for make in (lambda: BoundParams(a=0.0, b=3.0, d=0), lambda: BoundParams.default(0),
+                 lambda: BoundParams.default(-3)):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            make()
+
+
+@pytest.mark.parametrize(
+    "s, t, trials, substeps, message",
+    [
+        (2.0, 1.0, 8, 10, "0 < s < t"),
+        (1.0, 1.0, 8, 10, "0 < s < t"),
+        (0.0, 1.0, 8, 10, "0 < s < t"),
+        (1.0, 2.0, 0, 10, "trials and substeps must be positive"),
+        (1.0, 2.0, 8, 0, "trials and substeps must be positive"),
+    ],
+)
+def test_mc_shell_check_validation(s, t, trials, substeps, message):
+    with pytest.raises(ValueError, match=message):
+        dl.mc_shell_check(BoundParams.default(4), s, t, trials=trials, seed=0, substeps=substeps)
 
 
 def test_mc_shell_check_concentrates():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,8 @@ def test_sliced_wasserstein_validation():
         dl.sliced_wasserstein(np.zeros((4, 2)), np.zeros((5, 2)))
     with pytest.raises(ValueError):
         dl.sliced_wasserstein(np.zeros((4, 2)), np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="at least one projection"):
+        dl.sliced_wasserstein(np.zeros((4, 2)), np.zeros((4, 2)), projections=0)
 
 
 def test_order_estimate_synthetic():
@@ -49,6 +52,9 @@ def test_order_estimate_synthetic():
     assert abs(dl.order_estimate(pts2) - 2.0) < 1e-9
     with pytest.raises(ValueError):
         dl.order_estimate([(8, 1.0), (16, 0.5)])
+    for bad in ([(0, 1.0), (8, 0.5), (16, 0.25)], [(-8, 1.0), (8, 0.5), (16, 0.25)]):
+        with pytest.raises(ValueError, match="NFE and errors must be positive"):
+            dl.order_estimate(bad)
 
 
 def test_nfe_to_steps_rules():
@@ -85,6 +91,23 @@ def test_run_config_rejects_parity_conflicts():
     m = make_gmm(1, 1, 2)
     with pytest.raises(ConfigError):
         RunConfig(model=m, solvers=(dl.SolverKind("dpm2"),), nfe=(7,))
+
+
+@pytest.mark.parametrize(
+    "doc, why",
+    [
+        ({"solvers": ["dpm2"], "nfe": [7]}, "dpm2 without the analytic first step takes even NFE only"),
+        ({"solvers": ["rk45"]}, "unknown solver tag 'rk45'"),
+        ({"solvers": ["euler_ddim:3"]}, "solver 'euler_ddim' takes no parameter"),
+        ({"solvers": []}, "need at least one solver"),
+        ({"bogus": 1}, "unknown config keys"),
+    ],
+)
+def test_load_run_config_names_path(tmp_path, doc, why):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": "m.json", "solvers": ["euler_ddim"], **doc}))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: {why}"):
+        load_run_config(path)
 
 
 def test_run_experiment_heun_beats_euler_at_16(tmp_path):
@@ -173,7 +196,7 @@ def test_run_config_rejects_out_of_range_values(tmp_path, key, value):
         RunConfig(model=make_gmm(1, 2, 3), solvers=(dl.SolverKind("euler_ddim"),), nfe=(8,), **{key: value})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"model": "m.json", "solvers": ["euler_ddim"], key: value}))
-    with pytest.raises(ConfigError, match=f"config key '{named}'"):
+    with pytest.raises(ConfigError, match=rf"cfg\.json: config key '{named}'"):
         load_run_config(path)
 
 
@@ -202,7 +225,9 @@ def test_run_config_rejects_unknown_keys(tmp_path):
         load_run_config(cfg_path)
 
 
-@pytest.mark.parametrize("key,value", [("solvers", "dpm2"), ("nfe", 8), ("batch", "4"), ("model", 5)])
+@pytest.mark.parametrize(
+    "key,value", [("solvers", "dpm2"), ("nfe", 8), ("batch", "4"), ("model", 5), ("afs", "true")]
+)
 def test_run_config_rejects_mistyped_values(tmp_path, key, value):
     doc = {"model": "x.json", "solvers": ["dpm2"], "nfe": [8], key: value}
     cfg_path = tmp_path / "run.json"

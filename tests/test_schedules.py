@@ -46,6 +46,36 @@ def test_make_schedule_validation():
         dl.make_schedule("polynomial", 4, 0.002, 80.0, rho=-1.0)
     with pytest.raises(ValueError):
         dl.make_schedule("quadratic", 4, 0.002, 80.0)
+    with pytest.raises(ValueError, match="positive rho; got None"):
+        dl.make_schedule("polynomial", 4, 0.002, 80.0, rho=None)
+
+
+@pytest.mark.parametrize(
+    "times,kind,rho,message",
+    [
+        ([1.0, 2.0], "cosine", None, "unknown schedule kind 'cosine'"),
+        ([1.0, 2.0], "polynomial", None, "positive rho; got None"),
+        ([1.0, 2.0], "polynomial", 0.0, "positive rho; got 0.0"),
+        ([1.0], "uniform", None, "at least two nodes"),
+        ([[1.0, 2.0]], "uniform", None, "at least two nodes"),
+        ([0.0, 2.0], "uniform", None, "floor must be positive"),
+        ([1.0, 3.0, 2.0], "uniform", None, "strictly increasing"),
+    ],
+)
+def test_time_schedule_validation(times, kind, rho, message):
+    with pytest.raises(ValueError, match=message):
+        dl.TimeSchedule(times=np.array(times), kind=kind, rho=rho)
+
+
+def test_refine_hand_built_polynomial_names_rho():
+    # Refinement rebuilds the grid from its rule, so a polynomial grid without rho is refused when built.
+    with pytest.raises(ValueError, match="rho"):
+        dl.refine_teacher(dl.TimeSchedule(np.array([0.002, 1.0, 80.0]), "polynomial"), 1)
+
+
+def test_refine_needs_one_inserted_node():
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        dl.refine_teacher(dl.make_schedule("uniform", 3, 1.0, 3.0), 0)
 
 
 def test_refine_uniform_midpoint():
@@ -87,4 +117,3 @@ def test_geometric_intermediate_monotone_in_r(t_lo, t_hi, r, dr):
     s1 = _geom(t_lo, t_hi, r)
     s2 = _geom(t_lo, t_hi, min(r + dr, 1.0))
     assert t_lo <= s2 <= s1 <= t_hi
-

@@ -246,6 +246,14 @@ def test_mixture_validation():
         dl.GaussianMixture(weights=[1.0], means=[[0.0]], stds=[0.0])
     with pytest.raises(ValueError):
         dl.GaussianMixture(weights=[0.5, -0.5], means=[[0.0], [1.0]], stds=[1.0, 1.0])
+    with pytest.raises(ValueError, match="1-D"):
+        dl.GaussianMixture(weights=[[0.5, 0.5]], means=[[0.0], [1.0]], stds=[1.0, 1.0])
+    with pytest.raises(ValueError, match="1-D"):
+        dl.GaussianMixture(weights=[1.0], means=[[[0.0]]], stds=[1.0])
+    with pytest.raises(ValueError, match="agree on K"):
+        dl.GaussianMixture(weights=[0.5, 0.5], means=[[0.0], [1.0], [2.0]], stds=[1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        dl.GaussianMixture(weights=[0.5, 0.5], means=[[0.0], [np.nan]], stds=[1.0, 1.0])
 
 
 def test_mixture_is_immutable():
@@ -279,6 +287,12 @@ def test_exact_trajectory_rejects_mixtures():
     m = make_gmm(1, 2, 2)
     with pytest.raises(ValueError):
         dl.exact_trajectory(m, np.zeros(2), 1.0, 80.0)
+
+
+@pytest.mark.parametrize("t, T", [(0.0, 80.0), (-1.0, 80.0), (81.0, 80.0)])
+def test_exact_trajectory_time_range(single_gaussian, t, T):
+    with pytest.raises(ValueError, match="0 < t <= T"):
+        dl.exact_trajectory(single_gaussian, np.zeros(2), t, T)
 
 
 @given(st.floats(0.01, 79.0), st.floats(0.02, 1.0))
@@ -452,6 +466,24 @@ def test_load_model_names_non_numeric_value(tmp_path, key, value):
 def test_load_model_not_a_json_object_names_path(tmp_path, content, why):
     path = tmp_path / "model.json"
     path.write_text(content)
+    with pytest.raises(ValueError, match=rf"model\.json: {why}"):
+        dl.load_model(path)
+
+
+@pytest.mark.parametrize(
+    "components, why",
+    [
+        ([], "no components"),
+        ([{"weight": 0.0, "mean": [0.0], "std": 1.0}], "weights must be positive"),
+        ([{"weight": 1.0, "mean": [0.0], "std": 1.0}, {"weight": -1.0, "mean": [1.0], "std": 1.0}],
+         "weights must be positive"),
+        ([{"weight": 1.0, "mean": [0.0], "std": 0.0}], "stds must be strictly positive"),
+    ],
+    ids=["empty", "zero_weight", "negative_weight", "zero_std"],
+)
+def test_load_model_rejects_bad_components(tmp_path, components, why):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"components": components}))
     with pytest.raises(ValueError, match=rf"model\.json: {why}"):
         dl.load_model(path)
 

@@ -177,6 +177,18 @@ def test_dpmpp_equal_denoised_collapses_to_first_order(gmm2_d8):
     np.testing.assert_allclose(second, first, rtol=1e-12)
 
 
+def test_dpmpp_rejects_previous_time_below_current(gmm2_d8):
+    x = dl.stream(6, "pp").standard_normal(8)
+    for t_prev in (2.0, 1.5, np.array(1.5)):
+        with pytest.raises(ValueError, match="higher time"):
+            dl.step_dpmpp_2m(gmm2_d8, x, 2.0, 1.0, prev=(t_prev, x))
+
+
+def test_sample_rejects_state_of_wrong_dim(gmm2_d8, poly_schedule):
+    with pytest.raises(ValueError, match="state has dim 3, model has dim 8"):
+        dl.sample(gmm2_d8, dl.SolverKind("euler_ddim"), poly_schedule, np.zeros((2, 3)))
+
+
 def test_afs_direction_values():
     np.testing.assert_array_equal(dl.afs_direction(np.zeros(3), 5.0), np.zeros(3))
     x = np.array([4.0, -2.0])
@@ -184,6 +196,9 @@ def test_afs_direction_values():
     m = dl.GaussianMixture(weights=[1.0], means=[np.zeros(2)], stds=[1e-9])
     ev = dl.eval_model(m, x, 2.0)
     np.testing.assert_allclose(dl.afs_direction(x, 2.0), ev.epsilon, rtol=1e-12)
+    for t in (0.0, -1.0, np.array([1.0, 0.0])):
+        with pytest.raises(ValueError, match="strictly positive"):
+            dl.afs_direction(np.zeros((2, 3)), t)
 
 
 @pytest.mark.parametrize("tag,per", [("euler_ddim", 1), ("ipndm", 1), ("dpmpp_2m", 1), ("heun_edm", 2), ("dpm2", 2)])
@@ -309,6 +324,20 @@ def test_trajectory_csv_roundtrip(tmp_path, gmm2_d8, poly_schedule):
         np.testing.assert_array_equal(xa, xb)
 
 
+def test_trajectory_csv_write_rejects_batched(tmp_path, gmm2_d8, poly_schedule):
+    traj = dl.sample(gmm2_d8, dl.SolverKind("euler_ddim"), poly_schedule, np.zeros((2, 8)))
+    with pytest.raises(ValueError, match="unbatched"):
+        dl.write_trajectory_csv(traj, tmp_path / "traj.csv")
+
+
+def test_trajectory_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("t,x_0\n2.0,1.5\n\n1.0,0.5\n\n")
+    traj = dl.read_trajectory_csv(path)
+    assert [t for t, _ in traj.nodes] == [2.0, 1.0]
+    np.testing.assert_array_equal(traj.states, [[1.5], [0.5]])
+
+
 def test_write_csv_exact_text(tmp_path):
     from difflab.trajectory import write_csv
 
@@ -356,8 +385,9 @@ def test_label_parses_back():
         ("t,x_0,x_1\n2.0,1.0,0.5,7.0\n", ":2:"),
         ("t,x_0,x_1\n2.0,1.0,0.5\n1.0,abc,0.5\n", ":3:"),
         ("t,x_0,x_1\n", ":1:"),
+        ("step,t,mean_best_r\n0,1.0,0.5\n", ": not a trajectory CSV"),
     ],
-    ids=["short_row", "long_row", "non_numeric", "header_only"],
+    ids=["short_row", "long_row", "non_numeric", "header_only", "header_not_t"],
 )
 def test_trajectory_csv_rejects_malformed(tmp_path, body, where):
     path = tmp_path / "bad.csv"
