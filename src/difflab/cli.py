@@ -132,6 +132,8 @@ def _cmd_align(args) -> int:
         raise ValueError(f"--grid takes lo:hi:step, three numbers; got {args.grid!r}") from None
     if not step > 0:
         raise ValueError(f"--grid step must be positive; got {args.grid!r}")
+    if args.oracle_substeps < ORACLE_SUBSTEPS:
+        raise ValueError(f"--oracle-substeps must be at least {ORACLE_SUBSTEPS}; got {args.oracle_substeps}")
     grid = np.arange(lo, hi + 0.5 * step, step)
     schedule = _schedule(args)
     x_T = stream(args.seed, "align").standard_normal((args.batch, model.dim)) * schedule.t_max
@@ -171,6 +173,8 @@ def _cmd_eval(args) -> int:
     for label, order in report.orders.items():
         if order is not None:
             print(f"{label:>14s}  empirical order {order:.3f}")
+    print("reference ({substeps} RK4 substeps): error estimate {error_estimate:.3g}, "
+          "{ratio_to_best:.3g} of the best row's".format(**report.reference))
     return 0
 
 

@@ -11,6 +11,7 @@ and written to a separate sidecar.
 from __future__ import annotations
 
 import os
+import platform
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -89,9 +90,6 @@ class RunConfig:
             for nfe in self.nfe:
                 nfe_to_steps(kind, nfe, self.afs)  # raises on parity conflicts
 
-    def resolve_outdir(self) -> str | None:
-        return self.outdir or os.environ.get(ENV_OUTDIR)
-
 
 @dataclass
 class RunEntry:
@@ -107,11 +105,19 @@ class RunEntry:
 class MetricsReport:
     entries: list = field(default_factory=list)
     orders: dict = field(default_factory=dict)
+    reference: dict = field(default_factory=dict)
     wallclock: dict = field(default_factory=dict)
 
     def to_doc(self) -> dict:
         # wall-clock deliberately excluded: report files are byte-deterministic
-        return {"entries": [asdict(e) for e in self.entries], "orders": self.orders}
+        return {"entries": [asdict(e) for e in self.entries], "orders": self.orders, "reference": self.reference}
+
+
+def _environment() -> dict:
+    """Python, numpy and BLAS build of this process (the field names of perfbench's fingerprint)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas_name": blas.get("name"), "blas_version": blas.get("version")}
 
 
 @contextmanager
@@ -127,19 +133,22 @@ def _phase(wallclock: dict, name: str):
 def run_experiment(cfg: RunConfig) -> MetricsReport:
     """Run the configured grid and (optionally) persist CSV/JSON reports.
 
+    ``report.reference`` certifies the reference at S = ``oracle_substeps``:
+    its error estimate mean |y_S - y_(S//2)| / ((S / (S//2))^4 - 1) and that
+    estimate's ratio to the smallest row's mean endpoint error.
     ``report.wallclock`` (and ``timing.json``) holds the seconds spent in
     model load, output directory, input and data draws and the reference
-    schedule (``setup``), in the reference (``oracle``), in building each
-    solver schedule and running the solver on it (``<label>@<nfe>``), in the
-    endpoint errors, sliced W2 and order fits together (``metrics``), in
+    schedule (``setup``), in both reference runs (``oracle``), in building
+    each solver schedule and running the solver on it (``<label>@<nfe>``), in
+    the endpoint errors, sliced W2 and order fits together (``metrics``), in
     writing the CSV and JSON reports (``write``), and in the whole call up
-    to the sidecar itself (``total``).
+    to the sidecar itself (``total``), plus the run's ``environment``.
     """
     start = time.perf_counter()
     report = MetricsReport()
     with _phase(report.wallclock, "setup"):
         model = load_model(cfg.model) if isinstance(cfg.model, (str, os.PathLike)) else cfg.model
-        outdir = cfg.resolve_outdir()
+        outdir = cfg.outdir or os.environ.get(ENV_OUTDIR)
         if outdir:
             os.makedirs(outdir, exist_ok=True)
         x_T = stream(cfg.seed, "x_T").standard_normal((cfg.batch, model.dim)) * cfg.t_max
@@ -148,6 +157,9 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
 
     with _phase(report.wallclock, "oracle"):
         ref_endpoint = reference_solve(model, x_T, ref_schedule, cfg.oracle_substeps).endpoint
+        half = cfg.oracle_substeps // 2
+        gap = np.linalg.norm(ref_endpoint - reference_solve(model, x_T, ref_schedule, half).endpoint, axis=-1)
+        error_estimate = float(np.mean(gap)) / ((cfg.oracle_substeps / half) ** 4 - 1)
 
     for kind in cfg.solvers:
         label = kind.label()
@@ -174,6 +186,8 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
         with _phase(report.wallclock, "metrics"):
             report.orders[label] = order_estimate(errs) if len(errs) >= 3 else None
 
+    report.reference = {"substeps": cfg.oracle_substeps, "error_estimate": error_estimate,
+                        "ratio_to_best": error_estimate / min(e.mean_endpoint_l2 for e in report.entries)}
     if outdir:
         with _phase(report.wallclock, "write"):
             header = [f.name for f in fields(RunEntry)]
@@ -181,7 +195,7 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
             _write_json(os.path.join(outdir, "metrics.json"), report.to_doc(), indent=2)
     report.wallclock["total"] = time.perf_counter() - start
     if outdir:
-        _write_json(os.path.join(outdir, "timing.json"), report.wallclock, indent=2)
+        _write_json(os.path.join(outdir, "timing.json"), {**report.wallclock, "environment": _environment()}, indent=2)
     return report
 
 

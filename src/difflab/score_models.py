@@ -37,14 +37,15 @@ from .trajectory import DivergenceError, Trajectory, _walk_schedule  # Divergenc
 # zero; a mixture with more components is truncated.
 FEATURE_DIM = 16
 
-# Default RK4 substeps per schedule interval of the reference trajectory, and
-# the fewest intervals ``reference_solve`` integrates over.  Together they are
-# the certified grid: tests/test_score_models.py::test_oracle_default_certified
-# holds the Richardson error estimate of 32 substeps on the 16 intervals of a
-# polynomial schedule (rho 7, [0.002, 80]) to at most 1/100 of the best
-# solver's mean endpoint error on the shipped mixtures, and checks the same
-# bar for ``reference_solve`` on 3-, 4- and 6-node schedules.
-ORACLE_SUBSTEPS = 32
+# Default RK4 substeps per interval of the reference trajectory (the fewest a
+# run config or ``align`` takes), and the fewest intervals ``reference_solve``
+# integrates over.  Together they are the certified grid: test_score_models.py
+# ::test_oracle_default_certified holds the Richardson error estimate of 8
+# substeps (against 16) to 1/100 of the best solver's mean endpoint error on
+# the shipped mixtures, on the 17-node grid of configs/eval_example.json and on
+# 3-, 4- and 6-node schedules.  Half of it, which fails that bar on gmm4_d16, is
+# ``oracle_solve``'s floor: the coarse run of each report's certificate.
+ORACLE_SUBSTEPS = 8
 ORACLE_MIN_INTERVALS = 16
 
 
@@ -235,19 +236,16 @@ def oracle_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_S
 
     Integrates the flow ODE from the top of the schedule down to its floor,
     splitting every schedule interval into ``substeps`` uniform sub-intervals
-    (by default, and at least, ``ORACLE_SUBSTEPS``), and records the state at
-    every schedule node.  Deterministic; 4 * substeps model calls per
-    interval.  The default is certified by test only on schedules at least
-    as fine as 17 polynomial nodes (rho 7, [0.002, 80]), the reference grid
-    of configs/eval_example.json: there its Richardson error estimate
-    |oracle(S) - oracle(2S)| * 16/15 is at most 1/100 of the smallest mean
-    endpoint error any solver reaches at NFE 8 to 64 on both shipped
-    mixtures.  On a coarser schedule 32 substeps per interval are not
-    enough (mean endpoint error 6.8e-2 on configs/gmm4_d16.json with 3
-    nodes); use ``reference_solve``, which refines such schedules first.
+    (by default ``ORACLE_SUBSTEPS``, at least half of it), and records the
+    state at every schedule node.  Deterministic; 4 * substeps model calls
+    per interval.  The default is certified only on schedules at least as
+    fine as 17 polynomial nodes (rho 7, [0.002, 80]); on 3 such nodes 8
+    substeps per interval err by 1.1e-1 (mean endpoint L2 on
+    configs/gmm4_d16.json).  Use ``reference_solve``, which refines coarse
+    schedules first.
     """
-    if substeps < ORACLE_SUBSTEPS:
-        raise ValueError(f"oracle requires substeps >= {ORACLE_SUBSTEPS} per interval")
+    if substeps < ORACLE_SUBSTEPS // 2:
+        raise ValueError(f"oracle requires substeps >= {ORACLE_SUBSTEPS // 2} per interval")
     x = np.asarray(x_T, dtype=np.float64)
     return _walk_schedule(partial(_rk4_interval, model, substeps), schedule, x, None, "oracle")
 
@@ -255,14 +253,18 @@ def oracle_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_S
 def reference_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_SUBSTEPS) -> Trajectory:
     """Reference states at the schedule's nodes, integrated on at least 16 intervals.
 
-    A schedule with fewer than ``ORACLE_MIN_INTERVALS`` intervals is refined
-    by ``refine_teacher`` with the fewest inserted nodes per interval m that
-    reaches 16; ``oracle_solve`` runs on the refined grid and every (m+1)-th
-    state is kept.  Refinement reproduces the original nodes bitwise, so the
-    result lines up with the schedule exactly.  A 3-, 5- or 9-node polynomial
-    schedule on [0.002, 80] with rho 7 refines to the certified 17-node grid
-    itself.  A schedule with 16 or more intervals is integrated as given.
+    A single-component model takes ``exact_trajectory`` at every node (nfe
+    0).  Otherwise a schedule with fewer than ``ORACLE_MIN_INTERVALS``
+    intervals is refined by ``refine_teacher`` with the fewest inserted nodes
+    per interval m that reaches 16; ``oracle_solve`` runs on the refined grid
+    and every (m+1)-th state is kept.  Refinement reproduces the original
+    nodes bitwise, so the result lines up with the schedule exactly.  A 3-,
+    5- or 9-node polynomial schedule on [0.002, 80] with rho 7 refines to the
+    certified 17-node grid itself; 16 or more intervals are integrated as given.
     """
+    if model.n_components == 1:
+        nodes = [(t, exact_trajectory(model, x_T, t, schedule.t_max)) for t in schedule.times[::-1].tolist()]
+        return Trajectory(nodes=nodes, nfe=0)
     m = max(0, -(-ORACLE_MIN_INTERVALS // (schedule.n - 1)) - 1)
     if m == 0:
         return oracle_solve(model, x_T, schedule, substeps)

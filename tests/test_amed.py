@@ -368,6 +368,26 @@ def test_train_updates_per_loop():
     assert np.all(np.isfinite(res.losses))
 
 
+def test_train_divergence_names_loop_and_interval(monkeypatch):
+    # No finite learning rate was found that drives the loss non-finite, so
+    # the fifth update (loop 1, interval 1 of 3) reports a NaN loss instead.
+    real = amed.step_loss_grad
+    calls = []
+
+    def nan_on_fifth(*args, **kwargs):
+        loss, grads, x, carry = real(*args, **kwargs)
+        calls.append(loss)
+        return (float("nan") if len(calls) == 5 else loss), grads, x, carry
+
+    monkeypatch.setattr(amed, "step_loss_grad", nan_on_fifth)
+    m = make_gmm(21, 2, 4)
+    sch = dl.make_schedule("polynomial", 4, 0.002, 80.0, rho=7.0)
+    cfg = TrainConfig(teacher=dl.SolverKind("dpm2"), student=None, m=1, batch=8, images=24, lr=1e-3, seed=0)
+    with pytest.raises(dl.DivergenceError, match=r"^training loss diverged at loop 1, interval 1$"):
+        amed.train(m, cfg, sch)
+    assert len(calls) == 5
+
+
 def test_train_reduces_eval_loss():
     m = make_gmm(9, 4, 16, spread=6.0, s_lo=0.1, s_hi=0.3)
     sch = dl.make_schedule("polynomial", 4, 0.002, 80.0, rho=7.0)

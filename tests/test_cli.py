@@ -262,6 +262,7 @@ def test_bound_check_rejects_zero_dimension(capsys):
         (["--grid", "0.1:1:0.1:2"], "--grid takes lo:hi:step"),
         (["--grid", "a:b:c"], "--grid takes lo:hi:step"),
         (["--batch", "0"], "reference trajectory holds no states"),
+        (["--oracle-substeps", "7"], "--oracle-substeps must be at least 8; got 7"),
     ],
 )
 def test_align_rejects_bad_study_flags(tmp_path, model_path, capsys, flags, pattern):
@@ -289,6 +290,7 @@ def test_eval_cli(tmp_path, model_path, capsys):
     assert (tmp_path / "out" / "metrics.json").exists()
     out = capsys.readouterr().out
     assert "euler_ddim" in out
+    assert re.search(r"^reference \(32 RK4 substeps\): error estimate \S+, \S+ of the best row's$", out, re.M)
 
 
 def test_cli_outdir_env(tmp_path, model_path, monkeypatch):

@@ -363,13 +363,47 @@ def test_oracle_default_certified(model_file):
 
 @pytest.mark.parametrize("n", [17, 4])
 def test_oracle_richardson_estimate_matches_exact_error(n):
+    # reference_solve takes K=1 in closed form, so RK4 runs here on the grid it
+    # refines a mixture's schedule to: 4 nodes get 5 inserted per interval.
     m = dl.GaussianMixture(weights=[1.0], means=[np.full(8, 0.5)], stds=[0.5])
     x = dl.stream(0, "x_T").standard_normal((256, 8)) * 80.0
     sch = dl.make_schedule("polynomial", n, 0.002, 80.0, rho=7.0)
-    coarse, estimate = _richardson_error(m, x, sch)
+    grid = sch if n == 17 else dl.refine_teacher(sch, 5)
+    coarse = dl.oracle_solve(m, x, grid).endpoint
+    fine = dl.oracle_solve(m, x, grid, 2 * dl.ORACLE_SUBSTEPS).endpoint
+    estimate = float(np.mean(np.linalg.norm(coarse - fine, axis=-1))) * 16 / 15
     exact = dl.exact_trajectory(m, x, 0.002, 80.0)
     true = float(np.mean(np.linalg.norm(coarse - exact, axis=-1)))
     assert 0.5 <= estimate / true <= 2.0, (estimate, true)
+
+
+@pytest.mark.parametrize("model_file", ["gmm2_d8.json", "gmm4_d16.json"])
+def test_run_certificate_matches_fine_reference(model_file):
+    """The report's reference estimate is within a factor 2 of its error against 256 substeps."""
+    cfg = load_run_config(ROOT / "configs" / "eval_example.json")
+    model = dl.load_model(ROOT / "configs" / model_file)
+    cfg = dataclasses.replace(cfg, model=model, outdir=None)
+    ref = dl.run_experiment(cfg).reference
+    x_T = dl.stream(cfg.seed, "x_T").standard_normal((cfg.batch, model.dim)) * cfg.t_max
+    sch = dl.make_schedule(cfg.schedule_kind, cfg.oracle_nodes, cfg.t_min, cfg.t_max, rho=cfg.rho)
+    used = dl.reference_solve(model, x_T, sch, cfg.oracle_substeps).endpoint
+    fine = dl.reference_solve(model, x_T, sch, 256).endpoint
+    true = float(np.mean(np.linalg.norm(used - fine, axis=-1)))
+    assert ref["substeps"] == cfg.oracle_substeps
+    assert 0.5 <= ref["error_estimate"] / true <= 2.0, (ref, true)
+    assert ref["ratio_to_best"] <= 1 / 100, ref
+
+
+@pytest.mark.parametrize("n", [3, 17])
+def test_reference_solve_is_exact_for_one_component(n):
+    m = dl.GaussianMixture(weights=[1.0], means=[np.full(4, 0.5)], stds=[0.7])
+    x = dl.stream(3, "x_T").standard_normal((16, 4)) * 80.0
+    sch = dl.make_schedule("polynomial", n, 0.002, 80.0, rho=7.0)
+    ref = dl.reference_solve(m, x, sch)
+    assert ref.nfe == 0
+    np.testing.assert_array_equal(ref.times, sch.times[::-1])
+    for t, state in ref.nodes:
+        np.testing.assert_array_equal(state, dl.exact_trajectory(m, x, t, 80.0))
 
 
 def test_reference_solve_refines_coarse_schedules():
@@ -408,7 +442,8 @@ def test_oracle_substep_floor():
     m = make_gmm(9, 2, 3)
     sch = dl.make_schedule("uniform", 3, 0.5, 10.0)
     with pytest.raises(ValueError):
-        dl.oracle_solve(m, np.ones(3), sch, 8)
+        dl.oracle_solve(m, np.ones(3), sch, 3)
+    assert dl.oracle_solve(m, np.ones(3), sch, 4).nfe == 4 * 4 * 2
 
 
 @pytest.mark.parametrize("seed", [7, 11, 23, 40])
