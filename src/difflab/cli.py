@@ -27,11 +27,12 @@ from .geometry import (
 from .harness import ENV_OUTDIR, RunConfig, load_run_config, nfe_to_steps, run_experiment
 from .rng import stream
 from .schedules import SCHEDULE_KINDS, make_schedule
-from .score_models import ORACLE_SUBSTEPS, load_model, reference_solve
+from .score_models import load_model, reference_solve
 from .solvers import parse_solver_spec, sample
 from .trajectory import read_trajectory_csv, write_csv, write_trajectory_csv
 
 _HELD_OUT = 256  # states in train-amed's held-out batch
+_MAX_GRID = 1000  # split-point candidates align searches at most
 
 
 def _out_path(path: str) -> str:
@@ -132,12 +133,14 @@ def _cmd_align(args) -> int:
         raise ValueError(f"--grid takes lo:hi:step, three numbers; got {args.grid!r}") from None
     if not step > 0:
         raise ValueError(f"--grid step must be positive; got {args.grid!r}")
-    if args.oracle_substeps < ORACLE_SUBSTEPS:
-        raise ValueError(f"--oracle-substeps must be at least {ORACLE_SUBSTEPS}; got {args.oracle_substeps}")
+    if not (hi - lo) / step + 1 <= _MAX_GRID:
+        raise ValueError(f"--grid lo:hi:step spans more than {_MAX_GRID} points; got {args.grid!r}")
+    if args.batch < 1:
+        raise ValueError(f"--batch must be at least 1; got {args.batch}")
     grid = np.arange(lo, hi + 0.5 * step, step)
     schedule = _schedule(args)
     x_T = stream(args.seed, "align").standard_normal((args.batch, model.dim)) * schedule.t_max
-    oracle = reference_solve(model, x_T, schedule, substeps=args.oracle_substeps)
+    oracle = reference_solve(model, x_T, schedule)
     result = grid_align(model, base, schedule, grid, oracle)
     write_alignment_csv(result, _out_path(args.out))
     print(f"wrote {args.out}; mean alignment per step: "
@@ -231,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0.1:1.0:0.1", help="lo:hi:step")
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle-substeps", type=int, default=ORACLE_SUBSTEPS)
     p.add_argument("--out", default="align.csv")
     add_schedule_flags(p, default_n=6)
     p.set_defaults(func=_cmd_align)

@@ -21,9 +21,8 @@ import numpy as np
 from .metrics import order_estimate, sliced_wasserstein
 from .rng import stream
 from .schedules import SCHEDULE_KINDS, make_schedule
-from .score_models import (
-    ORACLE_SUBSTEPS, GaussianMixture, _read_json, _write_json, load_model, reference_solve, sample_data,
-)
+from .score_models import ORACLE_MIN_INTERVALS, ORACLE_SUBSTEPS, GaussianMixture, _read_json, _write_json
+from .score_models import certified_grid, load_model, reference_solve, sample_data
 from .solvers import SolverKind, parse_solver_spec, sample
 from .trajectory import write_csv
 
@@ -52,7 +51,7 @@ def nfe_to_steps(kind: SolverKind, nfe: int, afs: bool) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One batch experiment over a grid of solvers and NFE budgets."""
+    """One batch experiment over a grid of solvers and NFE budgets; what to measure, not how."""
 
     model: str | GaussianMixture
     solvers: tuple
@@ -65,16 +64,12 @@ class RunConfig:
     batch: int = 64
     seed: int = 0
     outdir: str | None = None
-    oracle_substeps: int = ORACLE_SUBSTEPS
-    oracle_nodes: int = 17
-    projections: int = 64
+    oracle_substeps = ORACLE_SUBSTEPS  # the reference's certified setting, not fields: no run sets them
+    oracle_nodes = ORACLE_MIN_INTERVALS + 1
 
     def __post_init__(self):
         for key, ok, want in (
             ("batch", self.batch >= 1, "at least 1"),
-            ("oracle_substeps", self.oracle_substeps >= ORACLE_SUBSTEPS, f"at least {ORACLE_SUBSTEPS}"),
-            ("oracle_nodes", self.oracle_nodes >= 2, "at least 2"),
-            ("projections", self.projections >= 1, "at least 1"),
             ("schedule_kind", self.schedule_kind in SCHEDULE_KINDS, f"one of {list(SCHEDULE_KINDS)}"),
             ("t_min", 0 < self.t_min < self.t_max, f"positive and below t_max ({self.t_max!r})"),
             ("rho", self.rho > 0, "positive"),
@@ -133,8 +128,9 @@ def _phase(wallclock: dict, name: str):
 def run_experiment(cfg: RunConfig) -> MetricsReport:
     """Run the configured grid and (optionally) persist CSV/JSON reports.
 
-    ``report.reference`` certifies the reference at S = ``oracle_substeps``:
-    its error estimate mean |y_S - y_(S//2)| / ((S / (S//2))^4 - 1) and that
+    The reference runs on ``certified_grid`` whatever the run's schedule, at
+    S = ``ORACLE_SUBSTEPS`` and S//2; ``report.reference`` certifies it: its
+    error estimate mean |y_S - y_(S//2)| / ((S / (S//2))^4 - 1) and that
     estimate's ratio to the smallest row's mean endpoint error.
     ``report.wallclock`` (and ``timing.json``) holds the seconds spent in
     model load, output directory, input and data draws and the reference
@@ -153,13 +149,13 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
             os.makedirs(outdir, exist_ok=True)
         x_T = stream(cfg.seed, "x_T").standard_normal((cfg.batch, model.dim)) * cfg.t_max
         data = sample_data(model, cfg.batch, stream(cfg.seed, "data"))
-        ref_schedule = make_schedule(cfg.schedule_kind, cfg.oracle_nodes, cfg.t_min, cfg.t_max, rho=cfg.rho)
+        ref_schedule = certified_grid(cfg.t_min, cfg.t_max)
 
     with _phase(report.wallclock, "oracle"):
-        ref_endpoint = reference_solve(model, x_T, ref_schedule, cfg.oracle_substeps).endpoint
-        half = cfg.oracle_substeps // 2
+        ref_endpoint = reference_solve(model, x_T, ref_schedule).endpoint
+        half = ORACLE_SUBSTEPS // 2
         gap = np.linalg.norm(ref_endpoint - reference_solve(model, x_T, ref_schedule, half).endpoint, axis=-1)
-        error_estimate = float(np.mean(gap)) / ((cfg.oracle_substeps / half) ** 4 - 1)
+        error_estimate = float(np.mean(gap)) / ((ORACLE_SUBSTEPS / half) ** 4 - 1)
 
     for kind in cfg.solvers:
         label = kind.label()
@@ -171,7 +167,7 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
                 traj = sample(model, kind, schedule, x_T, afs=cfg.afs)
             with _phase(report.wallclock, "metrics"):
                 err = float(np.mean(np.linalg.norm(traj.endpoint - ref_endpoint, axis=-1)))
-                sw = sliced_wasserstein(traj.endpoint, data, cfg.projections, seed=cfg.seed)
+                sw = sliced_wasserstein(traj.endpoint, data, seed=cfg.seed)
             report.entries.append(
                 RunEntry(
                     solver=label,
@@ -186,7 +182,7 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
         with _phase(report.wallclock, "metrics"):
             report.orders[label] = order_estimate(errs) if len(errs) >= 3 else None
 
-    report.reference = {"substeps": cfg.oracle_substeps, "error_estimate": error_estimate,
+    report.reference = {"substeps": ORACLE_SUBSTEPS, "error_estimate": error_estimate,
                         "ratio_to_best": error_estimate / min(e.mean_endpoint_l2 for e in report.entries)}
     if outdir:
         with _phase(report.wallclock, "write"):

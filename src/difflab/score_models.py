@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .schedules import refine_teacher
+from .schedules import TimeSchedule, make_schedule, refine_teacher
 from .trajectory import DivergenceError, Trajectory, _walk_schedule  # DivergenceError: re-exported
 
 # Width of the per-evaluation feature vector.  Responsibilities of the
@@ -37,16 +37,20 @@ from .trajectory import DivergenceError, Trajectory, _walk_schedule  # Divergenc
 # zero; a mixture with more components is truncated.
 FEATURE_DIM = 16
 
-# Default RK4 substeps per interval of the reference trajectory (the fewest a
-# run config or ``align`` takes), and the fewest intervals ``reference_solve``
-# integrates over.  Together they are the certified grid: test_score_models.py
-# ::test_oracle_default_certified holds the Richardson error estimate of 8
-# substeps (against 16) to 1/100 of the best solver's mean endpoint error on
-# the shipped mixtures, on the 17-node grid of configs/eval_example.json and on
-# 3-, 4- and 6-node schedules.  Half of it, which fails that bar on gmm4_d16, is
-# ``oracle_solve``'s floor: the coarse run of each report's certificate.
+# RK4 substeps per interval of the reference trajectory, and the fewest
+# intervals ``reference_solve`` integrates over: ``certified_grid``'s nodes
+# less one.  test_score_models.py::test_oracle_default_certified holds the
+# Richardson error estimate of 8 substeps (against 16) to 1/100 of the best
+# solver's mean endpoint error on the shipped mixtures, on that grid and on
+# 3-, 4- and 6-node schedules.  Half of it, which fails that bar on gmm4_d16,
+# is ``oracle_solve``'s floor: the coarse run of each report's certificate.
 ORACLE_SUBSTEPS = 8
 ORACLE_MIN_INTERVALS = 16
+
+
+def certified_grid(t_min: float, t_max: float) -> TimeSchedule:
+    """The reference grid the certificate was measured on: 17 polynomial rho-7 nodes."""
+    return make_schedule("polynomial", ORACLE_MIN_INTERVALS + 1, t_min, t_max, rho=7.0)
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
@@ -238,11 +242,10 @@ def oracle_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_S
     splitting every schedule interval into ``substeps`` uniform sub-intervals
     (by default ``ORACLE_SUBSTEPS``, at least half of it), and records the
     state at every schedule node.  Deterministic; 4 * substeps model calls
-    per interval.  The default is certified only on schedules at least as
-    fine as 17 polynomial nodes (rho 7, [0.002, 80]); on 3 such nodes 8
-    substeps per interval err by 1.1e-1 (mean endpoint L2 on
-    configs/gmm4_d16.json).  Use ``reference_solve``, which refines coarse
-    schedules first.
+    per interval.  The default is certified only on ``certified_grid`` and
+    the schedules named beside it; on 3 polynomial nodes it errs by 1.1e-1
+    (mean endpoint L2 on configs/gmm4_d16.json).  Use ``reference_solve``,
+    which refines coarse schedules first.
     """
     if substeps < ORACLE_SUBSTEPS // 2:
         raise ValueError(f"oracle requires substeps >= {ORACLE_SUBSTEPS // 2} per interval")

@@ -312,7 +312,6 @@ def test_c12_determinism(tmp_path, gmm2_d8, poly_schedule):
         cfg = RunConfig(
             model=make_gmm(7, 2, 4), solvers=(dl.SolverKind("dpm2"), dl.SolverKind("ipndm")),
             nfe=(4, 8, 16), batch=64, seed=11, outdir=str(out),
-            oracle_substeps=32, oracle_nodes=9,
         )
         run_experiment(cfg)
         h = hashlib.sha256()

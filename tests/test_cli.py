@@ -207,7 +207,7 @@ def test_align_cli(tmp_path, model_path):
     out = tmp_path / "align.csv"
     rc = main([
         "align", "--model", model_path, "--solver", "dpm2", "--grid", "0.2:1.0:0.2",
-        "--N", "4", "--batch", "4", "--oracle-substeps", "32", "--out", str(out),
+        "--N", "4", "--batch", "4", "--out", str(out),
     ])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
@@ -261,8 +261,9 @@ def test_bound_check_rejects_zero_dimension(capsys):
         (["--grid", "0.1:1"], "--grid takes lo:hi:step"),
         (["--grid", "0.1:1:0.1:2"], "--grid takes lo:hi:step"),
         (["--grid", "a:b:c"], "--grid takes lo:hi:step"),
-        (["--batch", "0"], "reference trajectory holds no states"),
-        (["--oracle-substeps", "7"], "--oracle-substeps must be at least 8; got 7"),
+        (["--batch", "0"], "--batch must be at least 1; got 0"),
+        (["--batch", "-1"], "--batch must be at least 1; got -1"),
+        (["--grid", "0:1:1e-6"], "--grid lo:hi:step spans more than 1000 points"),
     ],
 )
 def test_align_rejects_bad_study_flags(tmp_path, model_path, capsys, flags, pattern):
@@ -281,8 +282,6 @@ def test_eval_cli(tmp_path, model_path, capsys):
         "batch": 4,
         "seed": 2,
         "outdir": str(tmp_path / "out"),
-        "oracle_substeps": 32,
-        "oracle_nodes": 5,
     }))
     rc = main(["eval", "--config", str(cfg)])
     assert rc == 0
@@ -290,7 +289,7 @@ def test_eval_cli(tmp_path, model_path, capsys):
     assert (tmp_path / "out" / "metrics.json").exists()
     out = capsys.readouterr().out
     assert "euler_ddim" in out
-    assert re.search(r"^reference \(32 RK4 substeps\): error estimate \S+, \S+ of the best row's$", out, re.M)
+    assert re.search(r"^reference \(8 RK4 substeps\): error estimate \S+, \S+ of the best row's$", out, re.M)
 
 
 def test_cli_outdir_env(tmp_path, model_path, monkeypatch):

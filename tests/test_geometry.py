@@ -334,3 +334,22 @@ def test_mc_shell_check_substep_insensitive():
     a = dl.mc_shell_check(bp, 1.0, 10.0, trials=2048, seed=0, substeps=400)
     b = dl.mc_shell_check(bp, 1.0, 10.0, trials=2048, seed=0, substeps=200)
     assert abs(a.mean_norm - b.mean_norm) < 0.01 * a.mean_norm
+
+
+@pytest.mark.parametrize("d", [3, 16, 256])
+def test_two_component_trajectories_are_planar(d):
+    # eps = t * (A (x - m) - B (mu_1 - mu_2) / 2), m the midpoint of the means, keeps x
+    # in the plane m + span{x_T - m, mu_1 - mu_2}; every step below is an affine
+    # combination of states and slopes, so its nodes stay there up to rounding.
+    m = make_gmm(d, 2, d)
+    assert np.linalg.norm(m.means.mean(axis=0)) > 1.0  # uncentred: the plane misses the origin
+    x_T = dl.stream(0, "planar", d).standard_normal(d) * 80.0
+    schedule = dl.make_schedule("polynomial", 8, 0.002, 80.0, rho=7.0)
+    trajs = {
+        "reference": dl.reference_solve(m, x_T, schedule),
+        "dpmpp_2m": dl.sample(m, dl.SolverKind("dpmpp_2m"), schedule, x_T),
+        "ipndm": dl.sample(m, dl.SolverKind("ipndm"), schedule, x_T),
+    }
+    for name, traj in trajs.items():
+        err = float(np.max(dl.projection_error(traj, 2)))
+        assert err <= 1e-12, (name, err)

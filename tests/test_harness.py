@@ -131,7 +131,7 @@ def test_run_experiment_deterministic_bytes(tmp_path):
     def digest(sub):
         out = tmp_path / sub
         cfg = RunConfig(model=m, solvers=(dl.SolverKind("ipndm"),), nfe=(4, 8, 16),
-                        batch=32, seed=11, outdir=str(out), oracle_substeps=32, oracle_nodes=9)
+                        batch=32, seed=11, outdir=str(out))
         run_experiment(cfg)
         h = hashlib.sha256()
         for name in ("metrics.csv", "metrics.json"):
@@ -144,7 +144,7 @@ def test_run_experiment_deterministic_bytes(tmp_path):
 def test_run_experiment_reports_match_trajectory_nfe(tmp_path):
     m = make_gmm(7, 2, 4)
     cfg = RunConfig(model=m, solvers=(dl.SolverKind("dpm2"), dl.SolverKind("euler_ddim")),
-                    nfe=(8, 16), batch=8, seed=3, oracle_substeps=32, oracle_nodes=9)
+                    nfe=(8, 16), batch=8, seed=3)
     report = run_experiment(cfg)
     for e in report.entries:
         assert e.nfe_observed == e.nfe
@@ -161,7 +161,7 @@ def test_run_experiment_orders(tmp_path):
 def test_timing_sidecar_records_oracle(tmp_path):
     m = make_gmm(7, 2, 4)
     cfg = RunConfig(model=m, solvers=(dl.SolverKind("euler_ddim"),), nfe=(4,), batch=4, seed=0,
-                    outdir=str(tmp_path), oracle_nodes=5)
+                    outdir=str(tmp_path))
     run_experiment(cfg)
     timing = json.loads((tmp_path / "timing.json").read_text())
     assert set(timing) == {"setup", "oracle", "euler_ddim@4", "metrics", "write", "total", "environment"}
@@ -177,9 +177,6 @@ def test_timing_sidecar_records_oracle(tmp_path):
     [
         ("batch", -1),
         ("batch", 0),
-        ("oracle_substeps", 7),
-        ("oracle_nodes", 1),
-        ("projections", 0),
         ("schedule_kind", "cosine"),
         ("t_min", 0.0),
         ("t_min", 100.0),
@@ -219,10 +216,12 @@ def test_run_config_from_json(tmp_path):
 
 
 def test_run_config_rejects_unknown_keys(tmp_path):
+    # The reference and sliced W2 run at fixed settings, so no config key sets them.
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"model": "x.json", "solvers": ["euler_ddim"], "bogus": 1}))
-    with pytest.raises(ConfigError):
-        load_run_config(cfg_path)
+    for key in ("bogus", "oracle_substeps", "oracle_nodes", "projections"):
+        cfg_path.write_text(json.dumps({"model": "x.json", "solvers": ["euler_ddim"], key: 1}))
+        with pytest.raises(ConfigError, match=rf"unknown config keys: \['{key}'\]"):
+            load_run_config(cfg_path)
 
 
 @pytest.mark.parametrize(
@@ -250,8 +249,7 @@ def test_outdir_env_var(tmp_path, monkeypatch):
 
     monkeypatch.setenv(ENV_OUTDIR, str(tmp_path / "envout"))
     m = make_gmm(1, 1, 2)
-    cfg = RunConfig(model=m, solvers=(dl.SolverKind("euler_ddim"),), nfe=(4,), batch=2,
-                    oracle_substeps=32, oracle_nodes=5)
+    cfg = RunConfig(model=m, solvers=(dl.SolverKind("euler_ddim"),), nfe=(4,), batch=2)
     run_experiment(cfg)
     assert (tmp_path / "envout" / "metrics.csv").exists()
 
@@ -278,11 +276,27 @@ def test_run_config_requires_model_and_solvers(tmp_path):
 def test_run_experiment_with_afs(tmp_path):
     m = make_gmm(7, 2, 4)
     cfg = RunConfig(model=m, solvers=(dl.SolverKind("dpm2"), dl.SolverKind("euler_ddim")),
-                    nfe=(5, 9), afs=True, batch=8, seed=3,
-                    oracle_substeps=32, oracle_nodes=9)
+                    nfe=(5, 9), afs=True, batch=8, seed=3)
     report = run_experiment(cfg)
     for e in report.entries:
         assert e.nfe_observed == e.nfe
+
+
+def test_reference_ignores_run_schedule():
+    """Every schedule kind and rho is scored against the one certified reference grid.
+
+    On gmm4_d16 a reference on the run's own uniform grid would err by 1.4e-2,
+    1.9e-2 of the best row's error.
+    """
+    cfg = load_run_config(ROOT / "configs" / "eval_example.json")
+    model = dl.load_model(ROOT / "configs" / "gmm4_d16.json")
+    cfg = dataclasses.replace(cfg, model=model, solvers=(dl.SolverKind("ipndm"),), nfe=(64,), outdir=None)
+    default = run_experiment(cfg).reference
+    assert (cfg.oracle_nodes, cfg.oracle_substeps, default["substeps"]) == (17, 8, 8)
+    for kind, rho in (("uniform", 7.0), ("logsnr", 7.0), ("polynomial", 3.0)):
+        ref = run_experiment(dataclasses.replace(cfg, schedule_kind=kind, rho=rho)).reference
+        assert ref["error_estimate"] == default["error_estimate"], (kind, rho)
+        assert ref["ratio_to_best"] <= 1 / 100, (kind, rho, ref)
 
 
 def test_committed_report_reproduces(tmp_path):

@@ -43,6 +43,14 @@ def test_euler_rejects_zero_step(single_gaussian):
         solvers.substep(single_gaussian, dl.SolverKind("euler_ddim"), np.zeros(2), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("step", [solvers.step_dpm2, solvers.step_ipndm, solvers.step_dpmpp_2m])
+def test_steps_reject_infinite_time_with_injected_slope(gmm2_d8, step):
+    # An injected slope skips eval_model's own time check; the interval check must refuse it.
+    x = dl.stream(6, "inf").standard_normal(8)
+    with pytest.raises(ValueError, match="need 0 < t_lo < t_hi < inf"):
+        step(gmm2_d8, x, np.inf, 1.0, eps_cur=x)
+
+
 def test_stationary_point_fixed():
     m = dl.GaussianMixture(weights=[0.5, 0.5], means=[[1.0, 0.0], [-1.0, 0.0]], stds=[1.0, 1.0])
     x = np.zeros(2)
