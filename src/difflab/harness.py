@@ -68,11 +68,15 @@ class RunConfig:
     oracle_nodes = ORACLE_MIN_INTERVALS + 1
 
     def __post_init__(self):
+        object.__setattr__(self, "nfe", tuple(int(v) for v in self.nfe))
         for key, ok, want in (
+            ("nfe", len(self.nfe) > 0, "a non-empty list"),
             ("batch", self.batch >= 1, "at least 1"),
+            ("seed", self.seed >= 0, "non-negative"),
             ("schedule_kind", self.schedule_kind in SCHEDULE_KINDS, f"one of {list(SCHEDULE_KINDS)}"),
+            ("t_max", self.t_max < np.inf, "finite"),
             ("t_min", 0 < self.t_min < self.t_max, f"positive and below t_max ({self.t_max!r})"),
-            ("rho", self.rho > 0, "positive"),
+            ("rho", 0 < self.rho < np.inf, "positive and finite"),
         ):
             if not ok:
                 raise ConfigError(f"config key {key!r} must be {want}; got {getattr(self, key)!r}")
@@ -80,7 +84,6 @@ class RunConfig:
         if not solvers:
             raise ConfigError("need at least one solver")
         object.__setattr__(self, "solvers", solvers)
-        object.__setattr__(self, "nfe", tuple(int(v) for v in self.nfe))
         for kind in solvers:
             for nfe in self.nfe:
                 nfe_to_steps(kind, nfe, self.afs)  # raises on parity conflicts
@@ -129,16 +132,16 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
     """Run the configured grid and (optionally) persist CSV/JSON reports.
 
     The reference runs on ``certified_grid`` whatever the run's schedule, at
-    S = ``ORACLE_SUBSTEPS`` and S//2; ``report.reference`` certifies it: its
-    error estimate mean |y_S - y_(S//2)| / ((S / (S//2))^4 - 1) and that
-    estimate's ratio to the smallest row's mean endpoint error.
-    ``report.wallclock`` (and ``timing.json``) holds the seconds spent in
-    model load, output directory, input and data draws and the reference
-    schedule (``setup``), in both reference runs (``oracle``), in building
-    each solver schedule and running the solver on it (``<label>@<nfe>``), in
-    the endpoint errors, sliced W2 and order fits together (``metrics``), in
-    writing the CSV and JSON reports (``write``), and in the whole call up
-    to the sidecar itself (``total``), plus the run's ``environment``.
+    S = ``ORACLE_SUBSTEPS`` and S//2; ``report.reference`` certifies it with
+    the error estimate mean |y_S - y_(S//2)| / ((S / (S//2))^4 - 1), 0.98x the
+    error against 256 substeps on gmm2_d8 but 0.65x on gmm4_d16 (S//2 is not
+    yet in RK4's asymptotic range there), and with that estimate's ratio to
+    the smallest row's mean endpoint error.  ``report.wallclock`` (and
+    ``timing.json``) holds the seconds spent on model, output directory, input
+    and data draws and reference grid (``setup``), both reference runs
+    (``oracle``), each solver's schedule and run (``<label>@<nfe>``), endpoint
+    errors, sliced W2 and order fits (``metrics``), the CSV and JSON reports
+    (``write``) and the call up to the sidecar (``total``), plus ``environment``.
     """
     start = time.perf_counter()
     report = MetricsReport()

@@ -10,14 +10,14 @@ keeps the posterior component responsibilities, from which a fixed-width
 feature vector is formed on read, playing the role a network's bottleneck
 activation would play for a learned model.
 
-Cost model of ``eval_model``: two matrix products per call, the (batch, d)
-states with the (d, K) component means and the (batch, K) weighted
-responsibilities with the (K, 1 + d) matrix [1 | means], plus O(K) work per
-time for the per-time K-vectors (inverse variances and logit biases), and
-O(batch * (K + d)) memory; no (batch, K, d) tensor is formed, and no feature
-vector unless one is read.  Its precision contract: each row's noise
-prediction agrees with the direct per-component form to 1e-9 of the row's
-largest |eps|.
+Cost model of ``eval_model``: the batch dimensions flatten to B rows and
+every per-component array is component-major, (K, B), so the log-sum-exp
+reductions over the short K axis run as whole-row operations across the batch.
+Two matrix products per call, the (K, d) means with the (B, d) states and the
+transposed (K, B) weighted responsibilities with [1 | means], plus O(K) work
+per time and O(B * (K + d)) memory; no (B, K, d) tensor is formed, and no
+feature vector unless one is read.  Its precision contract: each row's noise
+prediction agrees with the direct per-component form to 1e-9 of its largest |eps|.
 """
 
 from __future__ import annotations
@@ -93,19 +93,19 @@ class GaussianMixture:
         object.__setattr__(self, "weights", _lock(w))
         object.__setattr__(self, "means", _lock(m))
         object.__setattr__(self, "stds", _lock(s))
-        # Per-model constants of eval_model.  They are plain attributes, not
-        # dataclass fields, so the constructor, repr, equality and the saved
-        # form see only the parameters above.  Means are taken relative to the
-        # mixture mean: the expanded squared distances cancel in proportion to
-        # |x|^2 + |mu_k|^2, which a common offset of the means would inflate.
+        # Per-model constants of eval_model, per-component ones as (K, 1) columns.
+        # They are plain attributes, not dataclass fields, so the constructor,
+        # repr, equality and the saved form see only the parameters above.  Means
+        # are taken relative to the mixture mean: the expanded squared distances
+        # cancel in proportion to |x|^2 + |mu_k|^2, which an offset would inflate.
         centre = self.mean
         mc = m - centre
         object.__setattr__(self, "_centre", _lock(centre))
-        object.__setattr__(self, "_means_ct", _lock(np.ascontiguousarray(mc.T)))
         object.__setattr__(self, "_ones_means", _lock(np.hstack([np.ones((mc.shape[0], 1)), mc])))
-        object.__setattr__(self, "_mean_sq", _lock(np.einsum("kd,kd->k", mc, mc)))
-        object.__setattr__(self, "_s2", _lock(s * s))
-        object.__setattr__(self, "_log_w", _lock(np.log(w)))
+        object.__setattr__(self, "_means_c", self._ones_means[:, 1:])  # a view: one copy of the means
+        object.__setattr__(self, "_half_mean_sq", _lock(0.5 * np.einsum("kd,kd->k", mc, mc)[:, None]))
+        object.__setattr__(self, "_s2", _lock((s * s)[:, None]))
+        object.__setattr__(self, "_log_w", _lock(np.log(w)[:, None]))
 
     @property
     def dim(self) -> int:
@@ -160,50 +160,50 @@ def eval_model(model: GaussianMixture, x, t) -> ModelEval:
     means taken relative to the mixture mean, the component log-densities are
     (x.mu_k - |x|^2/2) / v_k + b_k, where v_k = s_k^2 + t^2 and the bias b_k
     collects log w_k, -d/2 log v_k and -|mu_k|^2 / (2 v_k); 1/v and b are
-    K-vectors per time.  The prediction is t * (x * sum_k a_k - sum_k a_k mu_k)
-    with a_k = rho_k / v_k and rho_k the responsibilities; one product with
-    the per-model matrix [1 | mu] gives both sums (see the module docstring
-    for cost and precision).
+    (K, 1) columns per time, (K, B) for per-row times.  The prediction is
+    t * (x * sum_k a_k - sum_k a_k mu_k) with a_k = rho_k / v_k and rho_k the
+    responsibilities; one product with [1 | mu] gives both sums.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != model.dim:
-        raise ValueError(f"state has dim {x.shape[-1]}, model has dim {model.dim}")
+    if (d := x.shape[-1]) != model.dim:
+        raise ValueError(f"state has dim {d}, model has dim {model.dim}")
     if not isinstance(t, float):
         t = np.asarray(t, dtype=np.float64)
         if t.ndim == 0:
             t = float(t)
     if isinstance(t, float):
-        if not (np.isfinite(x).all() and math.isfinite(t)):
+        if not (np.count_nonzero(np.isfinite(x)) == x.size and math.isfinite(t)):  # cheaper than .all()
             raise ValueError("non-finite input to model evaluation")
         if t <= 0:
             raise ValueError("time must be strictly positive")
-        tt = t
+        t_row = t_col = t
     else:
-        if not (np.isfinite(x).all() and np.isfinite(t).all()):
+        if not (np.count_nonzero(np.isfinite(x)) == x.size and np.isfinite(t).all()):
             raise ValueError("non-finite input to model evaluation")
         if (t <= 0).any():
             raise ValueError("time must be strictly positive")
-        tt = t[..., None]
+        lead = np.broadcast_shapes(x.shape[:-1], t.shape)
+        x = np.broadcast_to(x, lead + (d,))  # one state may be shared by many times
+        t_row = np.broadcast_to(t, lead).reshape(1, -1)
+        t_col = t_row.T
+    xc = (x - model._centre).reshape(-1, d)                             # (B, d)
 
-    inv_var = 1.0 / (model._s2 + tt * tt)                               # (..., K)
-    bias = model._log_w + 0.5 * (model.dim * np.log(inv_var) - model._mean_sq * inv_var)
-    xc = x - model._centre
-    g = xc @ model._means_ct
-    g -= 0.5 * np.einsum("...d,...d->...", xc, xc)[..., None]
+    inv_var = 1.0 / (model._s2 + t_row * t_row)                         # (K, 1) or (K, B)
+    bias = model._log_w + (0.5 * d * np.log(inv_var) - model._half_mean_sq * inv_var)
+    g = model._means_c @ xc.T                                           # (K, B)
+    g -= 0.5 * np.einsum("bd,bd->b", xc, xc)
     # Log-densities of the perturbed components, constants independent of k dropped.
     logp = g * inv_var
     logp += bias
-    logp -= logp.max(axis=-1, keepdims=True)                            # log-sum-exp stabilization
+    logp -= np.maximum.reduce(logp)  # log-sum-exp shift over axis 0 (a ufunc reduce skips ndarray.max's wrapper)
     resp = np.exp(logp, out=logp)
-    resp /= resp.sum(axis=-1, keepdims=True)                            # (..., K)
+    resp /= np.add.reduce(resp)                                         # (K, B)
 
-    sums = (resp * inv_var) @ model._ones_means                         # (..., 1 + d)
-    # tt * (xc * sum_k a_k - sum_k a_k mu_k), formed at full broadcast shape
-    # before anything is written in place (xc may be one state shared by many times).
-    eps = xc * sums[..., :1]
-    eps -= sums[..., 1:]
-    eps *= tt
-    return ModelEval(epsilon=eps, responsibilities=None if model.zero_feature else resp)
+    sums = (resp * inv_var).T @ model._ones_means                       # (B, 1 + d)
+    eps = xc * sums[:, :1]
+    eps -= sums[:, 1:]
+    eps *= t_col
+    return ModelEval(eps.reshape(x.shape), None if model.zero_feature else resp.T.reshape(x.shape[:-1] + (len(resp),)))
 
 
 def exact_trajectory(model: GaussianMixture, x_T, t: float, T: float) -> np.ndarray:

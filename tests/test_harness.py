@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -183,14 +184,19 @@ def test_timing_sidecar_records_oracle(tmp_path):
         ("t_max", 0.001),
         ("rho", 0.0),
         ("rho", -7.0),
+        ("nfe", []),
+        ("seed", -1),
+        ("t_max", math.inf),
+        ("rho", math.inf),
     ],
 )
 def test_run_config_rejects_out_of_range_values(tmp_path, key, value):
     # Raised at construction, before any model call, naming the key (t_max
     # below t_min is reported on t_min, the key the bound is checked on).
-    named = "t_min" if key == "t_max" else key
+    # JSON's reader takes Infinity, so infinite t_max and rho reach the config.
+    named = "t_min" if (key, value) == ("t_max", 0.001) else key
     with pytest.raises(ConfigError, match=f"config key '{named}'"):
-        RunConfig(model=make_gmm(1, 2, 3), solvers=(dl.SolverKind("euler_ddim"),), nfe=(8,), **{key: value})
+        RunConfig(model=make_gmm(1, 2, 3), solvers=(dl.SolverKind("euler_ddim"),), **{"nfe": (8,), key: value})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"model": "m.json", "solvers": ["euler_ddim"], key: value}))
     with pytest.raises(ConfigError, match=rf"cfg\.json: config key '{named}'"):

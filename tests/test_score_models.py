@@ -103,6 +103,48 @@ def test_eval_per_row_times_match_row_calls():
     _assert_evals_close(got, [dl.eval_model(m, row, t) for row, t in zip(x, T_GRID)])
 
 
+def test_eval_scalar_time_equals_per_row_time_bitwise():
+    # The zero predictor reproduces dpm2 at r=0.5 bitwise only if a scalar
+    # time and the same time per row give the same bits.
+    m = make_gmm(14, 5, 16)
+    x = dl.stream(9, "scalar-t").standard_normal((3, 7, 16)) * 4.0
+    for t in (0.002, 1.3, 80.0):
+        one, rows = dl.eval_model(m, x, t), dl.eval_model(m, x, np.full(x.shape[:-1], t))
+        np.testing.assert_array_equal(one.epsilon, rows.epsilon)
+        np.testing.assert_array_equal(one.responsibilities, rows.responsibilities)
+
+
+def test_eval_batch_dims_are_restored():
+    m = make_gmm(15, 5, 16)
+    rng = dl.stream(10, "lifted")
+    x = rng.standard_normal((3, 7, 16)) * 4.0
+    t = rng.uniform(0.01, 20.0, (3, 7))
+    lifted = dl.eval_model(m, x[None], t[None])
+    assert lifted.epsilon.shape == (1, 3, 7, 16) and lifted.responsibilities.shape == (1, 3, 7, 5)
+    assert lifted.feature.shape == (1, 3, 7, FEATURE_DIM)
+    for i in range(3):
+        slice_i = dl.ModelEval(lifted.epsilon[0, i], lifted.responsibilities[0, i])
+        _assert_evals_close(slice_i, [dl.eval_model(m, row, s) for row, s in zip(x[i], t[i])])
+    np.testing.assert_allclose(lifted.responsibilities.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    # One (3, 1, d) state per row shared by the row's 7 times.
+    shared = dl.eval_model(m, x[:, :1], t)
+    assert shared.epsilon.shape == (3, 7, 16) and shared.responsibilities.shape == (3, 7, 5)
+    _assert_evals_close(dl.ModelEval(shared.epsilon.reshape(-1, 16), shared.responsibilities.reshape(-1, 5)),
+                        [dl.eval_model(m, x[i, 0], s) for i in range(3) for s in t[i]])
+    # A non-contiguous state gives the bits of its contiguous copy.
+    strided = x.transpose(1, 0, 2)[::2]
+    for s in (1.3, t.T[::2]):
+        got, want = dl.eval_model(m, strided, s), dl.eval_model(m, np.ascontiguousarray(strided), s)
+        np.testing.assert_array_equal(got.epsilon, want.epsilon)
+        np.testing.assert_array_equal(got.responsibilities, want.responsibilities)
+
+
+@pytest.mark.parametrize("t", [1.3, np.ones(0)])
+def test_eval_empty_batch(t):
+    ev = dl.eval_model(make_gmm(16, 5, 16), np.zeros((0, 16)), t)
+    assert ev.epsilon.shape == (0, 16) and ev.responsibilities.shape == (0, 5) and ev.feature.shape == (0, FEATURE_DIM)
+
+
 def direct_feature(model, x, t):
     """The first FEATURE_DIM responsibilities of one state, zero-padded, one component at a time."""
     var = model.stds**2 + t * t
