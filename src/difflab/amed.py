@@ -8,11 +8,11 @@ training starts from that baseline and is not guaranteed to beat it.
 
 Training distills against a teacher run on a refined schedule: per interval
 the student step is taken, the batch-mean L2 gap to the teacher state is the
-loss, and the parameter gradient is assembled from exact MLP backpropagation
-chained with central finite-difference sensitivities of the loss with respect
-to the two or three scalar outputs.  No autodiff framework is involved.  The
-step and its probes run together as one step over a probe grid (see
-``step_loss_grad``), so an update costs 1 + one student step's model calls.
+loss, and the parameter gradient is exact MLP backpropagation from central
+finite-difference sensitivities of the loss with respect to the two or three
+output logits.  No autodiff framework is involved.  The step and its probes
+run together as one step over a probe grid (see ``step_loss_grad``), so an
+update costs 1 + one student step's model calls.
 """
 
 from __future__ import annotations
@@ -133,6 +133,13 @@ class PredictorOutput:
     a: np.ndarray | None = None
 
 
+def _squash(o) -> PredictorOutput:
+    """Logits (..., 2 or 3) to r in (0,1), c in (0,2) and, with a third logit, a in (0.5,1.5)."""
+    s = _sigmoid(o)
+    rc = np.minimum(np.maximum(s[..., :2], _SIGMOID_CLIP), 1.0 - _SIGMOID_CLIP)  # np.clip's bits, less overhead
+    return PredictorOutput(r=rc[..., 0], c=2.0 * rc[..., 1], a=0.5 + s[..., 2] if o.shape[-1] == 3 else None)
+
+
 def predict_with_cache(params: PredictorParams, h, t_hi, t_lo):
     h = np.asarray(h, dtype=np.float64)
     if h.shape[-1] != FEATURE_DIM:
@@ -144,23 +151,12 @@ def predict_with_cache(params: PredictorParams, h, t_hi, t_lo):
     o = u @ params.w3 + params.b3
     if not np.all(np.isfinite(o)):
         raise FloatingPointError("non-finite predictor activations")
-    r = np.clip(_sigmoid(o[..., 0]), _SIGMOID_CLIP, 1.0 - _SIGMOID_CLIP)
-    c = 2.0 * np.clip(_sigmoid(o[..., 1]), _SIGMOID_CLIP, 1.0 - _SIGMOID_CLIP)
-    a = 0.5 + _sigmoid(o[..., 2]) if params.outputs == 3 else None
-    return PredictorOutput(r=r, c=c, a=a), {"h": h, "z1": z1, "z2": z2, "u": u, "o": o}
+    return _squash(o), {"h": h, "z1": z1, "z2": z2, "u": u, "o": o}
 
 
-def predictor_vjp(params: PredictorParams, cache, g_r, g_c, g_a=None) -> dict:
-    """Exact parameter gradients given per-sample upstream output sensitivities."""
-    o, u, z1, z2, h = cache["o"], cache["u"], cache["z1"], cache["z2"], cache["h"]
-    sig = _sigmoid(o)
-    g_o = np.zeros_like(o)
-    g_o[..., 0] = np.asarray(g_r) * sig[..., 0] * (1.0 - sig[..., 0])
-    g_o[..., 1] = np.asarray(g_c) * 2.0 * sig[..., 1] * (1.0 - sig[..., 1])
-    if params.outputs == 3:
-        if g_a is None:
-            raise ValueError("predictor emits a time scale but no upstream gradient given")
-        g_o[..., 2] = np.asarray(g_a) * sig[..., 2] * (1.0 - sig[..., 2])
+def predictor_vjp(params: PredictorParams, cache, g_o) -> dict:
+    """Exact parameter gradients by backpropagation from per-sample logit sensitivities g_o (..., outputs)."""
+    u, z1, z2, h = cache["u"], cache["z1"], cache["z2"], cache["h"]
 
     def flat(a, width):
         return np.asarray(a).reshape(-1, width)
@@ -239,7 +235,7 @@ def amed_step(model, params, x, t_hi, t_lo, carry=None, *, base=None, eps_cur=No
 def amed_sample(model, params, schedule, x_T, base: SolverKind | None = None, afs: bool = False) -> Trajectory:
     """Run the learned solver (base=None) or the learned plugin over a schedule."""
     x = np.asarray(x_T, dtype=np.float64)
-    eps0 = afs_direction(x, schedule.t_max) if afs else None
+    eps0 = afs_direction(x - model.mean, schedule.t_max) if afs else None
     return _walk_schedule(partial(amed_step, model, params, base=base), schedule, x, eps0, "amed")
 
 
@@ -288,26 +284,18 @@ class TrainResult:
     losses: np.ndarray  # (loops, N-1), batch-mean L2 per interval, in update order
 
 
-_FD_BOUNDS = {
-    "r": (_SIGMOID_CLIP, 1.0 - _SIGMOID_CLIP),
-    "c": (_SIGMOID_CLIP, None),
-    "a": (None, None),
-}
-# Grid rows of each output's (plus, minus) probes; see step_loss_grad.
-_PROBE_ROWS = {"r": ((0, 1), (0, 2)), "c": ((1, 0), (2, 0)), "a": ((0, 3), (0, 4))}
+_FD_H = 1e-3
+# Logit shifts over the probe grid (c row, (r, a) column, logit); see step_loss_grad.
+_PROBE_SHIFTS = np.zeros((3, 5, 3))
+_PROBE_SHIFTS[1:, 0, 1] = _PROBE_SHIFTS[0, 1:3, 0] = _PROBE_SHIFTS[0, 3:, 2] = (_FD_H, -_FD_H)
+# Grid cells of each logit's (plus, minus) probes.
+_PROBE_CELLS = (((0, 1), (0, 2)), ((1, 0), (2, 0)), ((0, 3), (0, 4)))
 
 
 def step_loss(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur=None) -> float:
     """Batch-mean L2 gap to the teacher state after one ``amed_step``."""
     x_next, _, _ = amed_step(model, params, x, t_hi, t_lo, carry, base=student, eps_cur=eps_cur)
     return float(np.mean(np.linalg.norm(x_next - y, axis=-1)))
-
-
-def _fd_probes(v, name):
-    """Central FD points (v + delta, v - delta), clipped to the output's range, which keeps v+ > v-."""
-    lo, hi = _FD_BOUNDS[name]
-    delta = 1e-3 * np.maximum(np.abs(v), 1e-3)
-    return np.clip(v + delta, lo, hi), np.clip(v - delta, lo, hi)
 
 
 def _map_carry(f, carry):
@@ -320,33 +308,33 @@ def _map_carry(f, carry):
 def step_loss_grad(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur=None):
     """Loss, assembled parameter gradient, and the student's own continuation.
 
-    Returns ``(loss, grads, x_next, carry_next)``.  The gradient chains exact
-    predictor backprop with central finite differences of the loss with
-    respect to the scalar outputs (relative step 1e-3).
+    Returns ``(loss, grads, x_next, carry_next)``.  The gradient is exact
+    predictor backprop from central finite differences of the loss with
+    respect to the logits o (probes o +- h, h = 1e-3).  A clipped r or c
+    thus gets its true sensitivity, 0.
 
     The student step and all its probes run as one ``split_step`` over a
-    probe grid: axis 0 holds c, c + delta, c - delta; axis 1 holds r,
-    r +- delta and, with a time scale, a +- delta.  x, the slope and the
-    carry get two leading length-1 axes, so row [0, 0] is the step itself.
-    c only scales the final direction term, so its probes cost no model
-    call, and the evaluated probes share each of the step's calls: an update
-    costs 1 + one student step's model calls (2 for the learned solver and
-    for euler, ipndm and dpmpp_2m, 4 for the heun and dpm2 plugins), with
-    two or three outputs alike.
+    probe grid of shifted logits: axis 0 holds c's logit shifted by 0, +h,
+    -h; axis 1 holds r's by 0, +h, -h and, with a time scale, a's by +h,
+    -h.  x, the slope and the carry get two leading length-1 axes, so cell
+    [0, 0] is the step itself.  c only scales the final direction term, so
+    its probes cost no model call, and the evaluated probes share each of
+    the step's calls: an update costs 1 + one student step's model calls (2
+    for the learned solver and for euler, ipndm and dpmpp_2m, 4 for the heun
+    and dpm2 plugins), with two or three outputs alike.
     """
     _check_interval(t_hi, t_lo)
-    eps1, _, out, cache = _predict_for_step(model, params, x, t_hi, t_lo, eps_cur)
-    r, c, a = out.r, out.c, out.a
-    probes = {name: _fd_probes(v, name) for name, v in (("r", r), ("c", c), ("a", a)) if v is not None}
-    grid_r = np.stack([r, *probes["r"]] + ([r, r] if a is not None else []))[None]
-    grid_a = None if a is None else np.stack([a, a, a, *probes["a"]])[None]
+    eps1, _, _, cache = _predict_for_step(model, params, x, t_hi, t_lo, eps_cur)
+    o, k = cache["o"], params.outputs
+    shifts = _PROBE_SHIFTS[:, : 2 * k - 1, :k]
+    probe = _squash(o + shifts.reshape(shifts.shape[:2] + (1,) * (o.ndim - 1) + (k,)))
 
     def lift(e):
         return np.asarray(e, dtype=np.float64)[None, None]
 
     grid, _, carry_grid = split_step(
-        model, lift(x), t_hi, t_lo, grid_r, base=student,
-        c=np.stack([c, *probes["c"]])[:, None], a=grid_a, carry=_map_carry(lift, carry), eps_cur=lift(eps1),
+        model, lift(x), t_hi, t_lo, probe.r[:1], base=student, c=probe.c[:, :1],
+        a=None if probe.a is None else probe.a[:1], carry=_map_carry(lift, carry), eps_cur=lift(eps1),
     )
     norms = np.linalg.norm(grid - y, axis=-1)
     x_next = grid[0, 0].copy()
@@ -354,13 +342,8 @@ def step_loss_grad(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur
     del grid, carry_grid
     loss = float(np.mean(norms[0, 0]))
     n_samples = max(1, norms[0, 0].size)
-
-    sens = {}
-    for name, (vp, vm) in probes.items():
-        plus, minus = _PROBE_ROWS[name]
-        sens[name] = (norms[plus] - norms[minus]) / (vp - vm) / n_samples
-    grads = predictor_vjp(params, cache, sens["r"], sens["c"], sens.get("a"))
-    return loss, grads, x_next, carry_next
+    g_o = np.stack([norms[plus] - norms[minus] for plus, minus in _PROBE_CELLS[:k]], axis=-1)
+    return loss, predictor_vjp(params, cache, g_o / (2 * _FD_H * n_samples)), x_next, carry_next
 
 
 def train(model: GaussianMixture, cfg: TrainConfig, schedule: TimeSchedule) -> TrainResult:

@@ -138,6 +138,8 @@ def _cmd_align(args) -> int:
     if args.batch < 1:
         raise ValueError(f"--batch must be at least 1; got {args.batch}")
     grid = np.arange(lo, hi + 0.5 * step, step)
+    if grid.size and abs(grid[-1] - hi) <= 1e-9 * step:  # arange drifts: 0.1:1:0.3 ends at 1.0000000000000002
+        grid[-1] = hi
     schedule = _schedule(args)
     x_T = stream(args.seed, "align").standard_normal((args.batch, model.dim)) * schedule.t_max
     oracle = reference_solve(model, x_T, schedule)

@@ -32,6 +32,8 @@ import numpy as np
 from .schedules import TimeSchedule, make_schedule, refine_teacher
 from .trajectory import DivergenceError, Trajectory, _walk_schedule  # DivergenceError: re-exported
 
+_TINY = float(np.finfo(np.float64).tiny)  # smallest normal double
+
 # Width of the per-evaluation feature vector.  Responsibilities of the
 # perturbed mixture fill the first min(K, FEATURE_DIM) slots, the rest stay
 # zero; a mixture with more components is truncated.
@@ -162,7 +164,8 @@ def eval_model(model: GaussianMixture, x, t) -> ModelEval:
     collects log w_k, -d/2 log v_k and -|mu_k|^2 / (2 v_k); 1/v and b are
     (K, 1) columns per time, (K, B) for per-row times.  The prediction is
     t * (x * sum_k a_k - sum_k a_k mu_k) with a_k = rho_k / v_k and rho_k the
-    responsibilities; one product with [1 | mu] gives both sums.
+    responsibilities; one product with [1 | mu] gives both sums.  A rho_k
+    whose a_k would be subnormal is set to exactly 0, and so is that a_k.
     """
     x = np.asarray(x, dtype=np.float64)
     if (d := x.shape[-1]) != model.dim:
@@ -198,8 +201,10 @@ def eval_model(model: GaussianMixture, x, t) -> ModelEval:
     logp -= np.maximum.reduce(logp)  # log-sum-exp shift over axis 0 (a ufunc reduce skips ndarray.max's wrapper)
     resp = np.exp(logp, out=logp)
     resp /= np.add.reduce(resp)                                         # (K, B)
-
-    sums = (resp * inv_var).T @ model._ones_means                       # (B, 1 + d)
+    weights = resp * inv_var
+    subnormal = weights < _TINY  # such weights would slow the product below up to 70x
+    resp[subnormal] = weights[subnormal] = 0.0
+    sums = weights.T @ model._ones_means                                # (B, 1 + d)
     eps = xc * sums[:, :1]
     eps -= sums[:, 1:]
     eps *= t_col

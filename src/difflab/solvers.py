@@ -208,13 +208,14 @@ def substep(model, kind: SolverKind, x, t_hi, t_lo, carry=None, *, eps_cur=None,
 def sample(model: GaussianMixture, kind: SolverKind, schedule, x_T, afs: bool = False) -> Trajectory:
     """Run ``kind`` from the top of the schedule down to its floor.
 
-    afs replaces the run's first model call by the analytic direction x/t.
+    afs replaces the run's first model call by the analytic direction
+    (x - m)/t, m the mixture mean: eps's large-t limit.
     Deterministic given x_T (which may be batched); see ``_walk_schedule``.
     """
     x = np.asarray(x_T, dtype=np.float64)
     if x.shape[-1] != model.dim:
         raise ValueError(f"state has dim {x.shape[-1]}, model has dim {model.dim}")
-    eps0 = afs_direction(x, schedule.t_max) if afs else None
+    eps0 = afs_direction(x - model.mean, schedule.t_max) if afs else None
     return _walk_schedule(partial(substep, model, kind), schedule, x, eps0, kind.tag)
 
 

@@ -95,13 +95,6 @@ def test_predict_rejects_feature_of_wrong_width():
         predict_with_cache(PredictorParams.zeros(), np.zeros((3, 8)), 10.0, 2.0)
 
 
-def test_predictor_vjp_needs_time_scale_gradient():
-    p = rand_params(outputs=3)
-    _, cache = predict_with_cache(p, np.zeros(16), 10.0, 2.0)
-    with pytest.raises(ValueError, match="time scale"):
-        predictor_vjp(p, cache, 1.0, 1.0)
-
-
 def test_param_budget_enforced():
     with pytest.raises(ValueError):
         PredictorParams.zeros(hidden=256)
@@ -235,20 +228,12 @@ def test_plugin_time_scale_moves_second_eval(monkeypatch, gmm2_d8):
     assert not np.allclose(x_a, x_n)
 
 
-def test_fd_gradient_matches_full_fd():
-    # tiny instance: hidden=4, d=2, all three outputs
-    m = make_gmm(0, 2, 2, spread=2.0, s_lo=0.7, s_hi=1.1)
-    params = rand_params(seed=1, hidden=4, emb_dim=8, outputs=3)
-    x = dl.stream(2, "x").standard_normal((5, 2)) * 10.0
-    y = dl.stream(3, "y").standard_normal((5, 2))
-    t_hi, t_lo = 10.0, 2.0
-    loss, grads, _, _ = step_loss_grad(m, params, None, x, t_hi, t_lo, y)
-    assert np.isfinite(loss)
-
-    flat_g, flat_fd = [], []
+def _full_fd_gradient(m, params, student, x, t_hi, t_lo, y, carry):
+    """Central differences of step_loss in every predictor weight."""
+    fd = {}
     for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
         a = getattr(params, name)
-        fd = np.zeros_like(a)
+        fd[name] = np.zeros_like(a)
         it = np.nditer(a, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
@@ -256,39 +241,53 @@ def test_fd_gradient_matches_full_fd():
             up, down = a.copy(), a.copy()
             up[idx] += h
             down[idx] -= h
-            lp = step_loss(m, replace(params, **{name: up}), None, x, t_hi, t_lo, y)
-            lm = step_loss(m, replace(params, **{name: down}), None, x, t_hi, t_lo, y)
-            fd[idx] = (lp - lm) / (2 * h)
-        flat_g.append(grads[name].ravel())
-        flat_fd.append(fd.ravel())
-    g = np.concatenate(flat_g)
-    fd = np.concatenate(flat_fd)
-    assert np.linalg.norm(g - fd) <= 1e-4 * np.linalg.norm(fd)
+            lp = step_loss(m, replace(params, **{name: up}), student, x, t_hi, t_lo, y, carry)
+            lm = step_loss(m, replace(params, **{name: down}), student, x, t_hi, t_lo, y, carry)
+            fd[name][idx] = (lp - lm) / (2 * h)
+    return fd
+
+
+def test_fd_gradient_matches_full_fd():
+    # tiny instance: hidden=4, d=2; every student with 2 and 3 outputs, over three
+    # intervals that continue from the student's own states and carries
+    m = make_gmm(0, 2, 2, spread=2.0, s_lo=0.7, s_hi=1.1)
+    ts = (10.0, 5.0, 2.0, 0.8)
+    for student_tag in (None, "euler_ddim", "heun_edm", "dpm2", "ipndm", "dpmpp_2m"):
+        student = None if student_tag is None else dl.SolverKind(student_tag)
+        for outputs in (2, 3):
+            params = rand_params(seed=1, hidden=4, emb_dim=8, outputs=outputs)
+            x = dl.stream(2, "x").standard_normal((5, 2)) * 10.0
+            carry = None
+            for k in range(3):
+                t_hi, t_lo, y = ts[k], ts[k + 1], dl.stream(3, "y", k).standard_normal((5, 2))
+                loss, grads, x_next, carry_next = step_loss_grad(m, params, student, x, t_hi, t_lo, y, carry)
+                assert np.isfinite(loss)
+                fd = _full_fd_gradient(m, params, student, x, t_hi, t_lo, y, carry)
+                g = np.concatenate([grads[name].ravel() for name in fd])
+                want = np.concatenate([v.ravel() for v in fd.values()])
+                rel = np.linalg.norm(g - want) / np.linalg.norm(want)
+                assert rel <= 1e-4, (student_tag, outputs, k, rel)
+                x, carry = x_next, carry_next
 
 
 def _serial_step_loss_grad(model, params, student, x, t_hi, t_lo, y, carry=None):
-    """Reference form of step_loss_grad: one full student step per finite-difference probe."""
-    eps1, _, out, cache = amed._predict_for_step(model, params, x, t_hi, t_lo, None)
-    vals = {"r": out.r, "c": out.c, "a": out.a}
+    """Reference form of step_loss_grad: one full student step per logit probe."""
+    eps1, _, _, cache = amed._predict_for_step(model, params, x, t_hi, t_lo, None)
+    o, h = cache["o"], 1e-3
 
-    def step(v):
-        return dl.split_step(model, x, t_hi, t_lo, base=student, carry=carry, eps_cur=eps1, **v)
+    def step(shift):
+        out = amed._squash(o + shift)
+        return dl.split_step(model, x, t_hi, t_lo, out.r, base=student, c=out.c, a=out.a,
+                             carry=carry, eps_cur=eps1)
 
-    x_next, _, carry_next = step(vals)
+    x_next, _, carry_next = step(0.0)
     norms = np.linalg.norm(x_next - y, axis=-1)
-    sens = {}
-    for name in ("r", "c", "a"):
-        v = vals[name]
-        if v is None:
-            continue
-        lo, hi = amed._FD_BOUNDS[name]
-        delta = 1e-3 * np.maximum(np.abs(v), 1e-3)
-        vp, vm = np.clip(v + delta, lo, hi), np.clip(v - delta, lo, hi)
-        n_plus = np.linalg.norm(step({**vals, name: vp})[0] - y, axis=-1)
-        n_minus = np.linalg.norm(step({**vals, name: vm})[0] - y, axis=-1)
-        denom = np.where(vp - vm == 0, 1.0, vp - vm)
-        sens[name] = (n_plus - n_minus) / denom / norms.size
-    grads = predictor_vjp(params, cache, sens["r"], sens["c"], sens.get("a"))
+    g_o = np.zeros_like(o)
+    for j, e in enumerate(np.eye(params.outputs) * h):
+        n_plus = np.linalg.norm(step(e)[0] - y, axis=-1)
+        n_minus = np.linalg.norm(step(-e)[0] - y, axis=-1)
+        g_o[..., j] = n_plus - n_minus
+    grads = predictor_vjp(params, cache, g_o / (2 * h * norms.size))
     return float(np.mean(norms)), grads, x_next, carry_next
 
 
@@ -343,7 +342,7 @@ def test_vjp_shapes_match_params():
     p = rand_params(outputs=2)
     h = dl.stream(7, "h").random((6, 16))
     out, cache = predict_with_cache(p, h, 10.0, 2.0)
-    grads = predictor_vjp(p, cache, np.ones(6), np.ones(6))
+    grads = predictor_vjp(p, cache, np.ones((6, 2)))
     for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
         assert grads[name].shape == getattr(p, name).shape
 
@@ -482,17 +481,16 @@ def test_checkpoint_version_check(tmp_path):
         amed.load_predictor(path)
 
 
-@pytest.mark.parametrize("logit", [-50.0, 50.0])
-def test_fd_probes_straddle_the_output_extremes(logit):
-    # step_loss_grad divides by vp - vm, so the clipped probes of a saturated output must still differ.
-    params = replace(PredictorParams.zeros(outputs=3), b3=np.full(3, logit))
-    out, _ = predict_with_cache(params, np.zeros(dl.FEATURE_DIM), 2.0, 1.0)
-    extremes = {"r": (1e-9, 1 - 1e-9), "c": (2e-9, 2 - 2e-9), "a": (0.5, 1.5)}
-    for name, (lo, hi) in extremes.items():
-        v = getattr(out, name)
-        assert v == pytest.approx(hi if logit > 0 else lo, rel=1e-15, abs=0)
-        vp, vm = amed._fd_probes(v, name)
-        assert vp > vm
+@pytest.mark.parametrize("logit", [-25.0, 25.0])
+def test_clipped_outputs_get_zero_sensitivity(gmm2_d8, logit):
+    # At |logit| = 25 the clip holds r and c while the sigmoid has not yet rounded to 0 or 1,
+    # so the logit probes leave both unchanged and their gradient is exactly 0.
+    params = replace(PredictorParams.zeros(outputs=3), b3=np.array([logit, logit, 0.3]))
+    x = dl.stream(16, "clipped").standard_normal((4, 8)) * 10.0
+    y = dl.stream(17, "clipped").standard_normal((4, 8))
+    _, grads, _, _ = step_loss_grad(gmm2_d8, params, None, x, 10.0, 2.0, y)
+    assert grads["b3"][0] == 0.0 and grads["b3"][1] == 0.0
+    assert grads["b3"][2] != 0.0
 
 
 def test_checkpoint_not_json_names_path(tmp_path):

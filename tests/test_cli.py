@@ -215,6 +215,18 @@ def test_align_cli(tmp_path, model_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize(
+    "grid,solver", [("0.1:1:0.3", "dpm2"), ("0.1:1:0.15", "ipndm"), ("0.1:1:0.15", "euler_ddim")]
+)
+def test_align_grid_ends_exactly_at_hi(tmp_path, model_path, grid, solver):
+    # np.arange ends these grids at 1 + 2e-16 (outside (0, 1]) and 1 - 1e-16 (missing the r = 1 case)
+    out = tmp_path / "align.csv"
+    rc = main(["align", "--model", model_path, "--solver", solver, "--grid", grid,
+               "--N", "6", "--batch", "4", "--out", str(out)])
+    assert rc == 0
+    assert len(out.read_text().strip().splitlines()) == 6
+
+
 def test_bound_check_cli(capsys):
     rc = main(["bound-check", "--d", "64", "--s", "1.0", "--t", "5.0", "--trials", "512", "--substeps", "200"])
     assert rc == 0

@@ -349,6 +349,10 @@ def test_two_component_trajectories_are_planar(d):
         "reference": dl.reference_solve(m, x_T, schedule),
         "dpmpp_2m": dl.sample(m, dl.SolverKind("dpmpp_2m"), schedule, x_T),
         "ipndm": dl.sample(m, dl.SolverKind("ipndm"), schedule, x_T),
+        # the analytic first step (x - mean)/t lies in the plane too: the mixture mean is on it
+        "dpmpp_2m+afs": dl.sample(m, dl.SolverKind("dpmpp_2m"), schedule, x_T, afs=True),
+        "ipndm+afs": dl.sample(m, dl.SolverKind("ipndm"), schedule, x_T, afs=True),
+        "amed+afs": dl.amed_sample(m, dl.PredictorParams.zeros(), schedule, x_T, afs=True),
     }
     for name, traj in trajs.items():
         err = float(np.max(dl.projection_error(traj, 2)))

@@ -210,6 +210,17 @@ def test_far_field_responsibilities_stay_finite():
     assert abs(ev.feature.sum() - 1.0) < 1e-9
 
 
+def test_subnormal_responsibilities_flush_to_zero():
+    # With means -1 and +1, unit stds and t = 1, the second component's shifted logit is x itself:
+    # exp(x) is subnormal for x in about [-745, -708], and the flush sets it to exactly 0.
+    m = dl.GaussianMixture(weights=[0.5, 0.5], means=[[-1.0], [1.0]], stds=[1.0, 1.0])
+    x = np.array([[-708.5], [-720.0], [-744.0]])
+    resp = dl.eval_model(m, x, 1.0).responsibilities
+    tiny = np.finfo(np.float64).tiny
+    assert not np.any((resp > 0) & (resp < tiny)), resp
+    np.testing.assert_array_equal(resp, [[1.0, 0.0]] * 3)
+
+
 def test_responsibilities_shift_invariant_across_time_extremes():
     # a common constant in the component log-densities must cancel; extreme
     # noise levels push those constants to +-1e16 and expose naive exponentials
