@@ -26,8 +26,8 @@ import numpy as np
 from .rng import stream
 from .schedules import TimeSchedule, refine_teacher
 from .score_models import FEATURE_DIM, GaussianMixture, ModelEval, _read_json, _write_json, eval_model
-from .solvers import SolverKind, _check_interval, afs_direction, sample, split_step
-from .trajectory import DivergenceError, Trajectory, _walk_schedule
+from .solvers import SolverKind, _check_interval, _run, sample, split_step
+from .trajectory import DivergenceError, Trajectory
 
 CHECKPOINT_VERSION = 1
 
@@ -155,26 +155,19 @@ def predict_with_cache(params: PredictorParams, h, t_hi, t_lo):
 
 
 def predictor_vjp(params: PredictorParams, cache, g_o) -> dict:
-    """Exact parameter gradients by backpropagation from per-sample logit sensitivities g_o (..., outputs)."""
-    u, z1, z2, h = cache["u"], cache["z1"], cache["z2"], cache["h"]
+    """Exact parameter gradients from per-sample logit sensitivities g_o (..., outputs).
 
-    def flat(a, width):
-        return np.asarray(a).reshape(-1, width)
-
-    go = flat(g_o, params.outputs)
-    uf = flat(u, u.shape[-1])
-    gw3 = uf.T @ go
-    gb3 = go.sum(axis=0)
-    g_u = g_o @ params.w3.T
-    g_p2 = g_u[..., : params.hidden] * (1.0 - z2**2)
-    gp2 = flat(g_p2, params.hidden)
-    gw2 = flat(z1, params.hidden).T @ gp2
-    gb2 = gp2.sum(axis=0)
+    Plain 2-D backprop: every leading axis of g_o and the cache is one row.
+    The time embedding has no parameters, so g_o is carried back through the
+    hidden rows of w3 only.
+    """
+    go, h, z1, z2, u = (
+        np.reshape(a, (-1, np.shape(a)[-1])) for a in (g_o, cache["h"], cache["z1"], cache["z2"], cache["u"])
+    )
+    g_p2 = (go @ params.w3[: params.hidden].T) * (1.0 - z2**2)
     g_p1 = (g_p2 @ params.w2.T) * (1.0 - z1**2)
-    gp1 = flat(g_p1, params.hidden)
-    gw1 = flat(h, FEATURE_DIM).T @ gp1
-    gb1 = gp1.sum(axis=0)
-    return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2, "w3": gw3, "b3": gb3}
+    return {"w1": h.T @ g_p1, "b1": g_p1.sum(axis=0), "w2": z1.T @ g_p2, "b2": g_p2.sum(axis=0),
+            "w3": u.T @ go, "b3": go.sum(axis=0)}
 
 
 _PARAM_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -233,10 +226,8 @@ def amed_step(model, params, x, t_hi, t_lo, carry=None, *, base=None, eps_cur=No
 
 
 def amed_sample(model, params, schedule, x_T, base: SolverKind | None = None, afs: bool = False) -> Trajectory:
-    """Run the learned solver (base=None) or the learned plugin over a schedule."""
-    x = np.asarray(x_T, dtype=np.float64)
-    eps0 = afs_direction(x - model.mean, schedule.t_max) if afs else None
-    return _walk_schedule(partial(amed_step, model, params, base=base), schedule, x, eps0, "amed")
+    """Run the learned solver (base=None) or the learned plugin over a schedule; afs as in ``sample``."""
+    return _run(model, partial(amed_step, model, params, base=base), schedule, x_T, afs, "amed")
 
 
 # ---------------------------------------------------------------------------

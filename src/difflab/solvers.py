@@ -212,11 +212,16 @@ def sample(model: GaussianMixture, kind: SolverKind, schedule, x_T, afs: bool = 
     (x - m)/t, m the mixture mean: eps's large-t limit.
     Deterministic given x_T (which may be batched); see ``_walk_schedule``.
     """
+    return _run(model, partial(substep, model, kind), schedule, x_T, afs, kind.tag)
+
+
+def _run(model: GaussianMixture, step, schedule, x_T, afs: bool, name: str) -> Trajectory:
+    """Check the state's width, take the analytic first slope if afs, and walk the schedule."""
     x = np.asarray(x_T, dtype=np.float64)
     if x.shape[-1] != model.dim:
         raise ValueError(f"state has dim {x.shape[-1]}, model has dim {model.dim}")
     eps0 = afs_direction(x - model.mean, schedule.t_max) if afs else None
-    return _walk_schedule(partial(substep, model, kind), schedule, x, eps0, kind.tag)
+    return _walk_schedule(step, schedule, x, eps0, name)
 
 
 def parse_solver_spec(spec: str) -> SolverKind:

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +182,13 @@ def test_amed_counted_model_calls_equal_nfe(monkeypatch, gmm2_d8, base_tag, afs)
         assert traj.nfe > 0 and len(calls) == traj.nfe
 
 
+@pytest.mark.parametrize("afs", [False, True])
+def test_amed_sample_rejects_state_of_wrong_dim(poly_schedule, afs):
+    model = dl.load_model(Path(__file__).resolve().parent.parent / "configs" / "gmm2_d8.json")
+    with pytest.raises(ValueError, match="state has dim 3, model has dim 8"):
+        dl.amed_sample(model, PredictorParams.zeros(), poly_schedule, np.zeros((2, 3)), afs=afs)
+
+
 def test_amed_sample_deterministic(gmm2_d8, poly_schedule):
     p = rand_params(outputs=2, hidden=64, emb_dim=16)
     x = dl.stream(4, "det").standard_normal(8) * 80.0
@@ -345,6 +353,51 @@ def test_vjp_shapes_match_params():
     grads = predictor_vjp(p, cache, np.ones((6, 2)))
     for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
         assert grads[name].shape == getattr(p, name).shape
+
+
+def _reference_predictor_vjp(params, cache, g_o):
+    """Reference backprop on the unflattened stacks: all of g_o @ w3.T, then its hidden columns."""
+    u, z1, z2, h = cache["u"], cache["z1"], cache["z2"], cache["h"]
+
+    def flat(a, width):
+        return np.asarray(a).reshape(-1, width)
+
+    go = flat(g_o, params.outputs)
+    gw3 = flat(u, u.shape[-1]).T @ go
+    g_p2 = (g_o @ params.w3.T)[..., : params.hidden] * (1.0 - z2**2)
+    gp2 = flat(g_p2, params.hidden)
+    g_p1 = (g_p2 @ params.w2.T) * (1.0 - z1**2)
+    gp1 = flat(g_p1, params.hidden)
+    return {"w1": flat(h, h.shape[-1]).T @ gp1, "b1": gp1.sum(axis=0), "w2": flat(z1, params.hidden).T @ gp2,
+            "b2": gp2.sum(axis=0), "w3": gw3, "b3": go.sum(axis=0)}
+
+
+@pytest.mark.parametrize("outputs", [2, 3])
+@pytest.mark.parametrize("lead", [(), (6,), (2, 3)])
+def test_vjp_matches_reference_backprop_bitwise(lead, outputs):
+    p = rand_params(seed=21, hidden=8, emb_dim=8, outputs=outputs)
+    assert np.all(p.w3 != 0) and np.all(p.b3 != 0)
+    rng = dl.stream(22, "vjp", len(lead), outputs)
+    t_hi = rng.uniform(2.0, 40.0, lead)
+    _, cache = predict_with_cache(p, rng.standard_normal(lead + (16,)), t_hi, t_hi / 3)
+    g_o = rng.standard_normal(lead + (outputs,))
+    got, want = predictor_vjp(p, cache, g_o), _reference_predictor_vjp(p, cache, g_o)
+    assert got.keys() == want.keys()
+    for name, w in want.items():
+        assert got[name].shape == getattr(p, name).shape
+        np.testing.assert_array_equal(got[name], w, err_msg=name)
+
+
+def test_vjp_leading_axes_are_rows():
+    # a (4, 16)-lead cache backpropagates exactly as its 64 rows do
+    p = rand_params(seed=23, hidden=64, emb_dim=16, outputs=3)
+    rng = dl.stream(24, "vjp-rows")
+    _, cache = predict_with_cache(p, rng.standard_normal((4, 16, 16)), 30.0, 10.0)
+    g_o = rng.standard_normal((4, 16, 3))
+    rows = {k: v.reshape(64, v.shape[-1]) for k, v in cache.items()}
+    got, want = predictor_vjp(p, cache, g_o), predictor_vjp(p, rows, g_o.reshape(64, 3))
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
 
 def test_zero_lr_is_null_update():

@@ -304,6 +304,17 @@ def test_eval_cli(tmp_path, model_path, capsys):
     assert re.search(r"^reference \(8 RK4 substeps\): error estimate \S+, \S+ of the best row's$", out, re.M)
 
 
+def test_eval_cli_prints_empirical_orders(monkeypatch, capsys):
+    # the K=1 convergence study: every solver's NFE ladder gets a fitted order
+    from difflab.harness import ENV_OUTDIR
+
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    monkeypatch.delenv(ENV_OUTDIR, raising=False)
+    assert main(["eval", "--config", "configs/orders_gauss1_d4.json"]) == 0
+    out = capsys.readouterr().out
+    assert len(re.findall(r"^ *\S+  empirical order -?\d+\.\d{3}$", out, re.M)) == 5, out
+
+
 def test_cli_outdir_env(tmp_path, model_path, monkeypatch):
     from difflab.harness import ENV_OUTDIR
 
