@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
 from .rng import stream
 from .schedules import TimeSchedule, refine_teacher
-from .score_models import FEATURE_DIM, GaussianMixture, ModelEval, _read_json, _write_json, eval_model
+from .score_models import FEATURE_DIM, GaussianMixture, ModelEval, _lock, _read_json, _write_json, eval_model
 from .solvers import SolverKind, _check_interval, _run, sample, split_step
 from .trajectory import DivergenceError, Trajectory
 
@@ -51,6 +52,16 @@ def time_embedding(t_hi, t_lo, emb_dim: int) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
+_PARAM_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+
+def _views(theta: np.ndarray, params) -> dict:
+    """theta cut, in _PARAM_FIELDS order, into views shaped like params' six weight arrays."""
+    shapes = [getattr(params, k).shape for k in _PARAM_FIELDS]
+    ends = accumulate(math.prod(s) for s in shapes)
+    return {k: theta[e - math.prod(s) : e].reshape(s) for k, s, e in zip(_PARAM_FIELDS, shapes, ends)}
+
+
 @dataclass(frozen=True)
 class PredictorParams:
     """Weights of the step predictor.
@@ -60,6 +71,8 @@ class PredictorParams:
     squashed to r in (0,1), c in (0,2) and, when present, a in (0.5,1.5).
     The embedding width is read off the weights (w3 has hidden + emb_dim
     rows); the ``emb_dim`` key that older checkpoints carry is ignored.
+    The six arrays are read-only views, in field order, into one flat locked
+    copy ``theta`` of the weights, which ``AdamState`` updates whole.
     """
 
     w1: np.ndarray
@@ -81,11 +94,15 @@ class PredictorParams:
             raise ValueError("inconsistent output-layer shapes")
         if self.outputs not in (2, 3):
             raise ValueError("predictor must emit 2 or 3 outputs")
-        for a in (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3):
-            if not np.all(np.isfinite(a)):
-                raise ValueError("predictor weights must be finite")
-        if self.n_params > 20_000:
-            raise ValueError(f"predictor has {self.n_params} parameters, budget is 20k")
+        # Like GaussianMixture's constants, theta is a plain attribute, not a dataclass field.
+        theta = _lock(np.concatenate([np.ravel(getattr(self, k)) for k in _PARAM_FIELDS], dtype=np.float64))
+        if not np.isfinite(theta).all():
+            raise ValueError("predictor weights must be finite")
+        if theta.size > 20_000:
+            raise ValueError(f"predictor has {theta.size} parameters, budget is 20k")
+        object.__setattr__(self, "theta", theta)
+        for k, a in _views(theta, self).items():
+            object.__setattr__(self, k, a)
 
     @property
     def hidden(self) -> int:
@@ -101,18 +118,12 @@ class PredictorParams:
 
     @property
     def n_params(self) -> int:
-        return sum(a.size for a in (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3))
+        return self.theta.size
 
     @classmethod
     def zeros(cls, hidden=64, emb_dim=16, outputs=2):
-        return cls(
-            w1=np.zeros((FEATURE_DIM, hidden)),
-            b1=np.zeros(hidden),
-            w2=np.zeros((hidden, hidden)),
-            b2=np.zeros(hidden),
-            w3=np.zeros((hidden + emb_dim, outputs)),
-            b3=np.zeros(outputs),
-        )
+        shapes = [(FEATURE_DIM, hidden), hidden, (hidden, hidden), hidden, (hidden + emb_dim, outputs), outputs]
+        return cls(*map(np.zeros, shapes))  # in _PARAM_FIELDS order
 
     @classmethod
     def init(cls, rng: np.random.Generator, hidden=64, emb_dim=16, outputs=2):
@@ -145,11 +156,11 @@ def predict_with_cache(params: PredictorParams, h, t_hi, t_lo):
     if h.shape[-1] != FEATURE_DIM:
         raise ValueError(f"feature has width {h.shape[-1]}, predictor expects {FEATURE_DIM}")
     z1 = np.tanh(h @ params.w1 + params.b1)
-    z2 = np.tanh(z1 @ params.w2 + params.b2)
-    emb = np.broadcast_to(time_embedding(t_hi, t_lo, params.emb_dim), z2.shape[:-1] + (params.emb_dim,))
-    u = np.concatenate([z2, emb], axis=-1)
+    u = np.empty(z1.shape[:-1] + params.w3.shape[:1])  # [z2 | time embedding]
+    z2 = np.tanh(z1 @ params.w2 + params.b2, out=u[..., : params.hidden])
+    u[..., params.hidden :] = time_embedding(t_hi, t_lo, params.emb_dim)
     o = u @ params.w3 + params.b3
-    if not np.all(np.isfinite(o)):
+    if not np.isfinite(o).all():
         raise FloatingPointError("non-finite predictor activations")
     return _squash(o), {"h": h, "z1": z1, "z2": z2, "u": u, "o": o}
 
@@ -170,31 +181,25 @@ def predictor_vjp(params: PredictorParams, cache, g_o) -> dict:
             "w3": u.T @ go, "b3": go.sum(axis=0)}
 
 
-_PARAM_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
-
-
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class AdamState:
-    """Per-parameter first/second moments with bias correction."""
+    """Per-parameter first/second moments with bias correction, flat like ``PredictorParams.theta``."""
 
     def __init__(self, params: PredictorParams):
         self.t = 0
-        self.m = {k: np.zeros_like(getattr(params, k)) for k in _PARAM_FIELDS}
-        self.v = {k: np.zeros_like(getattr(params, k)) for k in _PARAM_FIELDS}
+        self.m = np.zeros_like(params.theta)
+        self.v = np.zeros_like(params.theta)
 
     def update(self, params: PredictorParams, grads: dict, lr: float) -> PredictorParams:
         self.t += 1
-        out = {}
-        for k in _PARAM_FIELDS:
-            g = grads[k]
-            self.m[k] = _ADAM_BETA1 * self.m[k] + (1.0 - _ADAM_BETA1) * g
-            self.v[k] = _ADAM_BETA2 * self.v[k] + (1.0 - _ADAM_BETA2) * g * g
-            m_hat = self.m[k] / (1.0 - _ADAM_BETA1**self.t)
-            v_hat = self.v[k] / (1.0 - _ADAM_BETA2**self.t)
-            out[k] = getattr(params, k) - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-        return replace(params, **out)
+        g = np.concatenate([np.ravel(grads[k]) for k in _PARAM_FIELDS])
+        self.m = _ADAM_BETA1 * self.m + (1.0 - _ADAM_BETA1) * g
+        self.v = _ADAM_BETA2 * self.v + (1.0 - _ADAM_BETA2) * g * g
+        m_hat = self.m / (1.0 - _ADAM_BETA1**self.t)
+        v_hat = self.v / (1.0 - _ADAM_BETA2**self.t)
+        return PredictorParams(**_views(params.theta - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS), params))
 
 
 def _predict_for_step(model, params, x, t_hi, t_lo, eps_cur):
@@ -261,10 +266,13 @@ class TrainConfig:
     learn_time_scale: bool = False
 
     def __post_init__(self):
+        for name in ("m", "batch", "images"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.lr < 0:
-            raise ValueError("lr must be non-negative")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and non-negative, got {self.lr!r}")
         if self.batch < 1 or self.images < 1:
             raise ValueError("batch and images must be positive")
 
@@ -279,8 +287,6 @@ _FD_H = 1e-3
 # Logit shifts over the probe grid (c row, (r, a) column, logit); see step_loss_grad.
 _PROBE_SHIFTS = np.zeros((3, 5, 3))
 _PROBE_SHIFTS[1:, 0, 1] = _PROBE_SHIFTS[0, 1:3, 0] = _PROBE_SHIFTS[0, 3:, 2] = (_FD_H, -_FD_H)
-# Grid cells of each logit's (plus, minus) probes.
-_PROBE_CELLS = (((0, 1), (0, 2)), ((1, 0), (2, 0)), ((0, 3), (0, 4)))
 
 
 def step_loss(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur=None) -> float:
@@ -327,13 +333,15 @@ def step_loss_grad(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur
         model, lift(x), t_hi, t_lo, probe.r[:1], base=student, c=probe.c[:, :1],
         a=None if probe.a is None else probe.a[:1], carry=_map_carry(lift, carry), eps_cur=lift(eps1),
     )
-    norms = np.linalg.norm(grid - y, axis=-1)
+    # Norms only for the cells read: row 0 (c unshifted) and column 0 (r and a unshifted).
+    row = np.linalg.norm(grid[0] - y, axis=-1)
+    col = np.linalg.norm(grid[1:, 0] - y, axis=-1)
     x_next = grid[0, 0].copy()
     carry_next = _map_carry(lambda e: e[0, 0].copy(), carry_grid)
     del grid, carry_grid
-    loss = float(np.mean(norms[0, 0]))
-    n_samples = max(1, norms[0, 0].size)
-    g_o = np.stack([norms[plus] - norms[minus] for plus, minus in _PROBE_CELLS[:k]], axis=-1)
+    loss = float(np.mean(row[0]))
+    n_samples = max(1, row[0].size)
+    g_o = np.stack([row[1] - row[2], col[0] - col[1], *([row[3] - row[4]] if k == 3 else [])], axis=-1)
     return loss, predictor_vjp(params, cache, g_o / (2 * _FD_H * n_samples)), x_next, carry_next
 
 

@@ -86,7 +86,7 @@ def _col(u, x) -> np.ndarray:
 
 
 def _check_interval(t_hi, t_lo) -> None:
-    if not np.all((0 < t_lo) & (t_lo < t_hi) & (t_hi < np.inf)):
+    if not np.asarray((0 < t_lo) & (t_lo < t_hi) & (t_hi < np.inf)).all():  # the array's .all(): np.all's wrapper costs µs
         raise ValueError("need 0 < t_lo < t_hi < inf")
 
 
@@ -139,7 +139,7 @@ def step_dpm2(model, x, t_hi, t_lo, r=0.5, *, eps_cur=None, scale=1.0):
     slope; r=1 is the Heun trapezoid, the step heun_edm runs.
     """
     _check_interval(t_hi, t_lo)
-    if not np.all((0 < r) & (r <= 1)):
+    if not np.asarray((0 < r) & (r <= 1)).all():
         raise ValueError("r must lie in (0, 1]")
     return split_step(model, x, t_hi, t_lo, r, w=1.0 / (2.0 * r), c=scale, eps_cur=eps_cur)
 

@@ -55,7 +55,7 @@ def _walk_schedule(step, schedule, x, eps0, name: str) -> Trajectory:
         t_hi, t_lo = float(ts[i]), float(ts[i + 1])
         x, n, carry = step(x, t_hi, t_lo, carry, eps_cur=eps0 if i == 0 else None)
         nfe += n
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DivergenceError(f"{name} diverged in interval [{t_lo:g}, {t_hi:g}]")
         nodes.append((t_lo, x))
     return Trajectory(nodes=nodes, nfe=nfe)

@@ -48,3 +48,12 @@ def gmm2_d8():
 @pytest.fixture
 def poly_schedule():
     return dl.make_schedule("polynomial", 6, 0.002, 80.0, rho=7.0)
+
+
+def nan_interval(form, which):
+    """(t_hi, t_lo) with a NaN at `which`: Python floats, numpy scalars, or per-sample arrays of 2."""
+    t = {"t_hi": 2.0, "t_lo": 1.0}
+    if form == "array":
+        return tuple(np.array([v, np.nan if k == which else v]) for k, v in t.items())
+    t[which] = np.nan
+    return tuple((np.float64 if form == "numpy" else float)(v) for v in t.values())

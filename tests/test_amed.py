@@ -18,7 +18,7 @@ from difflab.amed import (
     step_loss_grad,
 )
 
-from conftest import make_gmm
+from conftest import make_gmm, nan_interval
 
 
 def rand_params(seed=0, hidden=4, emb_dim=8, outputs=3, scale=0.3):
@@ -89,6 +89,105 @@ def test_predictor_params_reject_malformed_weights(fields, message):
     p = PredictorParams.zeros(hidden=4, emb_dim=8)
     with pytest.raises(ValueError, match=message):
         replace(p, **fields(p))
+
+
+FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", FIELDS)
+def test_predictor_params_reject_non_finite_weight_in_any_field(name, bad):
+    p = PredictorParams.zeros(hidden=4, emb_dim=8)
+    a = getattr(p, name).copy()
+    a.flat[-1] = bad
+    with pytest.raises(ValueError, match="predictor weights must be finite"):
+        replace(p, **{name: a})
+
+
+def test_fields_are_read_only_views_of_theta():
+    p = rand_params(seed=4, hidden=8, emb_dim=8, outputs=3)
+    assert p.theta.shape == (p.n_params,) and not p.theta.flags.writeable
+    np.testing.assert_array_equal(np.concatenate([getattr(p, k).ravel() for k in FIELDS]), p.theta)
+    for name in FIELDS:
+        a = getattr(p, name)
+        assert np.shares_memory(a, p.theta) and not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+
+
+def test_replace_rebuilds_theta():
+    p = rand_params(seed=4, hidden=8, emb_dim=8, outputs=2)
+    before = p.theta.copy()
+    w3 = np.full(p.w3.shape, 0.25)
+    q = replace(p, w3=w3)
+    assert q.theta is not p.theta and np.shares_memory(q.w3, q.theta) and not np.shares_memory(q.w3, w3)
+    assert w3.flags.writeable  # the caller's array is copied, not locked
+    np.testing.assert_array_equal(q.w3, w3)
+    np.testing.assert_array_equal(p.theta, before)
+    for name in ("w1", "b1", "w2", "b2", "b3"):
+        np.testing.assert_array_equal(getattr(q, name), getattr(p, name))
+        assert not np.shares_memory(getattr(q, name), p.theta), name
+
+
+def per_array_adam(params, grads_seq, lr):
+    """Adam applied field by field (beta1 0.9, beta2 0.999, eps 1e-8): the reference for the flat update."""
+    m = {k: np.zeros_like(getattr(params, k)) for k in FIELDS}
+    v = {k: np.zeros_like(getattr(params, k)) for k in FIELDS}
+    for t, grads in enumerate(grads_seq, start=1):
+        out = {}
+        for k in FIELDS:
+            g = grads[k]
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
+            m_hat = m[k] / (1.0 - 0.9**t)
+            v_hat = v[k] / (1.0 - 0.999**t)
+            out[k] = getattr(params, k) - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        params = replace(params, **out)
+    return params
+
+
+@pytest.mark.parametrize("outputs", [2, 3])
+def test_flat_adam_matches_per_array_adam_bitwise(outputs):
+    p0 = rand_params(seed=8, hidden=16, emb_dim=8, outputs=outputs)
+    rng = dl.stream(9, "adam-grads")
+    # Per-field gradient scales spread over six decades, as the per-interval losses do.
+    scales = {k: 10.0 ** rng.uniform(-4, 2) for k in FIELDS}
+    grads_seq = [{k: scales[k] * rng.standard_normal(getattr(p0, k).shape) for k in FIELDS} for _ in range(25)]
+    opt, p = amed.AdamState(p0), p0
+    for grads in grads_seq:
+        p = opt.update(p, grads, 3e-3)
+    assert opt.t == 25 and opt.m.shape == opt.v.shape == p0.theta.shape
+    want = per_array_adam(p0, grads_seq, 3e-3)
+    for name in FIELDS:
+        np.testing.assert_array_equal(getattr(p, name), getattr(want, name), err_msg=name)
+    assert not np.array_equal(p.theta, p0.theta)
+
+
+@pytest.mark.parametrize("form", ["float", "numpy", "array"])
+@pytest.mark.parametrize("which", ["t_hi", "t_lo"])
+@pytest.mark.parametrize("base", [None, "ipndm", "dpm2"])
+def test_learned_steps_reject_nan_times(gmm2_d8, base, which, form):
+    t_hi, t_lo = nan_interval(form, which)
+    p = PredictorParams.zeros(outputs=3)
+    x = dl.stream(15, "nan").standard_normal((2, 8) if form == "array" else 8)
+    kind = None if base is None else dl.SolverKind(base)
+    with pytest.raises(ValueError, match="need 0 < t_lo < t_hi < inf"):
+        amed.amed_step(gmm2_d8, p, x, t_hi, t_lo, base=kind, eps_cur=x)
+    with pytest.raises(ValueError, match="need 0 < t_lo < t_hi < inf"):
+        step_loss_grad(gmm2_d8, p, kind, x, t_hi, t_lo, x, eps_cur=x)
+
+
+@pytest.mark.parametrize("base", [None, "ipndm"])
+def test_nan_state_aborts_amed_sample_naming_the_interval(monkeypatch, gmm2_d8, poly_schedule, base):
+    def nan_eval(model, x, t):
+        return dl.ModelEval(epsilon=np.full(np.shape(x), np.nan))
+
+    monkeypatch.setattr(amed, "eval_model", nan_eval)
+    monkeypatch.setattr(dl.solvers, "eval_model", nan_eval)
+    t_hi, t_lo = poly_schedule.times[::-1][:2]
+    kind = None if base is None else dl.SolverKind(base)
+    with pytest.raises(dl.DivergenceError, match=rf"^amed diverged in interval \[{t_lo:g}, {t_hi:g}\]$"):
+        amed.amed_sample(gmm2_d8, PredictorParams.zeros(), poly_schedule, np.ones(8), base=kind)
 
 
 def test_predict_rejects_feature_of_wrong_width():
@@ -504,6 +603,13 @@ def test_train_config_validation():
     for key in ("batch", "images"):
         with pytest.raises(ValueError, match="batch and images must be positive"):
             TrainConfig(teacher=teacher, **{key: 0})
+    for key, value in (("m", 1.5), ("batch", 2.0), ("images", "10"), ("m", None)):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+            TrainConfig(teacher=teacher, **{key: value})
+    for lr in (np.nan, np.inf, -np.inf, float("nan")):
+        with pytest.raises(ValueError, match="^lr must be finite and non-negative, got"):
+            TrainConfig(teacher=teacher, lr=lr)
+    TrainConfig(teacher=teacher, m=np.int64(3), batch=np.int32(7), lr=0.0)  # numpy integers and lr 0 pass
 
 
 def test_checkpoint_roundtrip(tmp_path):

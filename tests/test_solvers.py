@@ -5,6 +5,8 @@ import difflab as dl
 import difflab.solvers as solvers
 from difflab.score_models import ModelEval
 
+from conftest import nan_interval
+
 
 def const_field(vec):
     """Stand-in for eval_model with a state- and time-independent slope."""
@@ -49,6 +51,16 @@ def test_steps_reject_infinite_time_with_injected_slope(gmm2_d8, step):
     x = dl.stream(6, "inf").standard_normal(8)
     with pytest.raises(ValueError, match="need 0 < t_lo < t_hi < inf"):
         step(gmm2_d8, x, np.inf, 1.0, eps_cur=x)
+
+
+@pytest.mark.parametrize("form", ["float", "numpy", "array"])
+@pytest.mark.parametrize("which", ["t_hi", "t_lo"])
+@pytest.mark.parametrize("step", [solvers.step_dpm2, solvers.step_ipndm, solvers.step_dpmpp_2m])
+def test_steps_reject_nan_time_with_injected_slope(gmm2_d8, step, which, form):
+    t_hi, t_lo = nan_interval(form, which)
+    x = dl.stream(6, "nan").standard_normal((2, 8) if form == "array" else 8)
+    with pytest.raises(ValueError, match="need 0 < t_lo < t_hi < inf"):
+        step(gmm2_d8, x, t_hi, t_lo, eps_cur=x)
 
 
 def test_stationary_point_fixed():
@@ -402,3 +414,11 @@ def test_trajectory_csv_rejects_malformed(tmp_path, body, where):
     path.write_text(body)
     with pytest.raises(ValueError, match=f"bad.csv{where}"):
         dl.read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("tag", ["euler_ddim", "dpm2", "dpmpp_2m"])
+def test_nan_state_aborts_naming_the_interval(monkeypatch, gmm2_d8, poly_schedule, tag):
+    monkeypatch.setattr(solvers, "eval_model", const_field(np.full(8, np.nan)))
+    t_hi, t_lo = poly_schedule.times[::-1][:2]
+    with pytest.raises(dl.DivergenceError, match=rf"^{tag} diverged in interval \[{t_lo:g}, {t_hi:g}\]$"):
+        dl.sample(gmm2_d8, dl.SolverKind(tag), poly_schedule, np.ones(8))
