@@ -94,15 +94,18 @@ class PredictorParams:
             raise ValueError("inconsistent output-layer shapes")
         if self.outputs not in (2, 3):
             raise ValueError("predictor must emit 2 or 3 outputs")
-        # Like GaussianMixture's constants, theta is a plain attribute, not a dataclass field.
-        theta = _lock(np.concatenate([np.ravel(getattr(self, k)) for k in _PARAM_FIELDS], dtype=np.float64))
-        if not np.isfinite(theta).all():
+        self._adopt(np.concatenate([np.ravel(getattr(self, k)) for k in _PARAM_FIELDS], dtype=np.float64), self)
+        if self.theta.size > 20_000:
+            raise ValueError(f"predictor has {self.theta.size} parameters, budget is 20k")
+
+    def _adopt(self, theta: np.ndarray, shaped_like: PredictorParams) -> PredictorParams:
+        """Lock flat float64 theta (no copy), check it for finiteness and cut it into views shaped as shaped_like's."""
+        if not np.isfinite(_lock(theta)).all():
             raise ValueError("predictor weights must be finite")
-        if theta.size > 20_000:
-            raise ValueError(f"predictor has {theta.size} parameters, budget is 20k")
-        object.__setattr__(self, "theta", theta)
-        for k, a in _views(theta, self).items():
+        object.__setattr__(self, "theta", theta)  # a plain attribute like GaussianMixture's constants, not a field
+        for k, a in _views(theta, shaped_like).items():
             object.__setattr__(self, k, a)
+        return self
 
     @property
     def hidden(self) -> int:
@@ -185,7 +188,7 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class AdamState:
-    """Per-parameter first/second moments with bias correction, flat like ``PredictorParams.theta``."""
+    """Flat Adam moments, like ``PredictorParams.theta``, updated in place with the textbook formulas' bits."""
 
     def __init__(self, params: PredictorParams):
         self.t = 0
@@ -194,12 +197,17 @@ class AdamState:
 
     def update(self, params: PredictorParams, grads: dict, lr: float) -> PredictorParams:
         self.t += 1
-        g = np.concatenate([np.ravel(grads[k]) for k in _PARAM_FIELDS])
-        self.m = _ADAM_BETA1 * self.m + (1.0 - _ADAM_BETA1) * g
-        self.v = _ADAM_BETA2 * self.v + (1.0 - _ADAM_BETA2) * g * g
-        m_hat = self.m / (1.0 - _ADAM_BETA1**self.t)
-        v_hat = self.v / (1.0 - _ADAM_BETA2**self.t)
-        return PredictorParams(**_views(params.theta - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS), params))
+        g = np.concatenate([np.ravel(grads[k]) for k in _PARAM_FIELDS], dtype=np.float64)
+        self.m *= _ADAM_BETA1
+        self.m += (1.0 - _ADAM_BETA1) * g
+        self.v *= _ADAM_BETA2
+        self.v += (1.0 - _ADAM_BETA2) * g * g
+        den = np.sqrt(np.divide(self.v, 1.0 - _ADAM_BETA2**self.t, out=g), out=g)  # g is spent
+        den += _ADAM_EPS
+        step = self.m / (1.0 - _ADAM_BETA1**self.t)
+        step *= lr
+        step /= den
+        return object.__new__(PredictorParams)._adopt(np.subtract(params.theta, step, out=step), params)
 
 
 def _predict_for_step(model, params, x, t_hi, t_lo, eps_cur):
@@ -333,9 +341,8 @@ def step_loss_grad(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur
         model, lift(x), t_hi, t_lo, probe.r[:1], base=student, c=probe.c[:, :1],
         a=None if probe.a is None else probe.a[:1], carry=_map_carry(lift, carry), eps_cur=lift(eps1),
     )
-    # Norms only for the cells read: row 0 (c unshifted) and column 0 (r and a unshifted).
-    row = np.linalg.norm(grid[0] - y, axis=-1)
-    col = np.linalg.norm(grid[1:, 0] - y, axis=-1)
+    # Norms (np.linalg.norm's bits, without its wrapper) only for the cells read: row 0 and column 0.
+    row, col = (np.sqrt(np.add.reduce(d * d, axis=-1)) for d in (grid[0] - y, grid[1:, 0] - y))
     x_next = grid[0, 0].copy()
     carry_next = _map_carry(lambda e: e[0, 0].copy(), carry_grid)
     del grid, carry_grid
@@ -345,6 +352,7 @@ def step_loss_grad(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur
     return loss, predictor_vjp(params, cache, g_o / (2 * _FD_H * n_samples)), x_next, carry_next
 
 
+@np.errstate(all="ignore")  # the loss and the weights are checked after every step, and name the interval
 def train(model: GaussianMixture, cfg: TrainConfig, schedule: TimeSchedule) -> TrainResult:
     """Distill the predictor against a refined-schedule teacher.
 
@@ -374,7 +382,10 @@ def train(model: GaussianMixture, cfg: TrainConfig, schedule: TimeSchedule) -> T
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged at loop {loop}, interval {k}")
             losses[loop, k] = loss
-            params = opt[k].update(params, grads, cfg.lr)
+            try:
+                params = opt[k].update(params, grads, cfg.lr)
+            except ValueError:  # the Adam step made the weights non-finite
+                raise DivergenceError(f"lr {cfg.lr!r} overflowed the weights at loop {loop}, interval {k}") from None
     return TrainResult(params=params, losses=losses)
 
 

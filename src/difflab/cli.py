@@ -29,7 +29,7 @@ from .rng import stream
 from .schedules import SCHEDULE_KINDS, make_schedule
 from .score_models import load_model, reference_solve
 from .solvers import parse_solver_spec, sample
-from .trajectory import read_trajectory_csv, write_csv, write_trajectory_csv
+from .trajectory import DivergenceError, read_trajectory_csv, write_csv, write_trajectory_csv
 
 _HELD_OUT = 256  # states in train-amed's held-out batch
 _MAX_GRID = 1000  # split-point candidates align searches at most
@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as e:  # bad input: argparse's exit status and one line on stderr
+    except (ValueError, OSError, DivergenceError) as e:  # bad input, or a run it made diverge: exit status 2, one line
         parser.exit(2, f"difflab {args.command}: error: {e}\n")
 
 

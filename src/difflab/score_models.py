@@ -10,13 +10,13 @@ keeps the posterior component responsibilities, from which a fixed-width
 feature vector is formed on read, playing the role a network's bottleneck
 activation would play for a learned model.
 
-Cost model of ``eval_model``: the batch dimensions flatten to B rows and
-every per-component array is component-major, (K, B), so the log-sum-exp
-reductions over the short K axis run as whole-row operations across the batch.
-Two matrix products per call, the (K, d) means with the (B, d) states and the
-transposed (K, B) weighted responsibilities with [1 | means], plus O(K) work
-per time and O(B * (K + d)) memory; no (B, K, d) tensor is formed, and no
-feature vector unless one is read.  Its precision contract: each row's noise
+Cost model of ``eval_model``: the batch dimensions flatten to B rows and every
+per-component array is component-major, (K, B), so the log-sum-exp reductions over the
+short K axis run as whole-row operations across the batch.  Two matrix products per
+call, the (K, d) means with the (B, d) states and the transposed (K, B) weighted
+responsibilities with [1 | means], plus O(K) work per time and O(B * (K + d)) memory;
+no (B, K, d) tensor is formed, no feature vector unless one is read, and per-row times
+shaped like the batch are not broadcast.  Its precision contract: each row's noise
 prediction agrees with the direct per-component form to 1e-9 of its largest |eps|.
 """
 
@@ -185,10 +185,10 @@ def eval_model(model: GaussianMixture, x, t) -> ModelEval:
             raise ValueError("non-finite input to model evaluation")
         if (t <= 0).any():
             raise ValueError("time must be strictly positive")
-        lead = np.broadcast_shapes(x.shape[:-1], t.shape)
-        x = np.broadcast_to(x, lead + (d,))  # one state may be shared by many times
-        t_row = np.broadcast_to(t, lead).reshape(1, -1)
-        t_col = t_row.T
+        if t.shape != x.shape[:-1]:  # one state may be shared by many times
+            lead = np.broadcast_shapes(x.shape[:-1], t.shape)
+            x, t = np.broadcast_to(x, lead + (d,)), np.broadcast_to(t, lead)
+        t_row, t_col = t.reshape(1, -1), t.reshape(-1, 1)
     xc = (x - model._centre).reshape(-1, d)                             # (B, d)
 
     inv_var = 1.0 / (model._s2 + t_row * t_row)                         # (K, 1) or (K, B)

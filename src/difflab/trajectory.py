@@ -40,6 +40,7 @@ class Trajectory:
         return self.nodes[-1][1]
 
 
+@np.errstate(all="ignore")  # every state is checked below: numpy's warnings would only precede the error
 def _walk_schedule(step, schedule, x, eps0, name: str) -> Trajectory:
     """Step from the top of the schedule down to its floor, recording every node.
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -161,6 +162,30 @@ def test_flat_adam_matches_per_array_adam_bitwise(outputs):
     for name in FIELDS:
         np.testing.assert_array_equal(getattr(p, name), getattr(want, name), err_msg=name)
     assert not np.array_equal(p.theta, p0.theta)
+
+
+@pytest.mark.parametrize("outputs", [2, 3])
+def test_adam_update_rebuilds_params_over_the_new_vector(outputs):
+    p = rand_params(seed=10, hidden=8, emb_dim=8, outputs=outputs)
+    rng = dl.stream(11, "adam-in-place")
+    grads = {k: rng.standard_normal(getattr(p, k).shape) for k in FIELDS}
+    grads_before = {k: g.copy() for k, g in grads.items()}
+    theta_before = p.theta.copy()
+    opt = amed.AdamState(p)
+    m, v = opt.m, opt.v
+    q = opt.update(opt.update(p, grads, 3e-3), grads, 3e-3)
+    assert opt.m is m and opt.v is v  # the moments are updated in place
+    np.testing.assert_array_equal(p.theta, theta_before)
+    for k in FIELDS:
+        np.testing.assert_array_equal(grads[k], grads_before[k], err_msg=k)
+        assert grads[k].flags.writeable and not np.shares_memory(grads[k], q.theta), k
+    assert not q.theta.flags.writeable and not np.shares_memory(q.theta, p.theta)
+    want = PredictorParams(**amed._views(q.theta, p))
+    for k in FIELDS:
+        a = getattr(q, k)
+        np.testing.assert_array_equal(a, getattr(want, k), err_msg=k)
+        assert a.shape == getattr(p, k).shape and np.shares_memory(a, q.theta) and not a.flags.writeable, k
+    assert (q.hidden, q.emb_dim, q.outputs, q.n_params) == (p.hidden, p.emb_dim, p.outputs, p.n_params)
 
 
 @pytest.mark.parametrize("form", ["float", "numpy", "array"])
@@ -537,6 +562,16 @@ def test_train_divergence_names_loop_and_interval(monkeypatch):
     with pytest.raises(dl.DivergenceError, match=r"^training loss diverged at loop 1, interval 1$"):
         amed.train(m, cfg, sch)
     assert len(calls) == 5
+
+
+def test_train_adam_overflow_names_loop_interval_and_lr():
+    m = make_gmm(21, 2, 4)
+    sch = dl.make_schedule("polynomial", 4, 0.002, 80.0, rho=7.0)
+    cfg = TrainConfig(teacher=dl.SolverKind("dpm2"), student=None, m=1, batch=8, images=24, lr=1e307, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # one error, and no numpy warning ahead of it
+        with pytest.raises(dl.DivergenceError, match=r"^lr 1e\+307 overflowed the weights at loop 0, interval 0$"):
+            amed.train(m, cfg, sch)
 
 
 def test_train_reduces_eval_loss():

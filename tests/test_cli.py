@@ -57,6 +57,25 @@ def test_sample_rejects_parity_conflict(tmp_path, model_path, capsys):
     ], "^difflab sample: error: .*even NFE")
 
 
+@pytest.mark.parametrize("command", ["sample", "eval", "train-amed"])
+def test_diverged_run_exits_with_status_2_and_one_line(tmp_path, model_path, capsys, recwarn, command):
+    if command == "sample":
+        argv = ["sample", "--model", model_path, "--solver", "euler_ddim", "--t-max", "1e200",
+                "--out", str(tmp_path / "t.csv")]
+        pattern = r"^difflab sample: error: euler_ddim diverged in interval \[\S+, 1e\+200\]$"
+    elif command == "eval":
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": model_path, "solvers": ["euler_ddim"], "nfe": [4], "batch": 4,
+                                   "t_max": 1e200, "outdir": str(tmp_path / "out")}))
+        argv, pattern = ["eval", "--config", str(cfg)], "^difflab eval: error: "
+    else:
+        argv = ["train-amed", "--model", model_path, "--teacher", "dpm2", "--N", "4", "--images", "16",
+                "--batch", "8", "--lr", "1e307", "--out", str(tmp_path / "p.json")]
+        pattern = r"^difflab train-amed: error: lr 1e\+307 overflowed the weights at loop 0, interval 0$"
+    _fails_with(capsys, argv, pattern)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in recwarn]
+
+
 def test_train_amed_cli(tmp_path, model_path, capsys):
     out = tmp_path / "predictor.json"
     loss_out = tmp_path / "loss.csv"

@@ -139,6 +139,42 @@ def test_eval_batch_dims_are_restored():
         np.testing.assert_array_equal(got.responsibilities, want.responsibilities)
 
 
+def test_eval_times_of_the_batch_shape_match_a_broadcast_column_bitwise():
+    # Times shaped like the state's batch are used as they are, however they
+    # are laid out; a column of times is broadcast first.  Both give one set of bits.
+    m = make_gmm(17, 5, 16)
+    rng = dl.stream(11, "row-times")
+    x = rng.standard_normal((4, 6, 16)) * 4.0
+    col = rng.uniform(0.01, 20.0, (4, 1))
+    want = dl.eval_model(m, x, col)
+    full = np.repeat(col, 6, axis=1)
+    layouts = {
+        "contiguous": full,
+        "transposed": np.ascontiguousarray(full.T).T,
+        "strided": np.repeat(col, 12, axis=1)[:, ::2],
+        "zero-stride": np.broadcast_to(col, (4, 6)),
+    }
+    for name, t in layouts.items():
+        assert t.shape == (4, 6) and t.flags.c_contiguous == (name == "contiguous"), name
+        got = dl.eval_model(m, x, t)
+        np.testing.assert_array_equal(got.epsilon, want.epsilon, err_msg=name)
+        np.testing.assert_array_equal(got.responsibilities, want.responsibilities, err_msg=name)
+
+
+@pytest.mark.parametrize("state_shape, t_shape", [((16,), (5,)), ((1, 16), (5,)), ((3, 1, 16), (3, 5))])
+def test_eval_shared_state_still_broadcasts_bitwise(state_shape, t_shape):
+    m = make_gmm(18, 5, 16)
+    rng = dl.stream(12, "shared-state")
+    x = rng.standard_normal(state_shape) * 4.0
+    t = rng.uniform(0.01, 20.0, t_shape)
+    lead = np.broadcast_shapes(state_shape[:-1], t_shape)
+    got = dl.eval_model(m, x, t)
+    want = dl.eval_model(m, np.ascontiguousarray(np.broadcast_to(x, lead + (16,))), t)
+    assert got.epsilon.shape == lead + (16,) and got.responsibilities.shape == lead + (5,)
+    np.testing.assert_array_equal(got.epsilon, want.epsilon)
+    np.testing.assert_array_equal(got.responsibilities, want.responsibilities)
+
+
 @pytest.mark.parametrize("t", [1.3, np.ones(0)])
 def test_eval_empty_batch(t):
     ev = dl.eval_model(make_gmm(16, 5, 16), np.zeros((0, 16)), t)
