@@ -240,7 +240,7 @@ def amed_step(model, params, x, t_hi, t_lo, carry=None, *, base=None, eps_cur=No
 
 def amed_sample(model, params, schedule, x_T, base: SolverKind | None = None, afs: bool = False) -> Trajectory:
     """Run the learned solver (base=None) or the learned plugin over a schedule; afs as in ``sample``."""
-    return _run(model, partial(amed_step, model, params, base=base), schedule, x_T, afs, "amed")
+    return Trajectory.collect(_run(model, partial(amed_step, model, params, base=base), schedule, x_T, afs, "amed"))
 
 
 # ---------------------------------------------------------------------------

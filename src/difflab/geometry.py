@@ -158,7 +158,8 @@ def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Tr
     steps = schedule.n - 1
 
     eps_cur = eval_model(model, x0, float(ts[0])).epsilon
-    baseline = _walk_schedule(partial(_search_step, model, base, 0.5), schedule, x0, eps_cur, "grid_align baseline")
+    walk = _walk_schedule(partial(_search_step, model, base, 0.5), schedule, x0, eps_cur, "grid_align baseline")
+    baseline = Trajectory.collect(walk)
     x_sea, carry_sea = x0, None
     best_r = np.zeros((steps, n_b))
     alignment = np.zeros((steps, n_b))

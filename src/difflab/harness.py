@@ -15,6 +15,7 @@ import platform
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .rng import stream
 from .schedules import SCHEDULE_KINDS, make_schedule
 from .score_models import ORACLE_MIN_INTERVALS, ORACLE_SUBSTEPS, GaussianMixture, _read_json, _write_json
 from .score_models import certified_grid, load_model, reference_solve, sample_data
-from .solvers import SolverKind, parse_solver_spec, sample
+from .solvers import SolverKind, _run, parse_solver_spec, substep
 from .trajectory import write_csv
 
 ENV_OUTDIR = "DIFFLAB_OUTDIR"
@@ -136,7 +137,8 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
     the error estimate mean |y_S - y_(S//2)| / ((S / (S//2))^4 - 1), 0.98x the
     error against 256 substeps on gmm2_d8 but 0.65x on gmm4_d16 (S//2 is not
     yet in RK4's asymptotic range there), and with that estimate's ratio to
-    the smallest row's mean endpoint error.  ``report.wallclock`` (and
+    the smallest row's mean endpoint error.  A solver run keeps only its newest
+    state, so memory does not grow with NFE.  ``report.wallclock`` (and
     ``timing.json``) holds the seconds spent on model, output directory, input
     and data draws and reference grid (``setup``), both reference runs
     (``oracle``), each solver's schedule and run (``<label>@<nfe>``), endpoint
@@ -167,20 +169,14 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
             with _phase(report.wallclock, f"{label}@{nfe}"):
                 n = nfe_to_steps(kind, nfe, cfg.afs)
                 schedule = make_schedule(cfg.schedule_kind, n, cfg.t_min, cfg.t_max, rho=cfg.rho)
-                traj = sample(model, kind, schedule, x_T, afs=cfg.afs)
+                walk = _run(model, partial(substep, model, kind), schedule, x_T, cfg.afs, kind.tag)
+                for _, endpoint, nfe_observed in walk:
+                    pass  # only the newest state is kept
             with _phase(report.wallclock, "metrics"):
-                err = float(np.mean(np.linalg.norm(traj.endpoint - ref_endpoint, axis=-1)))
-                sw = sliced_wasserstein(traj.endpoint, data, seed=cfg.seed)
-            report.entries.append(
-                RunEntry(
-                    solver=label,
-                    nfe=nfe,
-                    steps=n,
-                    mean_endpoint_l2=err,
-                    sliced_w2=sw,
-                    nfe_observed=traj.nfe,
-                )
-            )
+                err = float(np.mean(np.linalg.norm(endpoint - ref_endpoint, axis=-1)))
+                sw = sliced_wasserstein(endpoint, data, seed=cfg.seed)
+            report.entries.append(RunEntry(solver=label, nfe=nfe, steps=n, mean_endpoint_l2=err,
+                                           sliced_w2=sw, nfe_observed=nfe_observed))
             errs.append((nfe, err))
         with _phase(report.wallclock, "metrics"):
             report.orders[label] = order_estimate(errs) if len(errs) >= 3 else None

@@ -30,9 +30,12 @@ def sliced_wasserstein(a, b, projections: int = 64, seed: int = 0) -> float:
         rng = stream(seed, "sw")
         u = rng.standard_normal((projections, d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-    pa = np.sort(a @ u.T, axis=0)
-    pb = np.sort(b @ u.T, axis=0)
-    w2 = np.sqrt(np.mean((pa - pb) ** 2, axis=0))
+    # In place: 2 (n, projections) buffers, not 6; at n = 256 freeing 6 made glibc trim and re-fault the heap per call.
+    pa, pb = a @ u.T, b @ u.T
+    pa.sort(axis=0)
+    pb.sort(axis=0)
+    pa -= pb
+    w2 = np.sqrt(np.mean(np.square(pa, out=pa), axis=0))
     return float(w2.mean())
 
 

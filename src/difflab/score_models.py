@@ -255,7 +255,7 @@ def oracle_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_S
     if substeps < ORACLE_SUBSTEPS // 2:
         raise ValueError(f"oracle requires substeps >= {ORACLE_SUBSTEPS // 2} per interval")
     x = np.asarray(x_T, dtype=np.float64)
-    return _walk_schedule(partial(_rk4_interval, model, substeps), schedule, x, None, "oracle")
+    return Trajectory.collect(_walk_schedule(partial(_rk4_interval, model, substeps), schedule, x, None, "oracle"))
 
 
 def reference_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_SUBSTEPS) -> Trajectory:

@@ -11,8 +11,8 @@ for composition: ``eps_cur`` injects a precomputed (or analytically
 substituted) slope at the current state at no model call, and ``scale``
 multiplies the step's direction term, which is how a learned per-step
 rescaling wraps a base solver.  Times may be scalars or per-sample arrays
-broadcast against a batched state.  ``sample`` walks ``substep`` down the
-schedule with ``trajectory._walk_schedule``.
+broadcast against a batched state.  ``_run`` hands ``substep`` to the generator
+``trajectory._walk_schedule``; ``sample`` collects every node, ``run_experiment`` the newest.
 
 ``split_step`` is the one interval-split primitive; each solver that splits
 an interval is one choice of its parameters (r, w, c, a, base), the rest
@@ -212,11 +212,11 @@ def sample(model: GaussianMixture, kind: SolverKind, schedule, x_T, afs: bool = 
     (x - m)/t, m the mixture mean: eps's large-t limit.
     Deterministic given x_T (which may be batched); see ``_walk_schedule``.
     """
-    return _run(model, partial(substep, model, kind), schedule, x_T, afs, kind.tag)
+    return Trajectory.collect(_run(model, partial(substep, model, kind), schedule, x_T, afs, kind.tag))
 
 
-def _run(model: GaussianMixture, step, schedule, x_T, afs: bool, name: str) -> Trajectory:
-    """Check the state's width, take the analytic first slope if afs, and walk the schedule."""
+def _run(model: GaussianMixture, step, schedule, x_T, afs: bool, name: str):
+    """Check the state's width and take the analytic first slope if afs, now; return the schedule walk."""
     x = np.asarray(x_T, dtype=np.float64)
     if x.shape[-1] != model.dim:
         raise ValueError(f"state has dim {x.shape[-1]}, model has dim {model.dim}")

@@ -1,7 +1,7 @@
-"""Trajectories, the one schedule walk that records them, and the one CSV writer.
+"""Trajectories, the one schedule walk, and the one CSV writer.
 
-``sample``, ``amed_sample``, ``oracle_solve`` and ``grid_align``'s baseline
-each pass one step function to ``_walk_schedule``.
+``_walk_schedule`` is a generator that yields every node and keeps none: ``sample``,
+``amed_sample``, ``oracle_solve`` and ``grid_align``'s baseline collect them (``Trajectory.collect``).
 """
 
 from __future__ import annotations
@@ -39,27 +39,35 @@ class Trajectory:
     def endpoint(self) -> np.ndarray:
         return self.nodes[-1][1]
 
+    @classmethod
+    def collect(cls, walk) -> Trajectory:
+        """Every ``(t, x)`` node of a ``_walk_schedule`` walk, and its NFE."""
+        nodes = list(walk)
+        return cls(nodes=[node[:2] for node in nodes], nfe=nodes[-1][2])
 
-@np.errstate(all="ignore")  # every state is checked below: numpy's warnings would only precede the error
-def _walk_schedule(step, schedule, x, eps0, name: str) -> Trajectory:
-    """Step from the top of the schedule down to its floor, recording every node.
+
+def _walk_schedule(step, schedule, x, eps0, name: str):
+    """Step from the top of the schedule down to its floor, yielding ``(t, x, nfe so far)`` at every node.
 
     step(x, t_hi, t_lo, carry, eps_cur=...) returns ``(x_next, nfe, carry)``;
     eps0, if not None, is interval 0's first slope (the analytic first step,
-    or one the caller already computed).  NFE is summed, and a non-finite
-    state aborts naming the interval rather than being clamped.
+    or one the caller already computed).  An overflow or a non-finite state
+    aborts naming the interval; numpy's error state is set per step, never across a yield.
     """
-    ts = schedule.times[::-1]
-    nodes = [(float(ts[0]), x)]
+    ts = schedule.times[::-1].tolist()
     nfe, carry = 0, None
+    yield ts[0], x, nfe
     for i in range(len(ts) - 1):
-        t_hi, t_lo = float(ts[i]), float(ts[i + 1])
-        x, n, carry = step(x, t_hi, t_lo, carry, eps_cur=eps0 if i == 0 else None)
+        t_hi, t_lo = ts[i], ts[i + 1]
+        try:
+            with np.errstate(all="raise", under="ignore"):  # e.g. eval_model's t*t past 1.3e154: a NaN slope
+                x, n, carry = step(x, t_hi, t_lo, carry, eps_cur=eps0 if i == 0 else None)
+                if not np.isfinite(x).all():  # a NaN slope propagates without raising
+                    raise FloatingPointError
+        except FloatingPointError:
+            raise DivergenceError(f"{name} diverged in interval [{t_lo:g}, {t_hi:g}]") from None
         nfe += n
-        if not np.isfinite(x).all():
-            raise DivergenceError(f"{name} diverged in interval [{t_lo:g}, {t_hi:g}]")
-        nodes.append((t_lo, x))
-    return Trajectory(nodes=nodes, nfe=nfe)
+        yield t_lo, x, nfe
 
 
 def write_csv(path, header, rows) -> None:

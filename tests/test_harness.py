@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -362,3 +363,41 @@ def test_orders_config_matches_exact_solution(monkeypatch):
         err = float(np.mean(np.linalg.norm(traj.endpoint - exact, axis=-1)))
         assert e.mean_endpoint_l2 == pytest.approx(err, rel=1e-5, abs=0), (e.solver, e.nfe)
     assert all(order is not None for order in report.orders.values())
+
+
+def test_run_experiment_memory_does_not_grow_with_nfe(monkeypatch):
+    """A solver run keeps only its newest state: at NFE 64 the peak is within 4 states of NFE 8's.
+
+    numpy.random is imported first: numpy loads it lazily, and the import
+    alone would count as memory of whichever run came first.
+    """
+    import numpy.random  # noqa: F401
+
+    monkeypatch.delenv(dl.harness.ENV_OUTDIR, raising=False)
+    model = dl.load_model(ROOT / "configs" / "gmm2_d8.json")
+
+    def peak(nfe):
+        cfg = RunConfig(model=model, solvers=(dl.SolverKind("euler_ddim"),), nfe=(nfe,), batch=256)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    state = 256 * model.dim * 8
+    assert abs(peak(64) - peak(8)) < 4 * state
+
+
+@pytest.mark.parametrize("afs,nfe", [(False, (8, 16)), (True, (5, 9))], ids=["exact_first", "afs"])
+def test_run_experiment_counts_every_model_call(monkeypatch, afs, nfe):
+    """Model calls made = the rows' nfe_observed plus both reference runs (8 and 4 RK4 substeps, 16 intervals)."""
+    from test_solvers import count_model_calls
+
+    calls = count_model_calls(monkeypatch, dl.solvers, dl.score_models)
+    cfg = RunConfig(model=make_gmm(7, 2, 4), solvers=tuple(dl.SolverKind(t) for t in dl.solvers.SOLVER_TAGS),
+                    nfe=nfe, afs=afs, batch=8, seed=3)
+    report = run_experiment(cfg)
+    assert len(report.entries) == 10
+    assert len(calls) == sum(e.nfe_observed for e in report.entries) + 4 * 8 * 16 + 4 * 4 * 16

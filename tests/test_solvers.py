@@ -1,3 +1,6 @@
+from collections import deque
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -422,3 +425,42 @@ def test_nan_state_aborts_naming_the_interval(monkeypatch, gmm2_d8, poly_schedul
     t_hi, t_lo = poly_schedule.times[::-1][:2]
     with pytest.raises(dl.DivergenceError, match=rf"^{tag} diverged in interval \[{t_lo:g}, {t_hi:g}\]$"):
         dl.sample(gmm2_d8, dl.SolverKind(tag), poly_schedule, np.ones(8))
+
+
+def _walk(model, tag, schedule, x_T, afs):
+    """The schedule walk ``run_experiment`` streams: ``sample``'s, with no node collected."""
+    return solvers._run(model, partial(solvers.substep, model, dl.SolverKind(tag)), schedule, x_T, afs, tag)
+
+
+@pytest.mark.parametrize("afs", [False, True], ids=["exact_first", "afs"])
+@pytest.mark.parametrize("tag", solvers.SOLVER_TAGS)
+def test_streamed_walk_ends_where_sample_does(gmm2_d8, poly_schedule, tag, afs):
+    """The newest state and NFE of the stream are sample's endpoint and nfe, bitwise.
+
+    Between two nodes the consumer runs under its own numpy error state: the
+    walk sets its own around each step, never across a yield.
+    """
+    x_T = dl.stream(0, "probe").standard_normal((4, 8)) * 80.0
+    seen = []
+    with np.errstate(all="warn"):
+        mine = np.geterr()
+        for _, x, nfe in _walk(gmm2_d8, tag, poly_schedule, x_T, afs):
+            seen.append(np.geterr())
+    traj = dl.sample(gmm2_d8, dl.SolverKind(tag), poly_schedule, x_T, afs=afs)
+    assert np.array_equal(x, traj.endpoint) and nfe == traj.nfe
+    assert len(seen) == len(traj.nodes) and all(e == mine for e in seen)
+
+
+@pytest.mark.parametrize("afs", [False, True], ids=["exact_first", "afs"])
+@pytest.mark.parametrize("tag", solvers.SOLVER_TAGS)
+def test_streamed_walk_diverges_as_sample_does(gmm2_d8, tag, afs):
+    """Above t = 1.3e154 eval_model's t*t overflows: both name the solver and the interval."""
+    schedule = dl.make_schedule("polynomial", 6, 0.002, 1e200, rho=7.0)
+    x_T = dl.stream(0, "probe").standard_normal((4, 8)) * 1e200
+    messages = []
+    for run in (lambda: deque(_walk(gmm2_d8, tag, schedule, x_T, afs), maxlen=0),
+                lambda: dl.sample(gmm2_d8, dl.SolverKind(tag), schedule, x_T, afs=afs)):
+        with pytest.raises(dl.DivergenceError, match=rf"^{tag} diverged in interval \[") as err:
+            run()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
