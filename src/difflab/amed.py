@@ -12,7 +12,8 @@ loss, and the parameter gradient is exact MLP backpropagation from central
 finite-difference sensitivities of the loss with respect to the two or three
 output logits.  No autodiff framework is involved.  The step and its probes
 run together as one step over a probe grid (see ``step_loss_grad``), so an
-update costs 1 + one student step's model calls.
+update costs 1 + one student step's model calls.  The teacher runs once per
+three loops on their stacked batches, bitwise as one run per loop.
 """
 
 from __future__ import annotations
@@ -292,6 +293,7 @@ class TrainResult:
 
 
 _FD_H = 1e-3
+_TEACHER_GROUP = 3  # loops per teacher walk: 3 x batch rows, as many as a two-output probe grid evaluates
 # Logit shifts over the probe grid (c row, (r, a) column, logit); see step_loss_grad.
 _PROBE_SHIFTS = np.zeros((3, 5, 3))
 _PROBE_SHIFTS[1:, 0, 1] = _PROBE_SHIFTS[0, 1:3, 0] = _PROBE_SHIFTS[0, 3:, 2] = (_FD_H, -_FD_H)
@@ -356,10 +358,11 @@ def step_loss_grad(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur
 def train(model: GaussianMixture, cfg: TrainConfig, schedule: TimeSchedule) -> TrainResult:
     """Distill the predictor against a refined-schedule teacher.
 
-    Per loop: draw a batch of start states, run the teacher, then walk the
-    intervals top-down taking the student step, updating the parameters after
-    every interval (N-1 updates per loop), and continuing from the student's
-    own states.  Bit-reproducible for a fixed seed.
+    Per loop: draw a batch of start states, then walk the intervals top-down
+    taking the student step, updating the parameters after every interval
+    (N-1 updates per loop), and continuing from the student's own states.
+    The teacher walks once per three loops on their stacked batches (loop j
+    reads row j): the bits of one walk per loop.  Bit-reproducible per seed.
     """
     params = PredictorParams.init(stream(cfg.seed, "init"), outputs=3 if cfg.learn_time_scale else 2)
     fine = refine_teacher(schedule, cfg.m)
@@ -369,13 +372,14 @@ def train(model: GaussianMixture, cfg: TrainConfig, schedule: TimeSchedule) -> T
     losses = np.zeros((loops, n - 1))
     opt = [AdamState(params) for _ in range(n - 1)]
     for loop in range(loops):
-        rng = stream(cfg.seed, "batch", loop)
-        x = rng.standard_normal((cfg.batch, model.dim)) * schedule.t_max
-        teacher = sample(model, cfg.teacher, fine, x)
-        carry = None
+        if (j := loop % _TEACHER_GROUP) == 0:  # one teacher walk on this loop's and the next two's stacked batches
+            xs = np.stack([stream(cfg.seed, "batch", i).standard_normal((cfg.batch, model.dim))
+                           for i in range(loop, min(loop + _TEACHER_GROUP, loops))]) * schedule.t_max
+            ys = [y for _, y in sample(model, cfg.teacher, fine, xs).nodes[cfg.m + 1 :: cfg.m + 1]]  # the coarse nodes
+        x, carry = xs[j], None
         for k in range(n - 1):
             t_hi, t_lo = float(ts[k]), float(ts[k + 1])
-            y = teacher.nodes[(k + 1) * (cfg.m + 1)][1]
+            y = ys[k][j]
             loss, grads, x, carry = step_loss_grad(
                 model, params, cfg.student, x, t_hi, t_lo, y, carry
             )

@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -627,6 +629,68 @@ def test_train_is_bit_reproducible():
     np.testing.assert_array_equal(r1.losses, r2.losses)
     for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
         np.testing.assert_array_equal(getattr(r1.params, name), getattr(r2.params, name))
+
+
+def _per_loop_train(model, cfg, schedule):
+    """``train`` written loop by loop: one teacher ``sample`` per batch, then N-1 updates."""
+    params = PredictorParams.init(dl.stream(cfg.seed, "init"), outputs=3 if cfg.learn_time_scale else 2)
+    fine = dl.refine_teacher(schedule, cfg.m)
+    ts = schedule.times[::-1]
+    losses = np.zeros((math.ceil(cfg.images / cfg.batch), schedule.n - 1))
+    opt = [amed.AdamState(params) for _ in range(schedule.n - 1)]
+    for loop in range(len(losses)):
+        x = dl.stream(cfg.seed, "batch", loop).standard_normal((cfg.batch, model.dim)) * schedule.t_max
+        teacher, carry = dl.sample(model, cfg.teacher, fine, x), None
+        for k in range(schedule.n - 1):
+            y = teacher.nodes[(k + 1) * (cfg.m + 1)][1]
+            losses[loop, k], grads, x, carry = step_loss_grad(
+                model, params, cfg.student, x, float(ts[k]), float(ts[k + 1]), y, carry
+            )
+            params = opt[k].update(params, grads, cfg.lr)
+    return losses, params
+
+
+@pytest.mark.parametrize("student_tag,time_scale", [(None, False), ("ipndm", False), (None, True), ("ipndm", True)])
+def test_train_matches_per_loop_reference_bitwise(student_tag, time_scale):
+    # 5 loops: one full group of teacher batches and a partial one; ipndm carries history across intervals.
+    m = make_gmm(21, 2, 4)
+    sch = dl.make_schedule("polynomial", 5, 0.002, 80.0, rho=7.0)
+    student = None if student_tag is None else dl.SolverKind(student_tag)
+    cfg = TrainConfig(teacher=dl.SolverKind("dpm2"), student=student, m=2, batch=8, images=40, lr=1e-3, seed=4,
+                      learn_time_scale=time_scale)
+    res = amed.train(m, cfg, sch)
+    losses, params = _per_loop_train(m, cfg, sch)
+    assert res.losses.shape == (5, 4)
+    np.testing.assert_array_equal(res.losses, losses)
+    np.testing.assert_array_equal(res.params.theta, params.theta)
+
+
+@pytest.mark.parametrize("teacher_tag,student_tag,per_update", [("dpm2", None, 2), ("euler_ddim", "dpm2", 4)])
+@pytest.mark.parametrize("images", [24, 40, 56])
+def test_train_walks_the_teacher_once_per_three_loops(monkeypatch, teacher_tag, student_tag, per_update, images):
+    # 3, 5 and 7 loops of 8: one teacher walk per started group of three, then each loop's N-1 updates.
+    m = make_gmm(21, 2, 4)
+    n = 4
+    sch = dl.make_schedule("polynomial", n, 0.002, 80.0, rho=7.0)
+    student = None if student_tag is None else dl.SolverKind(student_tag)
+    cfg = TrainConfig(teacher=dl.SolverKind(teacher_tag), student=student, m=2, batch=8, images=images, seed=0)
+    teacher_nfe = dl.sample(m, cfg.teacher, dl.refine_teacher(sch, cfg.m), np.zeros((8, 4))).nfe
+    calls = []
+    real = dl.eval_model
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    # Every alias: solvers, amed and score_models each hold eval_model by name.
+    for name, module in list(sys.modules.items()):
+        if name == "difflab" or name.startswith("difflab."):
+            for key, val in list(vars(module).items()):
+                if val is real:
+                    monkeypatch.setattr(module, key, counted)
+    amed.train(m, cfg, sch)
+    loops = images // 8
+    assert len(calls) == math.ceil(loops / 3) * teacher_nfe + loops * (n - 1) * per_update
 
 
 def test_train_config_validation():
