@@ -89,11 +89,12 @@ def _cmd_train_amed(args) -> int:
     # Fixed held-out batch, independent of --seed; one reference serves both rows.
     # The trained row scores the checkpoint as written.
     held = stream(77, "held").standard_normal((_HELD_OUT, model.dim)) * schedule.t_max
-    ref = reference_solve(model, held, schedule).endpoint
+    ref = reference_solve(model, held, schedule)
     errs = {}
     for label, params in (("untrained", PredictorParams.zeros()), ("trained", load_predictor(out))):
         traj = amed_sample(model, params, schedule, held, base=student)
-        errs[label] = float(np.mean(np.linalg.norm(traj.endpoint - ref, axis=-1)))
+        errs[label] = float(np.mean(np.linalg.norm(traj.endpoint - ref.endpoint, axis=-1)))
+    print(f"reference: error estimate {ref.error_estimate:.3g}, {ref.nfe} model calls")
     print(
         f"held-out mean endpoint L2 ({_HELD_OUT} states, nfe={traj.nfe}): "
         f"untrained {errs['untrained']:.6g}, trained {errs['trained']:.6g}"
@@ -145,6 +146,7 @@ def _cmd_align(args) -> int:
     oracle = reference_solve(model, x_T, schedule)
     result = grid_align(model, base, schedule, grid, oracle)
     write_alignment_csv(result, _out_path(args.out))
+    print(f"reference: error estimate {oracle.error_estimate:.3g}, {oracle.nfe} model calls")
     print(f"wrote {args.out}; mean alignment per step: "
           + ", ".join(f"{v:.6g}" for v in result.mean_alignment))
     return 0

@@ -22,7 +22,7 @@ import numpy as np
 from .metrics import order_estimate, sliced_wasserstein
 from .rng import stream
 from .schedules import SCHEDULE_KINDS, make_schedule
-from .score_models import ORACLE_MIN_INTERVALS, ORACLE_SUBSTEPS, GaussianMixture, _read_json, _write_json
+from .score_models import ORACLE_NODES, ORACLE_SUBSTEPS, GaussianMixture, _read_json, _write_json
 from .score_models import certified_grid, load_model, reference_solve, sample_data
 from .solvers import SolverKind, _run, parse_solver_spec, substep
 from .trajectory import write_csv
@@ -66,7 +66,7 @@ class RunConfig:
     seed: int = 0
     outdir: str | None = None
     oracle_substeps = ORACLE_SUBSTEPS  # the reference's certified setting, not fields: no run sets them
-    oracle_nodes = ORACLE_MIN_INTERVALS + 1
+    oracle_nodes = ORACLE_NODES
 
     def __post_init__(self):
         object.__setattr__(self, "nfe", tuple(int(v) for v in self.nfe))
@@ -132,18 +132,17 @@ def _phase(wallclock: dict, name: str):
 def run_experiment(cfg: RunConfig) -> MetricsReport:
     """Run the configured grid and (optionally) persist CSV/JSON reports.
 
-    The reference runs on ``certified_grid`` whatever the run's schedule, at
-    S = ``ORACLE_SUBSTEPS`` and S//2; ``report.reference`` certifies it with
-    the error estimate mean |y_S - y_(S//2)| / ((S / (S//2))^4 - 1), 0.98x the
-    error against 256 substeps on gmm2_d8 but 0.65x on gmm4_d16 (S//2 is not
-    yet in RK4's asymptotic range there), and with that estimate's ratio to
-    the smallest row's mean endpoint error.  A solver run keeps only its newest
-    state, so memory does not grow with NFE.  ``report.wallclock`` (and
-    ``timing.json``) holds the seconds spent on model, output directory, input
-    and data draws and reference grid (``setup``), both reference runs
-    (``oracle``), each solver's schedule and run (``<label>@<nfe>``), endpoint
-    errors, sliced W2 and order fits (``metrics``), the CSV and JSON reports
-    (``write``) and the call up to the sidecar (``total``), plus ``environment``.
+    The reference is one ``reference_solve`` on ``certified_grid`` whatever
+    the run's schedule; ``report.reference`` holds the error estimate it
+    returns (0.98x the error against 256 substeps on gmm2_d8, 0.65x on
+    gmm4_d16) and that estimate's ratio to the smallest row's mean endpoint
+    error.  A solver run keeps only its newest state, so memory does not grow
+    with NFE.  ``report.wallclock`` (and ``timing.json``) holds the seconds
+    spent on model, output directory, input and data draws and reference grid
+    (``setup``), both reference runs (``oracle``), each solver's schedule and
+    run (``<label>@<nfe>``), endpoint errors, sliced W2 and order fits
+    (``metrics``), the CSV and JSON reports (``write``) and the call up to the
+    sidecar (``total``), plus ``environment``.
     """
     start = time.perf_counter()
     report = MetricsReport()
@@ -157,10 +156,9 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
         ref_schedule = certified_grid(cfg.t_min, cfg.t_max)
 
     with _phase(report.wallclock, "oracle"):
-        ref_endpoint = reference_solve(model, x_T, ref_schedule).endpoint
-        half = ORACLE_SUBSTEPS // 2
-        gap = np.linalg.norm(ref_endpoint - reference_solve(model, x_T, ref_schedule, half).endpoint, axis=-1)
-        error_estimate = float(np.mean(gap)) / ((ORACLE_SUBSTEPS / half) ** 4 - 1)
+        ref = reference_solve(model, x_T, ref_schedule)
+        ref_endpoint, error_estimate = ref.endpoint, ref.error_estimate
+        del ref  # its 17 nodes would stay alive through every solver run
 
     for kind in cfg.solvers:
         label = kind.label()

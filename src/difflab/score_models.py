@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .schedules import TimeSchedule, make_schedule, refine_teacher
+from .schedules import TimeSchedule, make_schedule
 from .trajectory import DivergenceError, Trajectory, _walk_schedule  # DivergenceError: re-exported
 
 _TINY = float(np.finfo(np.float64).tiny)  # smallest normal double
@@ -39,20 +39,19 @@ _TINY = float(np.finfo(np.float64).tiny)  # smallest normal double
 # zero; a mixture with more components is truncated.
 FEATURE_DIM = 16
 
-# RK4 substeps per interval of the reference trajectory, and the fewest
-# intervals ``reference_solve`` integrates over: ``certified_grid``'s nodes
-# less one.  test_score_models.py::test_oracle_default_certified holds the
-# Richardson error estimate of 8 substeps (against 16) to 1/100 of the best
-# solver's mean endpoint error on the shipped mixtures, on that grid and on
-# 3-, 4- and 6-node schedules.  Half of it, which fails that bar on gmm4_d16,
-# is ``oracle_solve``'s floor: the coarse run of each report's certificate.
+# RK4 substeps per interval of a reference, and the nodes of ``certified_grid``,
+# which every mixture reference integrates joined with the schedule's nodes.
+# test_score_models.py::test_oracle_default_certified holds the Richardson
+# estimate of 8 substeps (against 16) to 1/100 of the best solver's mean
+# endpoint error on the shipped mixtures.  Half of it, which fails that bar on
+# gmm4_d16, is ``oracle_solve``'s floor and the coarse run of every certificate.
 ORACLE_SUBSTEPS = 8
-ORACLE_MIN_INTERVALS = 16
+ORACLE_NODES = 17
 
 
 def certified_grid(t_min: float, t_max: float) -> TimeSchedule:
     """The reference grid the certificate was measured on: 17 polynomial rho-7 nodes."""
-    return make_schedule("polynomial", ORACLE_MIN_INTERVALS + 1, t_min, t_max, rho=7.0)
+    return make_schedule("polynomial", ORACLE_NODES, t_min, t_max, rho=7.0)
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
@@ -241,16 +240,12 @@ def _rk4_interval(model: GaussianMixture, substeps: int, x, t_hi: float, t_lo: f
 
 
 def oracle_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_SUBSTEPS) -> Trajectory:
-    """Reference trajectory via classical RK4 on the schedule as given.
+    """RK4 on the schedule as given: ``substeps`` uniform steps per interval, at least half of ORACLE_SUBSTEPS.
 
-    Integrates the flow ODE from the top of the schedule down to its floor,
-    splitting every schedule interval into ``substeps`` uniform sub-intervals
-    (by default ``ORACLE_SUBSTEPS``, at least half of it), and records the
-    state at every schedule node.  Deterministic; 4 * substeps model calls
-    per interval.  The default is certified only on ``certified_grid`` and
-    the schedules named beside it; on 3 polynomial nodes it errs by 1.1e-1
-    (mean endpoint L2 on configs/gmm4_d16.json).  Use ``reference_solve``,
-    which refines coarse schedules first.
+    Records the state at every schedule node; 4 * substeps model calls per
+    interval.  The default is certified on ``certified_grid`` only: on 3
+    polynomial nodes it errs by 1.1e-1 (mean endpoint L2 on
+    configs/gmm4_d16.json).  ``reference_solve`` joins that grid's nodes first.
     """
     if substeps < ORACLE_SUBSTEPS // 2:
         raise ValueError(f"oracle requires substeps >= {ORACLE_SUBSTEPS // 2} per interval")
@@ -259,25 +254,26 @@ def oracle_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_S
 
 
 def reference_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_SUBSTEPS) -> Trajectory:
-    """Reference states at the schedule's nodes, integrated on at least 16 intervals.
+    """Reference states at the schedule's nodes, with their Richardson error estimate.
 
-    A single-component model takes ``exact_trajectory`` at every node (nfe
-    0).  Otherwise a schedule with fewer than ``ORACLE_MIN_INTERVALS``
-    intervals is refined by ``refine_teacher`` with the fewest inserted nodes
-    per interval m that reaches 16; ``oracle_solve`` runs on the refined grid
-    and every (m+1)-th state is kept.  Refinement reproduces the original
-    nodes bitwise, so the result lines up with the schedule exactly.  A 3-,
-    5- or 9-node polynomial schedule on [0.002, 80] with rho 7 refines to the
-    certified 17-node grid itself; 16 or more intervals are integrated as given.
+    A single-component model takes ``exact_trajectory`` at every node (nfe 0,
+    estimate 0).  Otherwise ``oracle_solve`` integrates ``certified_grid``
+    joined with the schedule's nodes at S = ``substeps`` and at S//2, keeping
+    the schedule's nodes; ``error_estimate`` is mean |y_S - y_(S//2)| /
+    ((S / (S//2))^4 - 1) at the endpoint, and nfe counts both runs.
     """
+    if substeps < ORACLE_SUBSTEPS:
+        raise ValueError(f"reference requires substeps >= {ORACLE_SUBSTEPS} per interval; got {substeps}")
     if model.n_components == 1:
         nodes = [(t, exact_trajectory(model, x_T, t, schedule.t_max)) for t in schedule.times[::-1].tolist()]
-        return Trajectory(nodes=nodes, nfe=0)
-    m = max(0, -(-ORACLE_MIN_INTERVALS // (schedule.n - 1)) - 1)
-    if m == 0:
-        return oracle_solve(model, x_T, schedule, substeps)
-    fine = oracle_solve(model, x_T, refine_teacher(schedule, m), substeps)
-    return Trajectory(nodes=fine.nodes[:: m + 1], nfe=fine.nfe)
+        return Trajectory(nodes=nodes, nfe=0, error_estimate=0.0)
+    keep = set(schedule.times.tolist())
+    grid = replace(schedule, times=sorted(keep.union(certified_grid(schedule.t_min, schedule.t_max).times.tolist())))
+    half = oracle_solve(model, x_T, grid, substeps // 2)
+    nfe, half = half.nfe, half.endpoint  # its nodes go before the S run, so one run's nodes are alive at a time
+    fine = oracle_solve(model, x_T, grid, substeps)
+    estimate = float(np.mean(np.linalg.norm(fine.endpoint - half, axis=-1))) / ((substeps / (substeps // 2)) ** 4 - 1)
+    return Trajectory([node for node in fine.nodes if node[0] in keep], nfe + fine.nfe, estimate)
 
 
 def sample_data(model: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:

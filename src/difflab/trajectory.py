@@ -22,10 +22,12 @@ class Trajectory:
     nodes   -- list of (t, x); x may carry a leading batch dimension.
     nfe     -- per-trajectory count of model evaluations (an analytically
                substituted first evaluation counts as zero).
+    error_estimate -- ``reference_solve``'s estimate of its mean endpoint error; else None.
     """
 
     nodes: list = field(default_factory=list)
     nfe: int = 0
+    error_estimate: float | None = None
 
     @property
     def times(self) -> np.ndarray:

@@ -238,6 +238,21 @@ def test_align_cli(tmp_path, model_path):
     assert len(lines) == 4
 
 
+def test_align_and_train_amed_print_the_reference_estimate(tmp_path, capsys):
+    model = str(Path(__file__).resolve().parent.parent / "configs" / "gmm4_d16.json")
+    assert main(["align", "--model", model, "--solver", "dpm2", "--schedule-kind", "uniform", "--N", "5",
+                 "--batch", "8", "--out", str(tmp_path / "a.csv")]) == 0
+    first, last = capsys.readouterr().out.splitlines()
+    m = re.fullmatch(r"reference: error estimate (\S+), 912 model calls", first)  # 4 * (8 + 4) * 19 intervals
+    assert m is not None and 0 < float(m.group(1)) < 1e-5, first
+    assert "mean alignment per step" in last
+    assert main(["train-amed", "--model", model, "--teacher", "dpm2", "--N", "3", "--M", "1", "--images", "16",
+                 "--batch", "16", "--out", str(tmp_path / "p.json")]) == 0
+    line = capsys.readouterr().out.splitlines()[-2]  # the held-out line comes last
+    m = re.fullmatch(r"reference: error estimate (\S+), 768 model calls", line)  # 4 * (8 + 4) * 16 intervals
+    assert m is not None and 0 < float(m.group(1)) < 1e-5, line
+
+
 @pytest.mark.parametrize(
     "grid,solver", [("0.1:1:0.3", "dpm2"), ("0.1:1:0.15", "ipndm"), ("0.1:1:0.15", "euler_ddim")]
 )

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import difflab as dl
 from difflab.harness import load_run_config
-from difflab.score_models import FEATURE_DIM
+from difflab.score_models import FEATURE_DIM, certified_grid
 
 from conftest import make_gmm, save_model
 
@@ -453,11 +453,12 @@ def test_oracle_default_certified(model_file):
 @pytest.mark.parametrize("n", [17, 4])
 def test_oracle_richardson_estimate_matches_exact_error(n):
     # reference_solve takes K=1 in closed form, so RK4 runs here on the grid it
-    # refines a mixture's schedule to: 4 nodes get 5 inserted per interval.
+    # integrates a mixture's schedule on: the certified grid joined with the schedule.
     m = dl.GaussianMixture(weights=[1.0], means=[np.full(8, 0.5)], stds=[0.5])
     x = dl.stream(0, "x_T").standard_normal((256, 8)) * 80.0
     sch = dl.make_schedule("polynomial", n, 0.002, 80.0, rho=7.0)
-    grid = sch if n == 17 else dl.refine_teacher(sch, 5)
+    union = np.union1d(sch.times, certified_grid(0.002, 80.0).times)
+    grid = sch if n == 17 else dl.TimeSchedule(union, "polynomial", 7.0)
     coarse = dl.oracle_solve(m, x, grid).endpoint
     fine = dl.oracle_solve(m, x, grid, 2 * dl.ORACLE_SUBSTEPS).endpoint
     estimate = float(np.mean(np.linalg.norm(coarse - fine, axis=-1))) * 16 / 15
@@ -495,28 +496,61 @@ def test_reference_solve_is_exact_for_one_component(n):
         np.testing.assert_array_equal(state, dl.exact_trajectory(m, x, t, 80.0))
 
 
-def test_reference_solve_refines_coarse_schedules():
+def test_reference_solve_integrates_the_certified_grid_joined_with_the_schedule():
     m = make_gmm(5, 3, 4)
     x = dl.stream(1, "x_T").standard_normal((4, 4)) * 80.0
-    fine = dl.make_schedule("polynomial", 17, 0.002, 80.0, rho=7.0)
-    full = dl.oracle_solve(m, x, fine)
-    # 3 nodes refine to the 17-node grid itself; every 8th state is kept.
-    coarse = dl.make_schedule("polynomial", 3, 0.002, 80.0, rho=7.0)
-    ref = dl.reference_solve(m, x, coarse)
-    np.testing.assert_array_equal(ref.times, coarse.times[::-1])
-    for (t, xs), (tf, xf) in zip(ref.nodes, full.nodes[::8], strict=True):
-        assert t == tf
-        np.testing.assert_array_equal(xs, xf)
-    assert ref.nfe == full.nfe == 4 * dl.ORACLE_SUBSTEPS * 16
-    # 4 nodes (3 intervals) refine to 6 per interval, 18 in all.
-    ref4 = dl.reference_solve(m, x, dl.make_schedule("uniform", 4, 0.5, 10.0))
-    np.testing.assert_array_equal(ref4.times, dl.make_schedule("uniform", 4, 0.5, 10.0).times[::-1])
-    assert ref4.nfe == 4 * dl.ORACLE_SUBSTEPS * 18
-    # 16 or more intervals are integrated as given.
-    same = dl.reference_solve(m, x, fine, 40)
-    for (t, xs), (tf, xf) in zip(same.nodes, dl.oracle_solve(m, x, fine, 40).nodes, strict=True):
-        assert t == tf
-        np.testing.assert_array_equal(xs, xf)
+    grid = certified_grid(0.002, 80.0)
+    full = dl.oracle_solve(m, x, grid)
+    # Polynomial rho-7 schedules whose nodes lie on the certified grid integrate that grid itself.
+    for n in (3, 5, 9, 17):
+        sch = dl.make_schedule("polynomial", n, 0.002, 80.0, rho=7.0)
+        ref = dl.reference_solve(m, x, sch)
+        np.testing.assert_array_equal(ref.times, sch.times[::-1])
+        for (t, xs), (tf, xf) in zip(ref.nodes, full.nodes[:: 16 // (n - 1)], strict=True):
+            assert t == tf
+            np.testing.assert_array_equal(xs, xf)
+        assert ref.nfe == 4 * (8 + 4) * 16
+    # A 4-node uniform schedule shares only its ends with the grid: 17 + 2 nodes, 18 intervals.
+    uniform = dl.make_schedule("uniform", 4, 0.002, 80.0)
+    ref4 = dl.reference_solve(m, x, uniform)
+    np.testing.assert_array_equal(ref4.times, uniform.times[::-1])
+    assert ref4.nfe == 4 * (8 + 4) * 18
+    assert 0 < ref4.error_estimate < 1e-4
+
+
+def test_reference_solve_substep_floor():
+    m = make_gmm(9, 2, 3)
+    sch = dl.make_schedule("uniform", 3, 0.5, 10.0)
+    with pytest.raises(ValueError, match="reference requires substeps >= 8"):
+        dl.reference_solve(m, np.ones(3), sch, 7)
+    assert dl.reference_solve(m, np.ones(3), sch, 8).nfe == 4 * (8 + 4) * 17
+
+
+@pytest.fixture(scope="module", params=["gmm2_d8.json", "gmm4_d16.json"])
+def fine_endpoint(request):
+    """A mixture, train-amed's held-out batch, and its endpoints by RK4 at 32 substeps on 256 intervals.
+
+    Only the endpoint is compared, and it does not depend on the nodes a run
+    visits, so one fine run serves every schedule.
+    """
+    model = dl.load_model(ROOT / "configs" / request.param)
+    x_T = dl.stream(77, "held").standard_normal((256, model.dim)) * 80.0
+    fine = dl.oracle_solve(model, x_T, dl.refine_teacher(certified_grid(0.002, 80.0), 15), 32)
+    return model, x_T, fine.endpoint
+
+
+@pytest.mark.parametrize("kind", ["uniform", "logsnr"])
+def test_reference_is_certified_off_the_polynomial_grid(fine_endpoint, kind):
+    """Within 1e-5 of a fine run, and the estimate within a factor 2 of that error.
+
+    A reference on the schedule's own (refined) nodes erred by 3.3e-3 to 3.7e-2 on uniform schedules.
+    """
+    model, x_T, fine = fine_endpoint
+    for n in (4, 5, 6):
+        ref = dl.reference_solve(model, x_T, dl.make_schedule(kind, n, 0.002, 80.0))
+        err = float(np.mean(np.linalg.norm(ref.endpoint - fine, axis=-1)))
+        assert err <= 1e-5, (n, err)
+        assert 0.5 <= ref.error_estimate / err <= 2.0, (n, ref.error_estimate, err)
 
 
 def test_oracle_records_all_nodes():
