@@ -29,7 +29,7 @@ from .rng import stream
 from .schedules import SCHEDULE_KINDS, make_schedule
 from .score_models import load_model, reference_solve
 from .solvers import parse_solver_spec, sample
-from .trajectory import DivergenceError, read_trajectory_csv, write_csv, write_trajectory_csv
+from .trajectory import DivergenceError, Trajectory, read_trajectory_csv, write_csv, write_trajectory_csv
 
 _HELD_OUT = 256  # states in train-amed's held-out batch
 _MAX_GRID = 1000  # split-point candidates align searches at most
@@ -113,12 +113,15 @@ def _cmd_pca(args) -> int:
     if not paths:
         raise ValueError("nothing to analyze: pass --in and/or --batch")
     trajs = [read_trajectory_csv(p) for p in paths]
-    times = trajs[0].times
+    times, width = trajs[0].times, trajs[0].states.shape[1]
     for p, traj in zip(paths, trajs):
         if not np.array_equal(traj.times, times):
             raise ValueError(f"{p}: node times differ from those of {paths[0]}; cannot average node by node")
-    err = np.mean(np.stack([projection_error(tr, min(2, tr.states.shape[1])) for tr in trajs]), axis=0)
-    cum = np.mean(np.stack([cumulative_variance(tr) for tr in trajs]), axis=0)
+        if traj.states.shape[1] != width:
+            raise ValueError(f"{p}: {traj.states.shape[1]} coordinates, {paths[0]} has {width}; cannot stack")
+    batch = Trajectory(nodes=list(zip(times.tolist(), np.stack([tr.states for tr in trajs], axis=1))))
+    err = projection_error(batch, min(2, width)).mean(axis=1)
+    cum = cumulative_variance(batch).mean(axis=0)
     write_csv(_out_path(args.out), ["t", "rel_projection_error_k2"], zip(times.tolist(), err.tolist()))
     print(f"wrote {args.out} (averaged over {len(paths)} trajectories)" if len(paths) > 1 else f"wrote {args.out}")
     print("cumulative variance by k: " + ", ".join(f"{v:.6f}" for v in cum))

@@ -26,39 +26,37 @@ from .trajectory import Trajectory, _walk_schedule, write_csv
 
 @dataclass(frozen=True)
 class PcaResult:
-    """Orthonormal components (rows, descending eigenvalue), eigenvalues, mean."""
+    """Principal axes of each trajectory in states of shape (nodes, *batch, d).
+
+    components (*batch, min(nodes, d), d): orthonormal rows, descending eigenvalue;
+    eigenvalues (*batch, d), zero-padded; mean (*batch, d).  ``projection_error``
+    returns (nodes, *batch), node-first like the states; ``cumulative_variance`` (*batch, d).
+    """
 
     components: np.ndarray
     eigenvalues: np.ndarray
     mean: np.ndarray
 
 
-def _single_states(traj: Trajectory) -> np.ndarray:
-    x = traj.states
-    if x.ndim != 2:
-        raise ValueError("geometry analyses expect an unbatched trajectory")
-    return x
-
-
 def pca_trajectory(traj: Trajectory) -> PcaResult:
-    """Principal axes and variances of the nodes, by SVD of the centred states.
+    """Principal axes and variances of the nodes, by one stacked thin SVD of the centred states.
 
     The SVD resolves an off-plane residual to about 1e-15 of the states' norm
     (the covariance's eigendecomposition stops near 1e-12).  Components carry
     a deterministic sign (first coordinate of meaningful magnitude is
     positive); an all-equal trajectory yields zero eigenvalues.
     """
-    x = _single_states(traj)
-    if x.shape[0] < 3:
+    x = np.stack([s for _, s in traj.nodes], axis=-2)  # (*batch, nodes, d)
+    n, d = x.shape[-2:]
+    if n < 3:
         raise ValueError("PCA needs at least three nodes")
-    mean = x.mean(axis=0)
-    # All d right singular vectors, without the (nodes, nodes) left factor of a long trajectory.
-    _, sv, comps = np.linalg.svd(x - mean, full_matrices=x.shape[0] < x.shape[1])
-    evals = np.zeros(x.shape[1])
-    evals[: sv.size] = sv * sv / (x.shape[0] - 1)
-    lead = np.take_along_axis(comps, np.argmax(np.abs(comps) > 1e-12, axis=1)[:, None], axis=1)
+    mean = x.mean(axis=-2, keepdims=True)
+    _, sv, comps = np.linalg.svd(x - mean, full_matrices=False)
+    evals = np.zeros(x.shape[:-2] + (d,))
+    evals[..., : sv.shape[-1]] = sv * sv / (n - 1)
+    lead = np.take_along_axis(comps, np.argmax(np.abs(comps) > 1e-12, axis=-1)[..., None], axis=-1)
     comps = np.where(lead < 0, -comps, comps)
-    return PcaResult(components=comps, eigenvalues=evals, mean=mean)
+    return PcaResult(components=comps, eigenvalues=evals, mean=mean[..., 0, :])
 
 
 def projection_error(traj: Trajectory, k: int) -> np.ndarray:
@@ -66,26 +64,23 @@ def projection_error(traj: Trajectory, k: int) -> np.ndarray:
 
     Nodes with zero norm are flagged with NaN.
     """
-    x = _single_states(traj)
-    d = x.shape[1]
-    if not 1 <= k <= d:
+    x = np.stack([s for _, s in traj.nodes], axis=-2)
+    if not 1 <= k <= x.shape[-1]:
         raise ValueError("need 1 <= k <= dim")
     pca = pca_trajectory(traj)
-    basis = pca.components[:k]
-    xc = x - pca.mean
-    recon = xc @ basis.T @ basis + pca.mean
-    norms = np.linalg.norm(x, axis=1)
-    err = np.linalg.norm(x - recon, axis=1)
-    return np.where(norms > 0, err / np.where(norms > 0, norms, 1.0), np.nan)
+    basis = pca.components[..., :k, :]
+    mean = pca.mean[..., None, :]
+    recon = (x - mean) @ basis.swapaxes(-1, -2) @ basis + mean
+    nodes_first = (x.ndim - 2, *range(x.ndim - 2), x.ndim - 1)
+    norms = np.linalg.norm(x.transpose(nodes_first), axis=-1)
+    err = np.linalg.norm((x - recon).transpose(nodes_first), axis=-1)
+    return np.divide(err, norms, out=np.full_like(norms, np.nan), where=norms > 0)
 
 
 def cumulative_variance(traj: Trajectory) -> np.ndarray:
-    """Fraction of total variance explained by the top k components, k = 1..d."""
-    pca = pca_trajectory(traj)
-    cum = np.cumsum(pca.eigenvalues)
-    if cum[-1] <= 0:
-        return np.ones_like(cum)
-    return cum / cum[-1]
+    """Fraction of total variance explained by the top k components, k = 1..d; all ones if all-equal."""
+    cum = np.cumsum(pca_trajectory(traj).eigenvalues, axis=-1)
+    return np.divide(cum, cum[..., -1:], out=np.ones_like(cum), where=cum[..., -1:] > 0)
 
 
 # ---------------------------------------------------------------------------

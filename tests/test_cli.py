@@ -213,6 +213,10 @@ def test_pca_cli_batch_rejects_mismatched_times(tmp_path, model_path, capsys):
     _fails_with(capsys, pca, r"c\.csv: node times differ from those of .*a\.csv")
     main(["sample", "--model", model_path, "--solver", "euler_ddim", "--N", "7", "--out", str(batch_dir / "c.csv")])
     _fails_with(capsys, pca, r"c\.csv: node times differ")
+    # same node times, but 8 coordinates beside 4: the dumps cannot be stacked into one batch
+    wide = str(Path(__file__).resolve().parent.parent / "configs" / "gmm2_d8.json")
+    main(["sample", "--model", wide, "--solver", "euler_ddim", "--N", "6", "--out", str(batch_dir / "c.csv")])
+    _fails_with(capsys, pca, r"c\.csv: 8 coordinates, .*a\.csv has 4")
 
 
 def test_align_cli_ipndm_default_grid(tmp_path):

@@ -98,11 +98,28 @@ def test_projection_error_flags_zero_norm_nodes():
     assert not np.isnan(errs[0]) and np.isnan(errs[1])
 
 
-def test_geometry_rejects_batched_trajectory():
-    nodes = [(t, np.ones((2, 3)) * t) for t in (3.0, 2.0, 1.0)]
-    for analysis in (dl.pca_trajectory, dl.cumulative_variance, lambda tr: dl.projection_error(tr, 1)):
-        with pytest.raises(ValueError, match="unbatched"):
-            analysis(Trajectory(nodes=nodes))
+@pytest.mark.parametrize("n,d", [(5, 8), (12, 4)])
+def test_geometry_batched_matches_per_trajectory_loop(n, d):
+    # rows: two random trajectories, an all-equal one and one with a zero-norm node
+    states = dl.stream(n, "batched").standard_normal((n, 4, d))
+    states[:, 2] = 2.5
+    states[n // 2, 3] = 0.0
+    ts = np.linspace(5.0, 0.5, n)
+    batch = Trajectory(nodes=list(zip(ts, states)))
+    pca = dl.pca_trajectory(batch)
+    errs = dl.projection_error(batch, 2)
+    cum = dl.cumulative_variance(batch)
+    assert pca.components.shape == (4, min(n, d), d) and pca.eigenvalues.shape == (4, d)
+    assert errs.shape == (n, 4) and cum.shape == (4, d)
+    for b in range(4):
+        single = Trajectory(nodes=list(zip(ts, states[:, b])))
+        ref = dl.pca_trajectory(single)
+        np.testing.assert_allclose(pca.eigenvalues[b], ref.eigenvalues, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pca.mean[b], ref.mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(errs[:, b], dl.projection_error(single, 2), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cum[b], dl.cumulative_variance(single), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(cum[2], np.ones(d))
+    assert np.isnan(errs[n // 2, 3]) and not np.isnan(np.delete(errs[:, 3], n // 2)).any()
 
 
 @pytest.mark.parametrize("k", [0, 6])
