@@ -12,8 +12,9 @@ loss, and the parameter gradient is exact MLP backpropagation from central
 finite-difference sensitivities of the loss with respect to the two or three
 output logits.  No autodiff framework is involved.  The step and its probes
 run together as one step over a probe grid (see ``step_loss_grad``), so an
-update costs 1 + one student step's model calls.  The teacher runs once per
-three loops on their stacked batches, bitwise as one run per loop.
+update costs 1 + one student step's model calls.  The teacher walks once per
+three loops on their stacked batches, bitwise as one walk per loop, and its
+first evaluation serves each loop's interval 0.
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
 from .rng import stream
 from .schedules import TimeSchedule, refine_teacher
 from .score_models import FEATURE_DIM, GaussianMixture, ModelEval, _lock, _read_json, _write_json, eval_model
-from .solvers import SolverKind, _check_interval, _run, sample, split_step
-from .trajectory import DivergenceError, Trajectory
+from .solvers import SolverKind, _check_interval, _run, split_step, substep
+from .trajectory import DivergenceError, Trajectory, _diverging, _walk_schedule
 
 CHECKPOINT_VERSION = 1
 
@@ -214,11 +215,15 @@ class AdamState:
 def _predict_for_step(model, params, x, t_hi, t_lo, eps_cur):
     """Current slope, its model calls, and the predictor outputs for one interval.
 
-    An injected slope (the analytic first step) costs no call and carries no
-    state information: its ModelEval's feature is all zeros.
+    eps_cur may be the ``ModelEval`` of ``eval_model(model, x, t_hi)`` made
+    by the caller: it is used whole at no call, responsibilities included.
+    An injected slope array (the analytic first step) costs no call and
+    carries no state information: its ModelEval's feature is all zeros.
     """
     if eps_cur is None:
         ev, nfe = eval_model(model, x, t_hi), 1
+    elif isinstance(eps_cur, ModelEval):
+        ev, nfe = eps_cur, 0
     else:
         ev, nfe = ModelEval(np.asarray(eps_cur, dtype=np.float64)), 0
     out, cache = predict_with_cache(params, ev.feature, t_hi, t_lo)
@@ -361,8 +366,11 @@ def train(model: GaussianMixture, cfg: TrainConfig, schedule: TimeSchedule) -> T
     Per loop: draw a batch of start states, then walk the intervals top-down
     taking the student step, updating the parameters after every interval
     (N-1 updates per loop), and continuing from the student's own states.
-    The teacher walks once per three loops on their stacked batches (loop j
-    reads row j): the bits of one walk per loop.  Bit-reproducible per seed.
+    Once per three loops their stacked start states are evaluated once; the
+    teacher walks the refined grid from that evaluation, keeping only the
+    coarse nodes, and loop j reads row j of them and hands row j of the
+    evaluation, whole, to its interval 0: the bits of one teacher walk and
+    one first call per loop.  Bit-reproducible per seed.
     """
     params = PredictorParams.init(stream(cfg.seed, "init"), outputs=3 if cfg.learn_time_scale else 2)
     fine = refine_teacher(schedule, cfg.m)
@@ -375,13 +383,15 @@ def train(model: GaussianMixture, cfg: TrainConfig, schedule: TimeSchedule) -> T
         if (j := loop % _TEACHER_GROUP) == 0:  # one teacher walk on this loop's and the next two's stacked batches
             xs = np.stack([stream(cfg.seed, "batch", i).standard_normal((cfg.batch, model.dim))
                            for i in range(loop, min(loop + _TEACHER_GROUP, loops))]) * schedule.t_max
-            ys = [y for _, y in sample(model, cfg.teacher, fine, xs).nodes[cfg.m + 1 :: cfg.m + 1]]  # the coarse nodes
+            with _diverging(cfg.teacher.tag, fine.times[-1], fine.times[-2]):  # the teacher's first interval
+                ev0 = eval_model(model, xs, float(ts[0]))
+            walk = _walk_schedule(partial(substep, model, cfg.teacher), fine, xs, ev0.epsilon, cfg.teacher.tag)
+            ys = [y for _, y, _ in islice(walk, cfg.m + 1, None, cfg.m + 1)]  # the coarse nodes
         x, carry = xs[j], None
         for k in range(n - 1):
             t_hi, t_lo = float(ts[k]), float(ts[k + 1])
-            y = ys[k][j]
             loss, grads, x, carry = step_loss_grad(
-                model, params, cfg.student, x, t_hi, t_lo, y, carry
+                model, params, cfg.student, x, t_hi, t_lo, ys[k][j], carry, ev0[j] if k == 0 else None
             )
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged at loop {loop}, interval {k}")

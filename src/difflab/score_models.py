@@ -134,6 +134,10 @@ class ModelEval:
     epsilon: np.ndarray
     responsibilities: np.ndarray | None = None
 
+    def __getitem__(self, index) -> ModelEval:
+        """The evaluation of the batch rows ``index``."""
+        return ModelEval(self.epsilon[index], None if self.responsibilities is None else self.responsibilities[index])
+
     @property
     def feature(self) -> np.ndarray:
         """The FEATURE_DIM-wide feature vector over the batch dimensions.

@@ -472,6 +472,28 @@ def test_step_loss_grad_costs_one_student_step(monkeypatch, gmm2_d8, student_tag
     assert len(calls) == calls_per_update
 
 
+@pytest.mark.parametrize("outputs", [2, 3])
+@pytest.mark.parametrize("student_tag", [None, "euler_ddim", "heun_edm", "dpm2", "ipndm", "dpmpp_2m"])
+def test_step_loss_grad_takes_a_shared_model_eval_whole(gmm2_d8, student_tag, outputs):
+    # train hands interval 0 the teacher's first evaluation: it must act as the call it replaces.
+    params = rand_params(seed=16, hidden=8, emb_dim=8, outputs=outputs)
+    student = None if student_tag is None else dl.SolverKind(student_tag)
+    x = dl.stream(17, "shared").standard_normal((6, 8)) * 80.0
+    y = dl.stream(18, "shared-y").standard_normal((6, 8)) * 20.0
+    ev = dl.eval_model(gmm2_d8, x, 80.0)
+    got = step_loss_grad(gmm2_d8, params, student, x, 80.0, 20.0, y, eps_cur=ev)
+    want = step_loss_grad(gmm2_d8, params, student, x, 80.0, 20.0, y)
+    np.testing.assert_array_equal(got[0], want[0])
+    for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+        np.testing.assert_array_equal(got[1][name], want[1][name], err_msg=name)
+    np.testing.assert_array_equal(got[2], want[2])
+    assert (got[3] is None) == (want[3] is None) == (student_tag in (None, "euler_ddim", "heun_edm", "dpm2"))
+    for g, w in zip(got[3] or (), want[3] or ()):
+        np.testing.assert_array_equal(g, w)
+    # The slope alone is an injected one: the predictor would see an all-zero feature.
+    assert step_loss_grad(gmm2_d8, params, student, x, 80.0, 20.0, y, eps_cur=ev.epsilon)[0] != want[0]
+
+
 def test_vjp_shapes_match_params():
     p = rand_params(outputs=2)
     h = dl.stream(7, "h").random((6, 16))
@@ -665,10 +687,23 @@ def test_train_matches_per_loop_reference_bitwise(student_tag, time_scale):
     np.testing.assert_array_equal(res.params.theta, params.theta)
 
 
+def test_train_on_a_zero_feature_model_matches_per_loop_reference_bitwise():
+    # The shared first evaluation of a zero_feature model has no responsibilities to cut into loop rows.
+    base = make_gmm(21, 2, 4)
+    m = dl.GaussianMixture(weights=base.weights, means=base.means, stds=base.stds, zero_feature=True)
+    sch = dl.make_schedule("polynomial", 4, 0.002, 80.0, rho=7.0)
+    cfg = TrainConfig(teacher=dl.SolverKind("dpm2"), student=None, m=1, batch=8, images=32, lr=1e-3, seed=2)
+    res = amed.train(m, cfg, sch)
+    losses, params = _per_loop_train(m, cfg, sch)
+    np.testing.assert_array_equal(res.losses, losses)
+    np.testing.assert_array_equal(res.params.theta, params.theta)
+
+
 @pytest.mark.parametrize("teacher_tag,student_tag,per_update", [("dpm2", None, 2), ("euler_ddim", "dpm2", 4)])
 @pytest.mark.parametrize("images", [24, 40, 56])
 def test_train_walks_the_teacher_once_per_three_loops(monkeypatch, teacher_tag, student_tag, per_update, images):
-    # 3, 5 and 7 loops of 8: one teacher walk per started group of three, then each loop's N-1 updates.
+    # 3, 5 and 7 loops of 8: one teacher walk per started group of three, then each loop's N-1 updates,
+    # less interval 0's first call, which the teacher's first evaluation serves.
     m = make_gmm(21, 2, 4)
     n = 4
     sch = dl.make_schedule("polynomial", n, 0.002, 80.0, rho=7.0)
@@ -690,7 +725,29 @@ def test_train_walks_the_teacher_once_per_three_loops(monkeypatch, teacher_tag, 
                     monkeypatch.setattr(module, key, counted)
     amed.train(m, cfg, sch)
     loops = images // 8
-    assert len(calls) == math.ceil(loops / 3) * teacher_nfe + loops * (n - 1) * per_update
+    assert len(calls) == math.ceil(loops / 3) * teacher_nfe + loops * ((n - 1) * per_update - 1)
+
+
+def test_train_teacher_streams_its_fine_nodes():
+    # One teacher group on a d = 256 mixture: holding every fine node, as a collected walk does, would
+    # grow the peak with the (N-1)(m+1)+1 nodes; streaming keeps the N-1 coarse ones whatever m is.
+    import tracemalloc
+
+    m = make_gmm(22, 2, 256)
+    sch = dl.make_schedule("polynomial", 4, 0.002, 80.0, rho=7.0)
+
+    def peak(m_extra):
+        cfg = TrainConfig(teacher=dl.SolverKind("dpm2"), student=None, m=m_extra, batch=16, images=48, seed=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            amed.train(m, cfg, sch)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # warm: first-call allocations (lazy imports, caches) are not the walk's
+    assert peak(8) <= 1.1 * peak(1)
 
 
 def test_train_config_validation():

@@ -57,7 +57,7 @@ def test_sample_rejects_parity_conflict(tmp_path, model_path, capsys):
     ], "^difflab sample: error: .*even NFE")
 
 
-@pytest.mark.parametrize("command", ["sample", "eval", "train-amed", "train-amed-teacher"])
+@pytest.mark.parametrize("command", ["sample", "eval", "train-amed", "train-amed-teacher", "train-amed-teacher-dpm2"])
 def test_diverged_run_exits_with_status_2_and_one_line(tmp_path, model_path, capsys, recwarn, command):
     if command == "sample":
         argv = ["sample", "--model", model_path, "--solver", "euler_ddim", "--t-max", "1e200",
@@ -68,10 +68,12 @@ def test_diverged_run_exits_with_status_2_and_one_line(tmp_path, model_path, cap
         cfg.write_text(json.dumps({"model": model_path, "solvers": ["euler_ddim"], "nfe": [4], "batch": 4,
                                    "t_max": 1e200, "outdir": str(tmp_path / "out")}))
         argv, pattern = ["eval", "--config", str(cfg)], "^difflab eval: error: "
-    elif command == "train-amed-teacher":  # the teacher walks first, so its overflow ends the run
-        argv = ["train-amed", "--model", model_path, "--teacher", "euler_ddim", "--N", "4", "--images", "16",
+    elif command.startswith("train-amed-teacher"):  # the teacher walks first, so its overflow ends the run
+        # dpm2 makes two evaluations per step; its first, at the start states, also serves the student.
+        teacher = "dpm2" if command.endswith("dpm2") else "euler_ddim"
+        argv = ["train-amed", "--model", model_path, "--teacher", teacher, "--N", "4", "--images", "16",
                 "--batch", "8", "--t-max", "1e200", "--out", str(tmp_path / "p.json")]
-        pattern = r"^difflab train-amed: error: euler_ddim diverged in interval \[\S+, 1e\+200\]$"
+        pattern = rf"^difflab train-amed: error: {teacher} diverged in interval \[\S+, 1e\+200\]$"
     else:
         argv = ["train-amed", "--model", model_path, "--teacher", "dpm2", "--N", "4", "--images", "16",
                 "--batch", "8", "--lr", "1e307", "--out", str(tmp_path / "p.json")]
