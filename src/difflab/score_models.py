@@ -208,7 +208,7 @@ def eval_model(model: GaussianMixture, x, t) -> ModelEval:
     subnormal = weights < _TINY  # such weights would slow the product below up to 70x
     resp[subnormal] = weights[subnormal] = 0.0
     sums = weights.T @ model._ones_means                                # (B, 1 + d)
-    eps = xc * sums[:, :1]
+    eps = np.multiply(xc, sums[:, :1], out=xc)  # in the spent centred states
     eps -= sums[:, 1:]
     eps *= t_col
     return ModelEval(eps.reshape(x.shape), None if model.zero_feature else resp.T.reshape(x.shape[:-1] + (len(resp),)))
@@ -235,11 +235,15 @@ def _rk4_interval(model: GaussianMixture, substeps: int, x, t_hi: float, t_lo: f
     grid = np.linspace(t_hi, t_lo, substeps + 1)
     for t0, t1 in zip(grid[:-1], grid[1:]):
         h = t1 - t0
-        k1 = eval_model(model, x, t0).epsilon
-        k2 = eval_model(model, x + 0.5 * h * k1, t0 + 0.5 * h).epsilon
-        k3 = eval_model(model, x + 0.5 * h * k2, t0 + 0.5 * h).epsilon
-        k4 = eval_model(model, x + h * k3, t1).epsilon
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # The written-out step's bits: k1 + 2 k2 + 2 k3 + k4 summed left to right, stages and x made in spent slopes.
+        total = eval_model(model, x, t0).epsilon
+        k = eval_model(model, x + 0.5 * h * total, t0 + 0.5 * h).epsilon
+        total += 2.0 * k
+        k = eval_model(model, np.add(x, np.multiply(0.5 * h, k, out=k), out=k), t0 + 0.5 * h).epsilon
+        total += 2.0 * k
+        total += eval_model(model, np.add(x, np.multiply(h, k, out=k), out=k), t1).epsilon
+        total *= h / 6.0
+        x = np.add(x, total, out=k)
     return x, 4 * substeps, None
 
 
@@ -261,10 +265,11 @@ def reference_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACL
     """Reference states at the schedule's nodes, with their Richardson error estimate.
 
     A single-component model takes ``exact_trajectory`` at every node (nfe 0,
-    estimate 0).  Otherwise ``oracle_solve`` integrates ``certified_grid``
-    joined with the schedule's nodes at S = ``substeps`` and at S//2, keeping
-    the schedule's nodes; ``error_estimate`` is mean |y_S - y_(S//2)| /
-    ((S / (S//2))^4 - 1) at the endpoint, and nfe counts both runs.
+    estimate 0).  Otherwise ``oracle_solve``'s RK4 integrates ``certified_grid``
+    joined with the schedule's nodes at S//2 and then S = ``substeps``, streaming:
+    only the S//2 endpoint and the S run's states at the schedule's nodes are kept.
+    ``error_estimate`` is mean |y_S - y_(S//2)| / ((S / (S//2))^4 - 1) at the
+    endpoint, and nfe counts both runs.
     """
     if substeps < ORACLE_SUBSTEPS:
         raise ValueError(f"reference requires substeps >= {ORACLE_SUBSTEPS} per interval; got {substeps}")
@@ -273,11 +278,13 @@ def reference_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACL
         return Trajectory(nodes=nodes, nfe=0, error_estimate=0.0)
     keep = set(schedule.times.tolist())
     grid = replace(schedule, times=sorted(keep.union(certified_grid(schedule.t_min, schedule.t_max).times.tolist())))
-    half = oracle_solve(model, x_T, grid, substeps // 2)
-    nfe, half = half.nfe, half.endpoint  # its nodes go before the S run, so one run's nodes are alive at a time
-    fine = oracle_solve(model, x_T, grid, substeps)
+    x = np.asarray(x_T, dtype=np.float64)
+    for _, half, nfe in _walk_schedule(partial(_rk4_interval, model, substeps // 2), grid, x, None, "oracle"):
+        pass  # only the endpoint is kept
+    walk = _walk_schedule(partial(_rk4_interval, model, substeps), grid, x, None, "oracle")
+    fine = Trajectory.collect(node for node in walk if node[0] in keep)
     estimate = float(np.mean(np.linalg.norm(fine.endpoint - half, axis=-1))) / ((substeps / (substeps // 2)) ** 4 - 1)
-    return Trajectory([node for node in fine.nodes if node[0] in keep], nfe + fine.nfe, estimate)
+    return Trajectory(fine.nodes, nfe + fine.nfe, estimate)
 
 
 def sample_data(model: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:

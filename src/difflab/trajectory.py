@@ -2,7 +2,8 @@
 
 ``_walk_schedule`` is a generator that yields every node and keeps none: ``sample``,
 ``amed_sample``, ``oracle_solve`` and ``grid_align``'s baseline collect them (``Trajectory.collect``);
-``amed.train``'s teacher keeps only the coarse nodes.
+``reference_solve`` keeps its S//2 run's endpoint and its S run's schedule nodes, ``run_experiment``
+each solver run's newest state and ``amed.train``'s teacher only the coarse nodes.
 """
 
 from __future__ import annotations

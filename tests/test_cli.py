@@ -82,6 +82,16 @@ def test_diverged_run_exits_with_status_2_and_one_line(tmp_path, model_path, cap
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in recwarn]
 
 
+def test_eval_names_the_diverging_reference(tmp_path, model_path, capsys, recwarn):
+    """The reference runs first, so an overflow at t_max ends the run naming the oracle and its top interval."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": model_path, "solvers": ["euler_ddim"], "nfe": [4], "batch": 4,
+                               "t_max": 1e200, "outdir": str(tmp_path / "out")}))
+    _fails_with(capsys, ["eval", "--config", str(cfg)],
+                r"^difflab eval: error: oracle diverged in interval \[6\.36501e\+199, 1e\+200\]$")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in recwarn]
+
+
 def test_train_amed_cli(tmp_path, model_path, capsys):
     out = tmp_path / "predictor.json"
     loss_out = tmp_path / "loss.csv"

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,31 @@ def test_run_experiment_memory_does_not_grow_with_nfe(monkeypatch):
 
     state = 256 * model.dim * 8
     assert abs(peak(64) - peak(8)) < 4 * state
+
+
+@pytest.mark.parametrize("call", ["reference_solve", "run_experiment"])
+def test_the_reference_streams(monkeypatch, call):
+    """Asked for the certified grid's two ends, the reference holds under 10 states, not the grid's 17 nodes.
+
+    At d = 1024 a state outweighs every per-component array; a warm-up call
+    runs first, so lazy imports and caches do not count.  Collecting the
+    grid read 25 states for the reference and 27 for the run.
+    """
+    monkeypatch.delenv(dl.harness.ENV_OUTDIR, raising=False)
+    model = make_gmm(3, 4, 1024)
+    x_T = dl.stream(0, "x_T").standard_normal((32, 1024)) * 80.0
+    if call == "reference_solve":
+        run = partial(dl.reference_solve, model, x_T, dl.make_schedule("polynomial", 2, 0.002, 80.0))
+    else:
+        run = partial(run_experiment, RunConfig(model=model, solvers=(dl.SolverKind("dpm2"),), nfe=(4,), batch=32))
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * x_T.nbytes, peak / x_T.nbytes
 
 
 @pytest.mark.parametrize("afs,nfe", [(False, (8, 16)), (True, (5, 9))], ids=["exact_first", "afs"])

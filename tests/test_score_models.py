@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import difflab as dl
 from difflab.harness import load_run_config
-from difflab.score_models import FEATURE_DIM, certified_grid
+from difflab.score_models import FEATURE_DIM, _rk4_interval, certified_grid
 
 from conftest import make_gmm, save_model
 
@@ -567,6 +567,43 @@ def test_oracle_substep_floor():
     with pytest.raises(ValueError):
         dl.oracle_solve(m, np.ones(3), sch, 3)
     assert dl.oracle_solve(m, np.ones(3), sch, 4).nfe == 4 * 4 * 2
+
+
+def _rk4_written_out(model, x, t_hi, t_lo, substeps):
+    """Classical RK4 from t_hi to t_lo as the textbook writes it, on np.linspace(t_hi, t_lo, substeps + 1)."""
+    def eps(y, t):
+        return dl.eval_model(model, y, t).epsilon
+
+    grid = np.linspace(t_hi, t_lo, substeps + 1)
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        h = t1 - t0
+        k1 = eps(x, t0)
+        k2 = eps(x + 0.5 * h * k1, t0 + 0.5 * h)
+        k3 = eps(x + 0.5 * h * k2, t0 + 0.5 * h)
+        k4 = eps(x + h * k3, t1)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+@pytest.mark.parametrize("shape", [(6,), (5, 6)], ids=["single", "batch"])
+def test_rk4_has_the_bits_of_the_written_out_step(shape):
+    """One interval of RK4 equals x + (h/6)(k1 + 2 k2 + 2 k3 + k4) written out, bit for bit, and leaves x as it was.
+
+    ``oracle_solve`` refuses fewer than 4 substeps, so at 1 and 2 its step
+    ``_rk4_interval`` runs alone; ``oracle_solve`` runs at 4 and 8.
+    """
+    m = make_gmm(4, 3, 6)
+    x = dl.stream(2, "rk4").standard_normal(shape) * 3.0
+    kept = x.copy()
+    for substeps in (1, 2):
+        got, nfe, _ = _rk4_interval(m, substeps, x, 3.0, 0.5)
+        np.testing.assert_array_equal(got, _rk4_written_out(m, x, 3.0, 0.5, substeps))
+        assert nfe == 4 * substeps
+    one = dl.make_schedule("uniform", 2, 0.5, 3.0)
+    for substeps in (4, 8):
+        np.testing.assert_array_equal(dl.oracle_solve(m, x, one, substeps).endpoint,
+                                      _rk4_written_out(m, x, 3.0, 0.5, substeps))
+    np.testing.assert_array_equal(x, kept)
 
 
 @pytest.mark.parametrize("seed", [7, 11, 23, 40])
