@@ -169,6 +169,7 @@ def eval_model(model: GaussianMixture, x, t) -> ModelEval:
     t * (x * sum_k a_k - sum_k a_k mu_k) with a_k = rho_k / v_k and rho_k the
     responsibilities; one product with [1 | mu] gives both sums.  A rho_k
     whose a_k would be subnormal is set to exactly 0, and so is that a_k.
+    ``epsilon`` is a fresh array; its caller may overwrite it.
     """
     x = np.asarray(x, dtype=np.float64)
     if (d := x.shape[-1]) != model.dim:
@@ -192,7 +193,8 @@ def eval_model(model: GaussianMixture, x, t) -> ModelEval:
             lead = np.broadcast_shapes(x.shape[:-1], t.shape)
             x, t = np.broadcast_to(x, lead + (d,)), np.broadcast_to(t, lead)
         t_row, t_col = t.reshape(1, -1), t.reshape(-1, 1)
-    xc = (x - model._centre).reshape(-1, d)                             # (B, d)
+    eps = np.subtract(x, model._centre, order="C")  # the centred states, spent on ε and returned whole, not as a view
+    xc = eps.reshape(-1, d)                                             # (B, d)
 
     inv_var = 1.0 / (model._s2 + t_row * t_row)                         # (K, 1) or (K, B)
     bias = model._log_w + (0.5 * d * np.log(inv_var) - model._half_mean_sq * inv_var)
@@ -208,10 +210,10 @@ def eval_model(model: GaussianMixture, x, t) -> ModelEval:
     subnormal = weights < _TINY  # such weights would slow the product below up to 70x
     resp[subnormal] = weights[subnormal] = 0.0
     sums = weights.T @ model._ones_means                                # (B, 1 + d)
-    eps = np.multiply(xc, sums[:, :1], out=xc)  # in the spent centred states
-    eps -= sums[:, 1:]
-    eps *= t_col
-    return ModelEval(eps.reshape(x.shape), None if model.zero_feature else resp.T.reshape(x.shape[:-1] + (len(resp),)))
+    np.multiply(xc, sums[:, :1], out=xc)
+    xc -= sums[:, 1:]
+    xc *= t_col
+    return ModelEval(eps, None if model.zero_feature else resp.T.reshape(x.shape[:-1] + (len(resp),)))
 
 
 def exact_trajectory(model: GaussianMixture, x_T, t: float, T: float) -> np.ndarray:

@@ -11,7 +11,8 @@ for composition: ``eps_cur`` injects a precomputed (or analytically
 substituted) slope at the current state at no model call, and ``scale``
 multiplies the step's direction term, which is how a learned per-step
 rescaling wraps a base solver.  Times may be scalars or per-sample arrays
-broadcast against a batched state.  ``_run`` hands ``substep`` to the generator
+broadcast against a batched state.  A step writes only arrays it allocated:
+``eps_cur`` and carry entries are read-only.  ``_run`` hands ``substep`` to the generator
 ``trajectory._walk_schedule``; ``sample`` collects every node, ``run_experiment`` the newest.
 
 ``split_step`` is the one interval-split primitive; each solver that splits
@@ -85,6 +86,11 @@ def _col(u, x) -> np.ndarray:
     return u[..., None] if u.ndim else u
 
 
+def _times(u, a) -> np.ndarray:
+    """u * a, written into a (the step's own array) when the ``_col`` factor u is a scalar: a per-sample u may widen a."""
+    return np.multiply(u, a, out=a if u.ndim == 0 else None)
+
+
 def _check_interval(t_hi, t_lo) -> None:
     if not np.asarray((0 < t_lo) & (t_lo < t_hi) & (t_hi < np.inf)).all():  # the array's .all(): np.all's wrapper costs µs
         raise ValueError("need 0 < t_lo < t_hi < inf")
@@ -118,10 +124,11 @@ def split_step(model, x, t_hi, t_lo, r, *, base=None, w=1.0, c=1.0, a=None, carr
     s = _geom(t_lo, t_hi, r)
     t_eval = s if a is None else a * s
     if base is None:
-        x_s = x + _col(s - t_hi, x) * eps1
-        eps2 = eval_model(model, x_s, t_eval).epsilon
-        # x + (t_lo - t_hi) * (c * mix), formed in place in the one full-size array.
-        x_next = _col(c, x) * (_col(w, x) * eps2 + _col(1.0 - w, x) * eps1)
+        x_s = _col(s - t_hi, x) * eps1
+        x_s += x
+        mix = _times(_col(w, x), eval_model(model, x_s, t_eval).epsilon)  # the fresh eps2, which t_lo - t_hi never widens
+        mix += _col(1.0 - w, x) * eps1
+        x_next = _times(_col(c, x), mix)
         x_next *= _col(t_lo - t_hi, x)
         x_next += x
         return x_next, nfe + 1, None
@@ -155,13 +162,13 @@ def step_ipndm(model, x, t_hi, t_lo, history=(), *, eps_cur=None, scale=1.0, max
     if len(history) > 3:
         raise ValueError("ipndm history holds at most 3 past slopes")
     eps, nfe = _current(model, x, t_hi, eps_cur)
-    order = min(len(history) + 1, max_order)
-    coeffs = _AB_COEFFS[order]
+    coeffs = _AB_COEFFS[min(len(history) + 1, max_order)]
     combo = coeffs[0] * eps
     for c, past in zip(coeffs[1:], history):
-        combo = combo + c * past
-    x_next = x + _col(t_lo - t_hi, x) * (_col(scale, x) * combo)
-    return x_next, nfe, ((eps,) + history)[: max_order - 1] or None
+        combo += c * past
+    combo = _times(_col(scale, x), combo)  # rebound: a widening scale frees the sum before the next product
+    x_next = _times(_col(t_lo - t_hi, x), combo)
+    return np.add(x_next, x, out=x_next), nfe, ((eps,) + history)[: max_order - 1] or None
 
 
 def step_dpmpp_2m(model, x, t_hi, t_lo, prev=None, *, eps_cur=None, scale=1.0):
@@ -177,19 +184,22 @@ def step_dpmpp_2m(model, x, t_hi, t_lo, prev=None, *, eps_cur=None, scale=1.0):
     """
     _check_interval(t_hi, t_lo)
     eps, nfe = _current(model, x, t_hi, eps_cur)
-    denoised = x - _col(t_hi, x) * eps
+    own = eps if nfe else None  # an evaluated slope is spent on D: eval_model's fresh eps already spans x and t_hi
+    denoised = np.subtract(x, np.multiply(_col(t_hi, x), eps, out=own), out=own)
     h = np.log(t_hi) - np.log(t_lo)
     if prev is None:
-        d_combo = denoised
+        d_combo = _col(scale, x) * denoised
     else:
         t_prev, denoised_prev = prev
         if not np.all(t_prev > t_hi):
             raise ValueError("previous step must come from a higher time")
         r0 = (np.log(t_prev) - np.log(t_hi)) / h
         w = _col(1.0 / (2.0 * r0), x)
-        d_combo = (1.0 + w) * denoised - w * denoised_prev
-    ratio = _col(t_lo, x) / _col(t_hi, x)
-    x_next = ratio * x - _col(np.expm1(-h), x) * (_col(scale, x) * d_combo)
+        d_combo = (1.0 + w) * denoised
+        d_combo -= w * denoised_prev
+        d_combo = _times(_col(scale, x), d_combo)
+    d_combo = _times(_col(np.expm1(-h), x), d_combo)  # now as wide as the time columns and x together
+    x_next = np.subtract(_col(t_lo, x) / _col(t_hi, x) * x, d_combo, out=d_combo)
     return x_next, nfe, (t_hi, denoised)
 
 

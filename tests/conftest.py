@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,17 @@ def make_gmm(seed, k, d, spread=2.0, s_lo=0.5, s_hi=1.0, centered=False):
         weights /= weights.sum()
     stds = rng.uniform(s_lo, s_hi, k)
     return dl.GaussianMixture(weights=weights, means=means, stds=stds)
+
+
+def traced_peak(call) -> int:
+    """Bytes above the traced memory at the start that tracemalloc counts at call()'s peak."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def save_model(model, path):

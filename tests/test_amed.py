@@ -21,7 +21,7 @@ from difflab.amed import (
     step_loss_grad,
 )
 
-from conftest import make_gmm, nan_interval
+from conftest import make_gmm, nan_interval, traced_peak
 
 
 def rand_params(seed=0, hidden=4, emb_dim=8, outputs=3, scale=0.3):
@@ -731,20 +731,12 @@ def test_train_walks_the_teacher_once_per_three_loops(monkeypatch, teacher_tag, 
 def test_train_teacher_streams_its_fine_nodes():
     # One teacher group on a d = 256 mixture: holding every fine node, as a collected walk does, would
     # grow the peak with the (N-1)(m+1)+1 nodes; streaming keeps the N-1 coarse ones whatever m is.
-    import tracemalloc
-
     m = make_gmm(22, 2, 256)
     sch = dl.make_schedule("polynomial", 4, 0.002, 80.0, rho=7.0)
 
     def peak(m_extra):
         cfg = TrainConfig(teacher=dl.SolverKind("dpm2"), student=None, m=m_extra, batch=16, images=48, seed=0)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            amed.train(m, cfg, sch)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: amed.train(m, cfg, sch))
 
     peak(1)  # warm: first-call allocations (lazy imports, caches) are not the walk's
     assert peak(8) <= 1.1 * peak(1)

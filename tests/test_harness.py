@@ -4,7 +4,6 @@ import json
 import math
 import os
 import re
-import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -14,7 +13,7 @@ import pytest
 import difflab as dl
 from difflab.harness import ConfigError, RunConfig, load_run_config, nfe_to_steps, run_experiment
 
-from conftest import make_gmm, save_model
+from conftest import make_gmm, save_model, traced_peak
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -379,13 +378,7 @@ def test_run_experiment_memory_does_not_grow_with_nfe(monkeypatch):
 
     def peak(nfe):
         cfg = RunConfig(model=model, solvers=(dl.SolverKind("euler_ddim"),), nfe=(nfe,), batch=256)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            run_experiment(cfg)
-            return tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        return traced_peak(partial(run_experiment, cfg))
 
     state = 256 * model.dim * 8
     assert abs(peak(64) - peak(8)) < 4 * state
@@ -407,12 +400,7 @@ def test_the_reference_streams(monkeypatch, call):
     else:
         run = partial(run_experiment, RunConfig(model=model, solvers=(dl.SolverKind("dpm2"),), nfe=(4,), batch=32))
     run()
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(run)
     assert peak < 10 * x_T.nbytes, peak / x_T.nbytes
 
 

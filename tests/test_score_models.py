@@ -114,6 +114,15 @@ def test_eval_scalar_time_equals_per_row_time_bitwise():
         np.testing.assert_array_equal(one.responsibilities, rows.responsibilities)
 
 
+def test_eval_returns_a_fresh_array_it_owns():
+    """epsilon is a new array, not a view: its caller may overwrite it, and a stored node costs no second header."""
+    m = make_gmm(15, 5, 16)
+    x = dl.stream(10, "fresh").standard_normal((3, 7, 16)) * 4.0
+    for state, t in ((x[0, 0], 1.3), (x[0], 1.3), (x, 1.3), (x[:, :1], x[:, :, 0] ** 2 + 0.1), (x.transpose(1, 0, 2), 1.3)):
+        eps = dl.eval_model(m, state, t).epsilon
+        assert eps.flags.owndata and eps.flags.writeable and not np.shares_memory(eps, x)
+
+
 def test_eval_batch_dims_are_restored():
     m = make_gmm(15, 5, 16)
     rng = dl.stream(10, "lifted")

@@ -8,7 +8,7 @@ import difflab as dl
 import difflab.solvers as solvers
 from difflab.score_models import ModelEval
 
-from conftest import nan_interval
+from conftest import make_gmm, nan_interval, traced_peak
 
 
 def const_field(vec):
@@ -464,3 +464,165 @@ def test_streamed_walk_diverges_as_sample_does(gmm2_d8, tag, afs):
             run()
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+# Each step rule forms its update in arrays it allocated.  The references below are the rules written out,
+# one fresh array per operation; the steps must match them bit for bit and leave their inputs unwritten.
+_col, _B = solvers._col, 5
+
+
+def _ref_split(model, x, t_hi, t_lo, r, eps1, base=None, w=1.0, c=1.0, a=None, carry=None):
+    s = dl.schedules._geom(t_lo, t_hi, r)
+    t_eval = s if a is None else a * s
+    if base is None:
+        eps2 = dl.eval_model(model, x + _col(s - t_hi, x) * eps1, t_eval).epsilon
+        return x + _col(t_lo - t_hi, x) * (_col(c, x) * (_col(w, x) * eps2 + _col(1.0 - w, x) * eps1)), None
+    x_s, carry = _ref_substep(model, base, x, t_hi, s, eps1, carry, 1.0)
+    return _ref_substep(model, base, x_s, s, t_lo, dl.eval_model(model, x_s, t_eval).epsilon, carry, c)
+
+
+def _ref_ipndm(x, t_hi, t_lo, eps, history, scale, max_order):
+    coeffs = solvers._AB_COEFFS[min(len(history) + 1, max_order)]
+    combo = coeffs[0] * eps
+    for c, past in zip(coeffs[1:], history):
+        combo = combo + c * past
+    return x + _col(t_lo - t_hi, x) * (_col(scale, x) * combo), ((eps,) + tuple(history))[: max_order - 1] or None
+
+
+def _ref_dpmpp_2m(x, t_hi, t_lo, eps, prev, scale):
+    denoised = x - _col(t_hi, x) * eps
+    h = np.log(t_hi) - np.log(t_lo)
+    d_combo = denoised
+    if prev is not None:
+        w = _col(1.0 / (2.0 * ((np.log(prev[0]) - np.log(t_hi)) / h)), x)
+        d_combo = (1.0 + w) * denoised - w * prev[1]
+    return _col(t_lo, x) / _col(t_hi, x) * x - _col(np.expm1(-h), x) * (_col(scale, x) * d_combo), (t_hi, denoised)
+
+
+def _ref_substep(model, kind, x, t_hi, t_lo, eps, carry, scale):
+    if kind.tag in ("heun_edm", "dpm2"):
+        r = 1.0 if kind.tag == "heun_edm" else kind.r
+        return _ref_split(model, x, t_hi, t_lo, r, eps, w=1.0 / (2.0 * r), c=scale)
+    if kind.tag == "dpmpp_2m":
+        return _ref_dpmpp_2m(x, t_hi, t_lo, eps, carry, scale)
+    return _ref_ipndm(x, t_hi, t_lo, eps, carry or (), scale, 1 if kind.tag == "euler_ddim" else kind.order)
+
+
+def _inputs(shape):
+    """(x, c, r, a): a (d,) state, a (B, d) batch with per-sample factors, or ``step_loss_grad``'s probe grid."""
+    rng = dl.stream(11, "own buffers", shape)
+    if shape == "state":
+        return rng.standard_normal(8) * 20.0, 0.9, 0.4, None
+    x = rng.standard_normal((_B, 8)) * 20.0
+    if shape == "batch":
+        return x, rng.uniform(0.8, 1.2, _B), rng.uniform(0.2, 1.0, _B), None
+    return x[None, None], rng.uniform(0.8, 1.2, (3, 1, _B)), rng.uniform(0.2, 1.0, (1, 3, _B)), rng.uniform(0.9, 1.1, (1, 3, _B))
+
+
+def _past(x, n):
+    """n past slopes shaped like x, newest first."""
+    return tuple(dl.stream(12, "past", i).standard_normal(x.shape) for i in range(n))
+
+
+def _frozen(*entries):
+    """(array, copy) for every array entry; scalar entries (a time) are skipped."""
+    return [(e, e.copy()) for e in entries if np.ndim(e)]
+
+
+def _same(got, want):
+    return got is want is None or (len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want)))
+
+
+_SHAPES = pytest.mark.parametrize("shape", ["state", "batch", "probe"])
+_INJECT = pytest.mark.parametrize("inject", [False, True], ids=["evaluated", "injected"])
+
+
+@_INJECT
+@_SHAPES
+@pytest.mark.parametrize("base", [None, *solvers.SOLVER_TAGS])
+def test_split_step_bits_and_read_only_inputs(gmm2_d8, base, shape, inject):
+    """With no base and with each base: the written-out rule's bits; x, the slope and the carry stay unwritten."""
+    x, c, r, a = _inputs(shape)
+    kind = None if base is None else dl.SolverKind(base)
+    carry = {"ipndm": _past(x, 3), "dpmpp_2m": (5.0, _past(x, 1)[0])}.get(base)
+    eps1 = dl.eval_model(gmm2_d8, x, 3.0).epsilon
+    want, want_carry = _ref_split(gmm2_d8, x, 3.0, 1.0, r, eps1, kind, c=c, a=a, carry=carry)
+    inputs = _frozen(x, eps1, *(carry or ()))
+    got, _, got_carry = solvers.split_step(gmm2_d8, x, 3.0, 1.0, r, base=kind, c=c, a=a, carry=carry,
+                                           eps_cur=eps1 if inject else None)
+    assert np.array_equal(got, want) and _same(got_carry, want_carry)
+    assert all(np.array_equal(e, before) for e, before in inputs)
+
+
+@_INJECT
+@_SHAPES
+@pytest.mark.parametrize("r", [0.5, 1.0])
+def test_step_dpm2_bits_and_read_only_inputs(gmm2_d8, r, shape, inject):
+    x, c, _, _ = _inputs(shape)
+    eps1 = dl.eval_model(gmm2_d8, x, 3.0).epsilon
+    want, _ = _ref_split(gmm2_d8, x, 3.0, 1.0, r, eps1, w=1.0 / (2.0 * r), c=c)
+    inputs = _frozen(x, eps1)
+    got, nfe, carry = solvers.step_dpm2(gmm2_d8, x, 3.0, 1.0, r, eps_cur=eps1 if inject else None, scale=c)
+    assert np.array_equal(got, want) and nfe == 2 - inject and carry is None
+    assert all(np.array_equal(e, before) for e, before in inputs)
+
+
+def _two_steps(model, step, ref, x, c, r, carry, inject):
+    """Two steps through a split point s, as a base's two substeps take them: to s (per-sample in the
+    batch, per-probe in the grid, where the time column widens the state), then from s to the floor,
+    each scaled by c and fed the previous step's carry.  Each matches its reference bitwise and leaves
+    x, an injected slope and every carry entry unwritten."""
+    s = dl.schedules._geom(1.0, 3.0, r)
+    for t_hi, t_lo in ((3.0, s), (s, 1.0)):
+        eps = dl.eval_model(model, x, t_hi).epsilon
+        want, want_carry = ref(x, t_hi, t_lo, eps, carry, c)
+        inputs = _frozen(x, eps, *(carry or ()))
+        got, nfe, got_carry = step(model, x, t_hi, t_lo, carry, eps_cur=eps if inject else None, scale=c)
+        assert np.array_equal(got, want) and nfe == 1 - inject and _same(got_carry, want_carry)
+        assert all(np.array_equal(e, before) for e, before in inputs)
+        x, carry = got, got_carry
+
+
+@_INJECT
+@_SHAPES
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_step_ipndm_bits_and_read_only_inputs(gmm2_d8, order, shape, inject):
+    x, c, r, _ = _inputs(shape)
+
+    def step(model, x, t_hi, t_lo, history, **kw):
+        return solvers.step_ipndm(model, x, t_hi, t_lo, history or (), max_order=order, **kw)
+
+    def ref(x, t_hi, t_lo, eps, history, scale):
+        return _ref_ipndm(x, t_hi, t_lo, eps, history or (), scale, order)
+
+    _two_steps(gmm2_d8, step, ref, x, c, r, _past(x, order - 1), inject)
+
+
+@_INJECT
+@_SHAPES
+@pytest.mark.parametrize("with_prev", [False, True], ids=["first", "prev"])
+def test_step_dpmpp_2m_bits_and_read_only_inputs(gmm2_d8, with_prev, shape, inject):
+    x, c, r, _ = _inputs(shape)
+    _two_steps(gmm2_d8, solvers.step_dpmpp_2m, _ref_dpmpp_2m, x, c, r, (5.0, _past(x, 1)[0]) if with_prev else None, inject)
+
+
+@pytest.mark.parametrize("tag,states", [("euler_ddim", 3.5), ("heun_edm", 5.5), ("dpm2", 5.5), ("ipndm", 7.5), ("dpmpp_2m", 5.5)])
+def test_streamed_walk_peak_in_states(poly_schedule, tag, states):
+    """A streamed walk's peak above its input, in states of batch x d doubles, after a warm walk.
+
+    At d = 1024 a state outweighs every per-component array.  Forming each
+    update in fresh arrays read 4.0 states for euler_ddim, 6.0 for heun_edm
+    and dpm2 and 7.0 for ipndm and dpmpp_2m; forming it in arrays the step
+    allocated reads 3.3, 5.3, 7.0 and 5.0.  ipndm's 7 are its floor: the
+    current state, the four slopes of an order-4 step (three carried), the
+    running sum and one product.
+    """
+    model = make_gmm(3, 4, 1024)
+    x_T = dl.stream(0, "x_T").standard_normal((32, 1024)) * 80.0
+
+    def walk():
+        deque(_walk(model, tag, poly_schedule, x_T, False), maxlen=0)
+
+    walk()
+    peak = traced_peak(walk)
+    assert peak <= states * x_T.nbytes, peak / x_T.nbytes
