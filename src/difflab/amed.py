@@ -30,7 +30,7 @@ from .rng import stream
 from .schedules import TimeSchedule, refine_teacher
 from .score_models import FEATURE_DIM, GaussianMixture, ModelEval, _lock, _read_json, _write_json, eval_model
 from .solvers import SolverKind, _check_interval, _run, split_step, substep
-from .trajectory import DivergenceError, Trajectory, _diverging, _walk_schedule
+from .trajectory import DivergenceError, Trajectory, _walk_schedule
 
 CHECKPOINT_VERSION = 1
 
@@ -359,7 +359,7 @@ def step_loss_grad(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur
     return loss, predictor_vjp(params, cache, g_o / (2 * _FD_H * n_samples)), x_next, carry_next
 
 
-@np.errstate(all="ignore")  # the loss and the weights are checked after every step, and name the interval
+@np.errstate(all="ignore")  # the teacher's walk, the logits, the loss and the weights are checked, naming the interval
 def train(model: GaussianMixture, cfg: TrainConfig, schedule: TimeSchedule) -> TrainResult:
     """Distill the predictor against a refined-schedule teacher.
 
@@ -383,16 +383,18 @@ def train(model: GaussianMixture, cfg: TrainConfig, schedule: TimeSchedule) -> T
         if (j := loop % _TEACHER_GROUP) == 0:  # one teacher walk on this loop's and the next two's stacked batches
             xs = np.stack([stream(cfg.seed, "batch", i).standard_normal((cfg.batch, model.dim))
                            for i in range(loop, min(loop + _TEACHER_GROUP, loops))]) * schedule.t_max
-            with _diverging(cfg.teacher.tag, fine.times[-1], fine.times[-2]):  # the teacher's first interval
-                ev0 = eval_model(model, xs, float(ts[0]))
+            ev0 = eval_model(model, xs, float(ts[0]))  # the walk checks its slope in the teacher's first interval
             walk = _walk_schedule(partial(substep, model, cfg.teacher), fine, xs, ev0.epsilon, cfg.teacher.tag)
             ys = [y for _, y, _ in islice(walk, cfg.m + 1, None, cfg.m + 1)]  # the coarse nodes
         x, carry = xs[j], None
         for k in range(n - 1):
             t_hi, t_lo = float(ts[k]), float(ts[k + 1])
-            loss, grads, x, carry = step_loss_grad(
-                model, params, cfg.student, x, t_hi, t_lo, ys[k][j], carry, ev0[j] if k == 0 else None
-            )
+            try:
+                loss, grads, x, carry = step_loss_grad(
+                    model, params, cfg.student, x, t_hi, t_lo, ys[k][j], carry, ev0[j] if k == 0 else None
+                )
+            except FloatingPointError:  # finite weights whose logits overflow (predict_with_cache)
+                raise DivergenceError(f"lr {cfg.lr!r} overflowed the logits at loop {loop}, interval {k}") from None
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged at loop {loop}, interval {k}")
             losses[loop, k] = loss

@@ -20,7 +20,7 @@ import numpy as np
 from .rng import stream
 from .schedules import TimeSchedule
 from .score_models import eval_model
-from .solvers import SolverKind, split_step, step_dpm2, substep
+from .solvers import SolverKind, _current, split_step, step_dpm2, substep
 from .trajectory import Trajectory, _walk_schedule, write_csv
 
 
@@ -128,11 +128,13 @@ def _search_step(model, base: SolverKind, r, x, t_hi, t_lo, carry=None, eps_cur=
 def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Trajectory) -> AlignmentResult:
     """Greedy per-interval search of the split exponent against a reference.
 
-    The baseline walks the schedule at r = 0.5; the searched trajectory picks,
-    at each interval and per batch element, the grid value whose step lands
-    closest to the reference node, then continues from its own choice.  A
-    history-based base (ipndm) keeps the newest-first past slopes every
-    candidate holds: the r = 1 candidate, one substep, holds one fewer.
+    Two schedule walks from the reference's first state: the baseline steps
+    at r = 0.5; the search runs every grid value at each interval and, per
+    batch element, continues from the one whose step lands closest to the
+    reference node.  A history-based base (ipndm) keeps the newest-first past
+    slopes every candidate holds: the r = 1 candidate, one substep, holds one
+    fewer.  Either walk diverging ends with a ``DivergenceError`` naming it
+    (``grid_align baseline`` or ``grid_align search``) and the interval.
     """
     grid = [float(r) for r in grid]
     if not grid:
@@ -145,34 +147,30 @@ def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Tr
     ):
         raise ValueError("reference trajectory was not produced on this schedule")
 
-    ts = schedule.times[::-1]
     x0 = np.atleast_2d(np.asarray(oracle.nodes[0][1], dtype=np.float64))  # a single state is a batch of one
     n_b = x0.shape[0]
     if n_b == 0:
         raise ValueError("reference trajectory holds no states")
-    steps = schedule.n - 1
+    ys = np.asarray(oracle.states[1:], dtype=np.float64).reshape(schedule.n - 1, n_b, -1)  # as the walk's rows
+    picks = []
 
-    eps_cur = eval_model(model, x0, float(ts[0])).epsilon
-    walk = _walk_schedule(partial(_search_step, model, base, 0.5), schedule, x0, eps_cur, "grid_align baseline")
-    baseline = Trajectory.collect(walk)
-    x_sea, carry_sea = x0, None
-    best_r = np.zeros((steps, n_b))
-    alignment = np.zeros((steps, n_b))
-    for i in range(steps):
-        t_hi, t_lo = float(ts[i]), float(ts[i + 1])
-        y = np.asarray(oracle.nodes[i + 1][1], dtype=np.float64)
-        if i > 0:
-            eps_cur = eval_model(model, x_sea, t_hi).epsilon
-        cands = [_search_step(model, base, r, x_sea, t_hi, t_lo, carry_sea, eps_cur) for r in grid]
-        dists = np.stack([np.linalg.norm(xc - y, axis=-1) for xc, _, _ in cands])
-        pick = np.argmin(dists, axis=0)
-        x_sea = np.stack([xc for xc, _, _ in cands])[pick, np.arange(n_b)]
-        carry_sea = _gather_carry([c for _, _, c in cands], pick, n_b)
-        d_base = np.linalg.norm(baseline.nodes[i + 1][1] - y, axis=-1)
-        d_sea = np.linalg.norm(x_sea - y, axis=-1)
-        best_r[i] = np.array(grid)[pick]
-        alignment[i] = d_base - d_sea
-    return AlignmentResult(target_times=np.array(ts[1:]), best_r=best_r, alignment=alignment)
+    def search(x, t_hi, t_lo, carry, eps_cur=None):
+        """Every candidate from x; each row continues from the one that lands closest to its reference node."""
+        eps_cur, nfe = _current(model, x, t_hi, eps_cur)
+        cands = [_search_step(model, base, r, x, t_hi, t_lo, carry, eps_cur) for r in grid]
+        pick = np.argmin(np.stack([np.linalg.norm(xc - ys[len(picks)], axis=-1) for xc, _, _ in cands]), axis=0)
+        picks.append(pick)
+        x_next = np.stack([xc for xc, _, _ in cands])[pick, np.arange(n_b)]
+        return x_next, nfe + sum(n for _, n, _ in cands), _gather_carry([c for _, _, c in cands], pick, n_b)
+
+    with np.errstate(all="ignore"):  # both walks check it in their first interval
+        eps0 = eval_model(model, x0, schedule.t_max).epsilon  # shared by both walks
+    walk = partial(_walk_schedule, schedule=schedule, x=x0, eps0=eps0)
+    baseline = Trajectory.collect(walk(partial(_search_step, model, base, 0.5), name="grid_align baseline"))
+    searched = Trajectory.collect(walk(search, name="grid_align search"))
+    alignment = np.linalg.norm(baseline.states[1:] - ys, axis=-1) - np.linalg.norm(searched.states[1:] - ys, axis=-1)
+    return AlignmentResult(target_times=schedule.times[-2::-1], best_r=np.array(grid)[np.array(picks)],
+                           alignment=alignment)
 
 
 def _gather_carry(carries, pick, n_b):

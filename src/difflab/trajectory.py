@@ -1,7 +1,7 @@
 """Trajectories, the one schedule walk, and the one CSV writer.
 
 ``_walk_schedule`` is a generator that yields every node and keeps none: ``sample``,
-``amed_sample``, ``oracle_solve`` and ``grid_align``'s baseline collect them (``Trajectory.collect``);
+``amed_sample``, ``oracle_solve`` and ``grid_align``'s baseline and search collect them (``Trajectory.collect``);
 ``reference_solve`` keeps its S//2 run's endpoint and its S run's schedule nodes, ``run_experiment``
 each solver run's newest state and ``amed.train``'s teacher only the coarse nodes.
 """
@@ -50,43 +50,29 @@ class Trajectory:
         return cls(nodes=[node[:2] for node in nodes], nfe=nodes[-1][2])
 
 
-class _diverging:
-    """The walk's error policy for one interval: numpy's errors raise, and end as a ``DivergenceError`` naming it.
-
-    A class: the walk enters one per step, and a generator-based context manager costs three times as much.
-    """
-
-    def __init__(self, name: str, t_hi, t_lo):
-        self.interval = name, t_hi, t_lo
-        self.errstate = np.errstate(all="raise", under="ignore")  # e.g. eval_model's t*t past 1.3e154: a NaN slope
-
-    def __enter__(self):
-        self.errstate.__enter__()
-
-    def __exit__(self, kind, value, tb):
-        self.errstate.__exit__(kind, value, tb)
-        if kind is FloatingPointError:
-            name, t_hi, t_lo = self.interval
-            raise DivergenceError(f"{name} diverged in interval [{t_lo:g}, {t_hi:g}]") from None
-
-
 def _walk_schedule(step, schedule, x, eps0, name: str):
     """Step from the top of the schedule down to its floor, yielding ``(t, x, nfe so far)`` at every node.
 
     step(x, t_hi, t_lo, carry, eps_cur=...) returns ``(x_next, nfe, carry)``;
     eps0, if not None, is interval 0's first slope (the analytic first step,
-    or one the caller already computed).  An overflow or a non-finite state
-    aborts naming the interval; numpy's error state is set per step, never across a yield.
+    or one the caller already computed).  An overflow, a non-finite state or
+    a non-finite eps0 aborts naming the interval; numpy's error state is set
+    per step, never across a yield.
     """
     ts = schedule.times[::-1].tolist()
     nfe, carry = 0, None
     yield ts[0], x, nfe
     for i in range(len(ts) - 1):
         t_hi, t_lo = ts[i], ts[i + 1]
-        with _diverging(name, t_hi, t_lo):
-            x, n, carry = step(x, t_hi, t_lo, carry, eps_cur=eps0 if i == 0 else None)
-            if not np.isfinite(x).all():  # a NaN slope propagates without raising
-                raise FloatingPointError
+        try:
+            with np.errstate(all="raise", under="ignore"):  # e.g. eval_model's t*t past 1.3e154: a NaN slope
+                if i == 0 and eps0 is not None and not np.isfinite(eps0).all():  # a slope made outside this rule
+                    raise FloatingPointError
+                x, n, carry = step(x, t_hi, t_lo, carry, eps_cur=eps0 if i == 0 else None)
+                if not np.isfinite(x).all():  # a NaN slope propagates without raising
+                    raise FloatingPointError
+        except FloatingPointError:
+            raise DivergenceError(f"{name} diverged in interval [{t_lo:g}, {t_hi:g}]") from None
         nfe += n
         yield t_lo, x, nfe
 

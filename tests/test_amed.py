@@ -598,6 +598,17 @@ def test_train_adam_overflow_names_loop_interval_and_lr():
             amed.train(m, cfg, sch)
 
 
+def test_train_logit_overflow_names_loop_interval_and_lr():
+    """At lr 3e306 the weights stay finite but their logits overflow: one error naming the loop, interval and lr."""
+    m = make_gmm(21, 2, 4)
+    sch = dl.make_schedule("polynomial", 4, 0.002, 80.0, rho=7.0)
+    cfg = TrainConfig(teacher=dl.SolverKind("dpm2"), student=None, m=1, batch=8, images=48, lr=3e306, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # one error, and no numpy warning ahead of it
+        with pytest.raises(dl.DivergenceError, match=r"^lr 3e\+306 overflowed the logits at loop 5, interval 0$"):
+            amed.train(m, cfg, sch)
+
+
 def test_train_reduces_eval_loss():
     m = make_gmm(9, 4, 16, spread=6.0, s_lo=0.1, s_hi=0.3)
     sch = dl.make_schedule("polynomial", 4, 0.002, 80.0, rho=7.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,6 +238,40 @@ def test_grid_align_batched_matches_rows(gmm2_d8, poly_schedule, tag, grid):
         single = dl.grid_align(gmm2_d8, kind, poly_schedule, grid, row)
         np.testing.assert_array_equal(batched.best_r[:, i], single.best_r[:, 0])
         np.testing.assert_allclose(batched.alignment[:, i], single.alignment[:, 0], rtol=1e-9, atol=0)
+
+
+def test_grid_align_names_the_diverging_baseline(gmm2_d8, recwarn):
+    """Above t = 1.3e154 the shared first slope is NaN: the baseline walk ends in its first interval."""
+    schedule = dl.make_schedule("polynomial", 5, 0.002, 1e200, rho=7.0)
+    x = dl.stream(4, "align").standard_normal((4, 8)) * 1e200
+    oracle = Trajectory(nodes=[(t, x) for t in schedule.times[::-1]], nfe=0)  # any finite reference on the schedule
+    t_hi, t_lo = schedule.times[::-1][:2]
+    message = f"grid_align baseline diverged in interval [{t_lo:g}, {t_hi:g}]"
+    with pytest.raises(dl.DivergenceError, match=f"^{re.escape(message)}$"):
+        dl.grid_align(gmm2_d8, dl.SolverKind("dpm2"), schedule, [0.3, 0.5], oracle)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in recwarn]
+
+
+@pytest.mark.parametrize("how", ["overflow", "nan"])
+@pytest.mark.parametrize("tag", ["dpm2", "ipndm"])
+def test_grid_align_names_a_diverging_search(monkeypatch, gmm2_d8, poly_schedule, tag, how):
+    """A candidate that overflows or turns non-finite ends the search, named with its interval; the baseline is spared."""
+    import difflab.geometry as geometry_mod
+
+    real = geometry_mod._search_step
+    ts = poly_schedule.times[::-1]
+
+    def bad_candidate(model, base, r, x, t_hi, t_lo, carry=None, eps_cur=None):
+        x_next, nfe, carry = real(model, base, r, x, t_hi, t_lo, carry, eps_cur)
+        if r == 0.7 and t_hi == ts[2]:
+            x_next = x_next * 1e300 * 1e300 if how == "overflow" else np.full_like(x_next, np.nan)
+        return x_next, nfe, carry
+
+    monkeypatch.setattr(geometry_mod, "_search_step", bad_candidate)
+    x = dl.stream(4, "align").standard_normal((4, 8)) * 80.0
+    oracle = dl.oracle_solve(gmm2_d8, x, poly_schedule, 64)
+    with pytest.raises(dl.DivergenceError, match=rf"^grid_align search diverged in interval \[{ts[3]:g}, {ts[2]:g}\]$"):
+        dl.grid_align(gmm2_d8, dl.SolverKind(tag), poly_schedule, [0.3, 0.5, 0.7], oracle)
 
 
 def test_alignment_csv(tmp_path, gmm2_d8, poly_schedule):

@@ -466,6 +466,20 @@ def test_streamed_walk_diverges_as_sample_does(gmm2_d8, tag, afs):
     assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("tag", solvers.SOLVER_TAGS)
+def test_walk_refuses_a_non_finite_first_slope(monkeypatch, gmm2_d8, poly_schedule, tag, bad):
+    """An injected first slope is made outside the walk's rule; the walk checks it in interval 0, before the step."""
+    calls = count_model_calls(monkeypatch, solvers)
+    x_T = dl.stream(0, "probe").standard_normal((4, 8)) * 80.0
+    t_hi, t_lo = poly_schedule.times[::-1][:2]
+    walk = dl.trajectory._walk_schedule(partial(solvers.substep, gmm2_d8, dl.SolverKind(tag)), poly_schedule, x_T,
+                                        np.full_like(x_T, bad), tag)
+    with pytest.raises(dl.DivergenceError, match=rf"^{tag} diverged in interval \[{t_lo:g}, {t_hi:g}\]$"):
+        deque(walk, maxlen=0)
+    assert calls == []
+
+
 # Each step rule forms its update in arrays it allocated.  The references below are the rules written out,
 # one fresh array per operation; the steps must match them bit for bit and leave their inputs unwritten.
 _col, _B = solvers._col, 5
