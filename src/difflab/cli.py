@@ -120,8 +120,11 @@ def _cmd_pca(args) -> int:
         if traj.states.shape[1] != width:
             raise ValueError(f"{p}: {traj.states.shape[1]} coordinates, {paths[0]} has {width}; cannot stack")
     batch = Trajectory(nodes=list(zip(times.tolist(), np.stack([tr.states for tr in trajs], axis=1))))
-    err = projection_error(batch, min(2, width)).mean(axis=1)
-    cum = cumulative_variance(batch).mean(axis=0)
+    try:
+        err = projection_error(batch, min(2, width)).mean(axis=1)
+        cum = cumulative_variance(batch).mean(axis=0)
+    except ValueError as e:  # too few nodes; every dump shares the first one's times
+        raise ValueError(f"{paths[0]}: {e}") from None
     write_csv(_out_path(args.out), ["t", "rel_projection_error_k2"], zip(times.tolist(), err.tolist()))
     print(f"wrote {args.out} (averaged over {len(paths)} trajectories)" if len(paths) > 1 else f"wrote {args.out}")
     print("cumulative variance by k: " + ", ".join(f"{v:.6f}" for v in cum))

@@ -267,9 +267,9 @@ def reference_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACL
     """Reference states at the schedule's nodes, with their Richardson error estimate.
 
     A single-component model takes ``exact_trajectory`` at every node (nfe 0,
-    estimate 0).  Otherwise ``oracle_solve``'s RK4 integrates ``certified_grid``
-    joined with the schedule's nodes at S//2 and then S = ``substeps``, streaming:
-    only the S//2 endpoint and the S run's states at the schedule's nodes are kept.
+    estimate 0).  Otherwise two walks of ``_rk4_interval`` integrate ``certified_grid``
+    joined with the schedule's nodes at S//2 and then S = ``substeps`` RK4 steps per
+    interval, streaming: only the S//2 endpoint and the S run's schedule-node states are kept.
     ``error_estimate`` is mean |y_S - y_(S//2)| / ((S / (S//2))^4 - 1) at the
     endpoint, and nfe counts both runs.
     """

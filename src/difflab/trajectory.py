@@ -8,6 +8,7 @@ each solver run's newest state and ``amed.train``'s teacher only the coarse node
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,8 +101,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def read_trajectory_csv(path) -> Trajectory:
     """Read a node-only trajectory written by write_trajectory_csv.
 
-    A row whose width differs from the header's, a non-numeric cell or a
-    file with no rows raises ValueError naming the path and line number.
+    A row whose width differs from the header's, a non-numeric or non-finite
+    cell or a file with no rows raises ValueError naming the path and line number.
     """
     with open(path) as f:
         header = f.readline().strip().split(",")
@@ -118,6 +119,8 @@ def read_trajectory_csv(path) -> Trajectory:
                 vals = [float(v) for v in cells]
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"{path}:{lineno}: non-finite cell")
             nodes.append((vals[0], np.array(vals[1:], dtype=np.float64)))
     if not nodes:
         raise ValueError(f"{path}:1: header only, no trajectory rows")

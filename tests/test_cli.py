@@ -241,6 +241,14 @@ def test_pca_cli_batch_rejects_mismatched_times(tmp_path, model_path, capsys):
     _fails_with(capsys, pca, r"c\.csv: 8 coordinates, .*a\.csv has 4")
 
 
+def test_pca_cli_names_the_dump_with_too_few_nodes(tmp_path, model_path, capsys):
+    # a 2-node dump has no plane to fit; the error names the file, not only the rule
+    dump = tmp_path / "two.csv"
+    main(["sample", "--model", model_path, "--solver", "euler_ddim", "--N", "2", "--out", str(dump)])
+    _fails_with(capsys, ["pca", "--in", str(dump), "--out", str(tmp_path / "pca.csv")],
+                r"two\.csv: PCA needs at least three nodes")
+
+
 def test_align_cli_ipndm_default_grid(tmp_path):
     # the default grid holds r = 1, whose candidate keeps one fewer past slope than the split candidates
     out = tmp_path / "align.csv"

@@ -407,10 +407,12 @@ def test_label_parses_back():
         ("t,x_0,x_1\n2.0,1.0,0.5\n1.0,0.5\n", ":3:"),
         ("t,x_0,x_1\n2.0,1.0,0.5,7.0\n", ":2:"),
         ("t,x_0,x_1\n2.0,1.0,0.5\n1.0,abc,0.5\n", ":3:"),
+        ("t,x_0,x_1\n2.0,1.0,0.5\n1.0,nan,0.5\n", ":3: non-finite"),
+        ("t,x_0,x_1\n2.0,1.0,inf\n1.0,0.5,0.5\n", ":2: non-finite"),
         ("t,x_0,x_1\n", ":1:"),
         ("step,t,mean_best_r\n0,1.0,0.5\n", ": not a trajectory CSV"),
     ],
-    ids=["short_row", "long_row", "non_numeric", "header_only", "header_not_t"],
+    ids=["short_row", "long_row", "non_numeric", "nan_cell", "inf_cell", "header_only", "header_not_t"],
 )
 def test_trajectory_csv_rejects_malformed(tmp_path, body, where):
     path = tmp_path / "bad.csv"
