@@ -138,8 +138,8 @@ def _cmd_align(args) -> int:
         lo, hi, step = (float(v) for v in args.grid.split(":"))
     except ValueError:
         raise ValueError(f"--grid takes lo:hi:step, three numbers; got {args.grid!r}") from None
-    if not step > 0:
-        raise ValueError(f"--grid step must be positive; got {args.grid!r}")
+    if not 0 < step < np.inf:
+        raise ValueError(f"--grid step must be positive and finite; got {args.grid!r}")
     if not (hi - lo) / step + 1 <= _MAX_GRID:
         raise ValueError(f"--grid lo:hi:step spans more than {_MAX_GRID} points; got {args.grid!r}")
     if args.batch < 1:

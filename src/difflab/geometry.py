@@ -224,8 +224,8 @@ def shell_radius(params: BoundParams, s: float, t: float) -> float:
 
     r(s, t) = (a/sqrt(b)) * sqrt([1/(1+e^u)] from bs to bt + (b/4)(t - s)).
     """
-    if not 0 < s < t:
-        raise ValueError("need 0 < s < t")
+    if not 0 < s < t < math.inf:
+        raise ValueError("need 0 < s < t < inf")
 
     def antiderivative(u):
         # 1/(1 + e^u), evaluated stably
@@ -252,8 +252,7 @@ def mc_shell_check(params: BoundParams, s: float, t: float, trials: int, seed: i
     ``substeps`` uniform steps.  Reports the sample mean of the endpoint norm
     and its relative spread, to be compared against shell_radius.
     """
-    if not 0 < s < t:
-        raise ValueError("need 0 < s < t")
+    radius = shell_radius(params, s, t)  # refuses all but 0 < s < t < inf
     if trials < 1 or substeps < 1:
         raise ValueError("trials and substeps must be positive")
     taus = np.linspace(t, s, substeps + 1)
@@ -262,4 +261,4 @@ def mc_shell_check(params: BoundParams, s: float, t: float, trials: int, seed: i
     norms = np.linalg.norm(z, axis=1)
     mean = float(norms.mean())
     rel = float(norms.std() / mean) if mean > 0 else 0.0
-    return ShellReport(mean_norm=mean, rel_std=rel, radius=shell_radius(params, s, t))
+    return ShellReport(mean_norm=mean, rel_std=rel, radius=radius)

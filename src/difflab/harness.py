@@ -20,9 +20,9 @@ from functools import partial
 import numpy as np
 
 from .metrics import order_estimate, sliced_wasserstein
-from .rng import stream
+from .rng import _is_int, stream
 from .schedules import SCHEDULE_KINDS, make_schedule
-from .score_models import ORACLE_NODES, ORACLE_SUBSTEPS, GaussianMixture, _read_json, _write_json
+from .score_models import ORACLE_NODES, ORACLE_SUBSTEPS, GaussianMixture, _is_number, _read_json, _write_json
 from .score_models import load_model, reference_solve, sample_data
 from .solvers import SolverKind, _run, parse_solver_spec, substep
 from .trajectory import write_csv
@@ -52,7 +52,10 @@ def nfe_to_steps(kind: SolverKind, nfe: int, afs: bool) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One batch experiment over a grid of solvers and NFE budgets; what to measure, not how."""
+    """One batch experiment over a grid of solvers and NFE budgets; what to measure, not how.
+
+    Construction checks each key's whole rule, type and range, for JSON files and Python callers alike.
+    """
 
     model: str | GaussianMixture
     solvers: tuple
@@ -69,21 +72,29 @@ class RunConfig:
     oracle_nodes = ORACLE_NODES
 
     def __post_init__(self):
-        object.__setattr__(self, "nfe", tuple(int(v) for v in self.nfe))
+        solvers = tuple(self.solvers)
+        labels = [kind.label() for kind in solvers]
+        t_max_ok = _is_number(self.t_max) and self.t_max < np.inf  # t_min's rule compares against t_max
         for key, ok, want in (
-            ("nfe", len(self.nfe) > 0, "a non-empty list"),
-            ("batch", self.batch >= 1, "at least 1"),
-            ("seed", self.seed >= 0, "non-negative"),
+            ("nfe", isinstance(self.nfe, (list, tuple)) and self.nfe
+             and all(_is_int(v) and v >= 1 for v in self.nfe), "a non-empty list of positive integers"),
+            ("batch", _is_int(self.batch) and self.batch >= 1, "an integer, at least 1"),
+            ("seed", _is_int(self.seed) and self.seed >= 0, "a non-negative integer"),
             ("schedule_kind", self.schedule_kind in SCHEDULE_KINDS, f"one of {list(SCHEDULE_KINDS)}"),
-            ("t_max", self.t_max < np.inf, "finite"),
-            ("t_min", 0 < self.t_min < self.t_max, f"positive and below t_max ({self.t_max!r})"),
-            ("rho", 0 < self.rho < np.inf, "positive and finite"),
+            ("t_max", t_max_ok, "a finite number"),
+            ("t_min", t_max_ok and _is_number(self.t_min) and 0 < self.t_min < self.t_max,
+             f"a positive number below t_max ({self.t_max!r})"),
+            ("rho", _is_number(self.rho) and 0 < self.rho < np.inf, "a positive finite number"),
+            ("afs", isinstance(self.afs, bool), "true or false"),
+            ("outdir", self.outdir is None or isinstance(self.outdir, (str, os.PathLike)), "a string"),
+            ("solvers", len(set(labels)) == len(labels), "solvers with distinct labels"),
         ):
             if not ok:
-                raise ConfigError(f"config key {key!r} must be {want}; got {getattr(self, key)!r}")
-        solvers = tuple(self.solvers)
+                got = labels if key == "solvers" else getattr(self, key)
+                raise ConfigError(f"config key {key!r} must be {want}; got {got!r}")
         if not solvers:
             raise ConfigError("need at least one solver")
+        object.__setattr__(self, "nfe", tuple(int(v) for v in self.nfe))
         object.__setattr__(self, "solvers", solvers)
         for kind in solvers:
             for nfe in self.nfe:
@@ -191,31 +202,6 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
     return report
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _check_value_types(doc: dict) -> None:
-    """Raise ConfigError naming the first key whose JSON value has the wrong type."""
-    annotations = {f.name: f.type for f in fields(RunConfig)}
-    for key, value in doc.items():
-        kind = annotations[key]
-        if key == "solvers":
-            ok, want = isinstance(value, list) and all(isinstance(v, str) for v in value), "a list of strings"
-        elif key == "nfe":
-            ok, want = isinstance(value, list) and all(_is_int(v) for v in value), "a list of integers"
-        elif kind == "int":
-            ok, want = _is_int(value), "an integer"
-        elif kind == "float":
-            ok, want = _is_int(value) or isinstance(value, float), "a number"
-        elif kind == "bool":
-            ok, want = isinstance(value, bool), "true or false"
-        else:  # model, schedule_kind, outdir
-            ok, want = isinstance(value, str) or (key == "outdir" and value is None), "a string"
-        if not ok:
-            raise ConfigError(f"config key {key!r} must be {want}; got {value!r}")
-
-
 def load_run_config(path) -> RunConfig:
     """Read a flat key-value JSON config document; a fault raises ConfigError naming path."""
     doc = _read_json(path, ConfigError)
@@ -225,9 +211,10 @@ def load_run_config(path) -> RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "model" not in doc or "solvers" not in doc:
             raise ConfigError("config must name a model file and a solver list")
-        _check_value_types(doc)
-        solvers = tuple(parse_solver_spec(s) for s in doc["solvers"])
-        kwargs = {k: v for k, v in doc.items() if k not in ("model", "solvers")}
-        return RunConfig(model=doc["model"], solvers=solvers, **kwargs)
+        if not isinstance(doc["model"], str):
+            raise ConfigError(f"config key 'model' must be a string; got {doc['model']!r}")
+        if not (isinstance(doc["solvers"], list) and all(isinstance(s, str) for s in doc["solvers"])):
+            raise ConfigError(f"config key 'solvers' must be a list of strings; got {doc['solvers']!r}")
+        return RunConfig(**{**doc, "solvers": tuple(parse_solver_spec(s) for s in doc["solvers"])})
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None

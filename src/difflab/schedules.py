@@ -56,8 +56,8 @@ def make_schedule(kind: str, n: int, t_min: float, t_max: float, rho: float | No
     """
     if n < 2:
         raise ValueError("need at least two nodes")
-    if not 0 < t_min < t_max:
-        raise ValueError("need 0 < t_min < t_max")
+    if not 0 < t_min < t_max < np.inf:
+        raise ValueError("need 0 < t_min < t_max < inf")
     u = np.arange(n, dtype=np.float64) / (n - 1)
     if kind == "polynomial":
         if rho is None or rho <= 0:

@@ -341,9 +341,9 @@ def load_model(path) -> GaussianMixture:
         for key in ("weight", "std"):
             if not _is_number(c[key]):
                 raise ValueError(f"{path}: component {i}: {key!r} must be a number, got {c[key]!r}")
-        mean = c["mean"] if isinstance(c["mean"], list) else [c["mean"]]
-        if not all(_is_number(v) for v in mean):
-            raise ValueError(f"{path}: component {i}: 'mean' must be a flat list of numbers")
+        mean = c["mean"]
+        if not (isinstance(mean, list) and mean and all(_is_number(v) for v in mean)):
+            raise ValueError(f"{path}: component {i}: 'mean' must be a non-empty flat list of numbers")
         mean = np.array(mean, dtype=np.float64)
         if means and mean.size != means[0].size:
             raise ValueError(

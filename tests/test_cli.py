@@ -348,6 +348,8 @@ def test_bound_check_rejects_zero_dimension(capsys):
         (["--batch", "0"], "--batch must be at least 1; got 0"),
         (["--batch", "-1"], "--batch must be at least 1; got -1"),
         (["--grid", "0:1:1e-6"], "--grid lo:hi:step spans more than 1000 points"),
+        (["--grid", "0.1:1:inf"], "--grid step must be positive and finite"),
+        (["--seed", "-1"], "seed must be a non-negative integer; got -1"),
     ],
 )
 def test_align_rejects_bad_study_flags(tmp_path, model_path, capsys, flags, pattern):

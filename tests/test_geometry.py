@@ -347,6 +347,7 @@ def test_shell_radius_validation():
         (2.0, 1.0, 8, 10, "0 < s < t"),
         (1.0, 1.0, 8, 10, "0 < s < t"),
         (0.0, 1.0, 8, 10, "0 < s < t"),
+        (1.0, math.inf, 8, 10, "0 < s < t"),
         (1.0, 2.0, 0, 10, "trials and substeps must be positive"),
         (1.0, 2.0, 8, 0, "trials and substeps must be positive"),
     ],

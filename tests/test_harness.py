@@ -103,6 +103,11 @@ def test_run_config_rejects_parity_conflicts():
         ({"solvers": ["euler_ddim:3"]}, "solver 'euler_ddim' takes no parameter"),
         ({"solvers": []}, "need at least one solver"),
         ({"bogus": 1}, "unknown config keys"),
+        ({"solvers": ["dpm2", "dpm2"]},
+         r"config key 'solvers' must be solvers with distinct labels; got \['dpm2', 'dpm2'\]"),
+        ({"solvers": ["dpm2", "dpm2:0.5"]}, r"config key 'solvers' .* got \['dpm2', 'dpm2'\]"),
+        ({"solvers": ["ipndm", "euler_ddim", "ipndm:4"]},
+         r"config key 'solvers' .* got \['ipndm', 'euler_ddim', 'ipndm'\]"),
     ],
 )
 def test_load_run_config_names_path(tmp_path, doc, why):
@@ -189,6 +194,12 @@ def test_timing_sidecar_records_oracle(tmp_path):
         ("seed", -1),
         ("t_max", math.inf),
         ("rho", math.inf),
+        ("nfe", (8.7,)),
+        ("nfe", (0, 8)),
+        ("seed", 1.5),
+        ("t_min", True),
+        ("batch", 2.5),
+        ("afs", "no"),
     ],
 )
 def test_run_config_rejects_out_of_range_values(tmp_path, key, value):
@@ -232,7 +243,8 @@ def test_run_config_rejects_unknown_keys(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key,value", [("solvers", "dpm2"), ("nfe", 8), ("batch", "4"), ("model", 5), ("afs", "true")]
+    "key,value",
+    [("solvers", "dpm2"), ("nfe", 8), ("batch", "4"), ("model", 5), ("afs", "true"), ("t_max", "80"), ("rho", "7")],
 )
 def test_run_config_rejects_mistyped_values(tmp_path, key, value):
     doc = {"model": "x.json", "solvers": ["dpm2"], "nfe": [8], key: value}

@@ -42,6 +42,8 @@ def test_make_schedule_validation():
         dl.make_schedule("polynomial", 4, 0.0, 80.0)
     with pytest.raises(ValueError):
         dl.make_schedule("polynomial", 4, 2.0, 1.0)
+    with pytest.raises(ValueError, match="t_max < inf"):
+        dl.make_schedule("polynomial", 2, 0.002, np.inf)
     with pytest.raises(ValueError):
         dl.make_schedule("polynomial", 4, 0.002, 80.0, rho=-1.0)
     with pytest.raises(ValueError):

@@ -682,8 +682,11 @@ def test_load_model_not_a_json_object_names_path(tmp_path, content, why):
         ([{"weight": 1.0, "mean": [0.0], "std": 1.0}, {"weight": -1.0, "mean": [1.0], "std": 1.0}],
          "weights must be positive"),
         ([{"weight": 1.0, "mean": [0.0], "std": 0.0}], "stds must be strictly positive"),
+        ([{"weight": 1.0, "mean": [], "std": 1.0}], "component 0: 'mean' must be a non-empty flat list"),
+        ([{"weight": 1.0, "mean": [0.0], "std": 1.0}, {"weight": 1.0, "mean": 1.0, "std": 1.0}],
+         "component 1: 'mean' must be a non-empty flat list"),
     ],
-    ids=["empty", "zero_weight", "negative_weight", "zero_std"],
+    ids=["empty", "zero_weight", "negative_weight", "zero_std", "empty_mean", "scalar_mean"],
 )
 def test_load_model_rejects_bad_components(tmp_path, components, why):
     path = tmp_path / "model.json"
