@@ -26,9 +26,9 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-from .rng import stream
+from .rng import _is_int, stream
 from .schedules import TimeSchedule, refine_teacher
-from .score_models import FEATURE_DIM, GaussianMixture, ModelEval, _lock, _read_json, _write_json, eval_model
+from .score_models import FEATURE_DIM, GaussianMixture, ModelEval, _is_number, _lock, _read_json, _write_json, eval_model
 from .solvers import SolverKind, _check_interval, _run, split_step, substep
 from .trajectory import DivergenceError, Trajectory, _walk_schedule
 
@@ -280,15 +280,19 @@ class TrainConfig:
     learn_time_scale: bool = False
 
     def __post_init__(self):
-        for name in ("m", "batch", "images"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+        for name in ("m", "batch", "images", "seed"):
+            if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if not 0 <= self.lr < math.inf:
+        if not (_is_number(self.lr) and 0 <= self.lr < math.inf):
             raise ValueError(f"lr must be finite and non-negative, got {self.lr!r}")
         if self.batch < 1 or self.images < 1:
             raise ValueError("batch and images must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+        if not isinstance(self.learn_time_scale, bool):
+            raise ValueError(f"learn_time_scale must be a bool, got {self.learn_time_scale!r}")
 
 
 @dataclass

@@ -113,13 +113,13 @@ def _cmd_pca(args) -> int:
     if not paths:
         raise ValueError("nothing to analyze: pass --in and/or --batch")
     trajs = [read_trajectory_csv(p) for p in paths]
-    times, width = trajs[0].times, trajs[0].states.shape[1]
+    times, width = trajs[0].times, trajs[0].endpoint.shape[-1]
     for p, traj in zip(paths, trajs):
         if not np.array_equal(traj.times, times):
             raise ValueError(f"{p}: node times differ from those of {paths[0]}; cannot average node by node")
-        if traj.states.shape[1] != width:
-            raise ValueError(f"{p}: {traj.states.shape[1]} coordinates, {paths[0]} has {width}; cannot stack")
-    batch = Trajectory(nodes=list(zip(times.tolist(), np.stack([tr.states for tr in trajs], axis=1))))
+        if traj.endpoint.shape[-1] != width:
+            raise ValueError(f"{p}: {traj.endpoint.shape[-1]} coordinates, {paths[0]} has {width}; cannot stack")
+    batch = Trajectory(times, np.stack([tr.xs for tr in trajs], axis=1))
     try:
         err = projection_error(batch, min(2, width)).mean(axis=1)
         cum = cumulative_variance(batch).mean(axis=0)

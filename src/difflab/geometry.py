@@ -46,7 +46,7 @@ def pca_trajectory(traj: Trajectory) -> PcaResult:
     a deterministic sign (first coordinate of meaningful magnitude is
     positive); an all-equal trajectory yields zero eigenvalues.
     """
-    x = np.stack([s for _, s in traj.nodes], axis=-2)  # (*batch, nodes, d)
+    x = np.stack(traj.xs, axis=-2)  # (*batch, nodes, d)
     n, d = x.shape[-2:]
     if n < 3:
         raise ValueError("PCA needs at least three nodes")
@@ -64,7 +64,7 @@ def projection_error(traj: Trajectory, k: int) -> np.ndarray:
 
     Nodes with zero norm are flagged with NaN.
     """
-    x = np.stack([s for _, s in traj.nodes], axis=-2)
+    x = np.stack(traj.xs, axis=-2)
     if not 1 <= k <= x.shape[-1]:
         raise ValueError("need 1 <= k <= dim")
     pca = pca_trajectory(traj)
@@ -147,21 +147,31 @@ def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Tr
     ):
         raise ValueError("reference trajectory was not produced on this schedule")
 
-    x0 = np.atleast_2d(np.asarray(oracle.nodes[0][1], dtype=np.float64))  # a single state is a batch of one
+    x0 = np.atleast_2d(np.asarray(oracle.xs[0], dtype=np.float64))  # a single state is a batch of one
     n_b = x0.shape[0]
     if n_b == 0:
         raise ValueError("reference trajectory holds no states")
-    ys = np.asarray(oracle.states[1:], dtype=np.float64).reshape(schedule.n - 1, n_b, -1)  # as the walk's rows
+    ys = np.asarray(np.stack(oracle.xs[1:]), dtype=np.float64).reshape(schedule.n - 1, n_b, -1)  # as the walk's rows
     picks = []
 
     def search(x, t_hi, t_lo, carry, eps_cur=None):
-        """Every candidate from x; each row continues from the one that lands closest to its reference node."""
+        """Every candidate from x; each row keeps the one landing closest to its reference node, picked
+        as np.argmin picks: the first minimum, or the first NaN, which the walk names as a divergence."""
         eps_cur, nfe = _current(model, x, t_hi, eps_cur)
-        cands = [_search_step(model, base, r, x, t_hi, t_lo, carry, eps_cur) for r in grid]
-        pick = np.argmin(np.stack([np.linalg.norm(xc - ys[len(picks)], axis=-1) for xc, _, _ in cands]), axis=0)
+        y = ys[len(picks)]
+        for j, r in enumerate(grid):
+            x_c, n, c = _search_step(model, base, r, x, t_hi, t_lo, carry, eps_cur)
+            nfe += n
+            dist = np.linalg.norm(x_c - y, axis=-1)
+            c = () if c is None else tuple(np.broadcast_to(h, (n_b,) + np.shape(h)[1:]) for h in c)  # per row
+            if j == 0:
+                best, pick, x_next, history = dist, np.zeros(n_b, dtype=np.intp), x_c, c
+                continue
+            won = (dist < best) | (np.isnan(dist) & ~np.isnan(best))
+            best, pick, x_next = np.where(won, dist, best), np.where(won, j, pick), np.where(won[:, None], x_c, x_next)
+            history = tuple(np.where(won.reshape((n_b,) + (1,) * (h.ndim - 1)), h, k) for h, k in zip(c, history))
         picks.append(pick)
-        x_next = np.stack([xc for xc, _, _ in cands])[pick, np.arange(n_b)]
-        return x_next, nfe + sum(n for _, n, _ in cands), _gather_carry([c for _, _, c in cands], pick, n_b)
+        return x_next, nfe, history or None
 
     with np.errstate(all="ignore"):  # both walks check it in their first interval
         eps0 = eval_model(model, x0, schedule.t_max).epsilon  # shared by both walks
@@ -171,17 +181,6 @@ def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Tr
     alignment = np.linalg.norm(baseline.states[1:] - ys, axis=-1) - np.linalg.norm(searched.states[1:] - ys, axis=-1)
     return AlignmentResult(target_times=schedule.times[-2::-1], best_r=np.array(grid)[np.array(picks)],
                            alignment=alignment)
-
-
-def _gather_carry(carries, pick, n_b):
-    """Per-sample selection of the newest-first history entries all candidates hold; scalars broadcast."""
-    if carries[0] is None:
-        return None
-    idx = np.arange(n_b)
-    return tuple(
-        np.stack([np.broadcast_to(c[j], (n_b,) + np.shape(c[j])[1:]) for c in carries])[pick, idx]
-        for j in range(min(len(c) for c in carries))
-    )
 
 
 def write_alignment_csv(result: AlignmentResult, path) -> None:

@@ -91,6 +91,8 @@ class GaussianMixture:
             raise ValueError("weights must sum to 1 within 1e-12")
         if np.any(s <= 0):
             raise ValueError("stds must be strictly positive")
+        if not isinstance(self.zero_feature, bool):
+            raise ValueError(f"'zero_feature' must be true or false, got {self.zero_feature!r}")
         object.__setattr__(self, "weights", _lock(w))
         object.__setattr__(self, "means", _lock(m))
         object.__setattr__(self, "stds", _lock(s))
@@ -276,8 +278,8 @@ def reference_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACL
     if substeps < ORACLE_SUBSTEPS:
         raise ValueError(f"reference requires substeps >= {ORACLE_SUBSTEPS} per interval; got {substeps}")
     if model.n_components == 1:
-        nodes = [(t, exact_trajectory(model, x_T, t, schedule.t_max)) for t in schedule.times[::-1].tolist()]
-        return Trajectory(nodes=nodes, nfe=0, error_estimate=0.0)
+        times = schedule.times[::-1]
+        return Trajectory(times, [exact_trajectory(model, x_T, t, schedule.t_max) for t in times.tolist()], 0, 0.0)
     keep = set(schedule.times.tolist())
     grid = replace(schedule, times=sorted(keep.union(certified_grid(schedule.t_min, schedule.t_max).times.tolist())))
     x = np.asarray(x_T, dtype=np.float64)
@@ -286,7 +288,7 @@ def reference_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACL
     walk = _walk_schedule(partial(_rk4_interval, model, substeps), grid, x, None, "oracle")
     fine = Trajectory.collect(node for node in walk if node[0] in keep)
     estimate = float(np.mean(np.linalg.norm(fine.endpoint - half, axis=-1))) / ((substeps / (substeps // 2)) ** 4 - 1)
-    return Trajectory(fine.nodes, nfe + fine.nfe, estimate)
+    return Trajectory(fine.times, fine.xs, nfe + fine.nfe, estimate)
 
 
 def sample_data(model: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -325,7 +327,7 @@ def load_model(path) -> GaussianMixture:
     """Load a mixture from a JSON config: {"components": [{weight, mean, std}, ...]}.
 
     Weights are normalized to sum to one; the dimension is inferred from the
-    means.  An optional top-level "zero_feature" flag is honored.  A malformed
+    means.  An optional top-level "zero_feature" flag, true or false, is honored.  A malformed
     file raises ValueError naming the path and, where one is at fault, the
     component index and key.
     """
@@ -356,9 +358,7 @@ def load_model(path) -> GaussianMixture:
     w = w / w.sum()
     stds = np.array([c["std"] for c in comps], dtype=np.float64)
     try:
-        return GaussianMixture(
-            weights=w, means=np.array(means), stds=stds, zero_feature=bool(cfg.get("zero_feature", False))
-        )
+        return GaussianMixture(weights=w, means=np.array(means), stds=stds, zero_feature=cfg.get("zero_feature", False))
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
 

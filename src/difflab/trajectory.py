@@ -9,7 +9,7 @@ each solver run's newest state and ``amed.train``'s teacher only the coarse node
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,37 +18,44 @@ class DivergenceError(RuntimeError):
     """Numerical integration or sampling produced a non-finite state."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Trajectory:
     """States recorded at every schedule node, in descending time order.
 
-    nodes   -- list of (t, x); x may carry a leading batch dimension.
-    nfe     -- per-trajectory count of model evaluations (an analytically
-               substituted first evaluation counts as zero).
+    times   -- the node times, one read-only float64 array.
+    xs      -- the node states, node first: the walk's own arrays, or one array's rows
+               (``states`` stacks them afresh); x may carry a leading batch dimension.
+    nfe     -- model evaluations per trajectory; an analytically substituted first one counts as zero.
     error_estimate -- ``reference_solve``'s estimate of its mean endpoint error; else None.
     """
 
-    nodes: list = field(default_factory=list)
+    times: np.ndarray
+    xs: list | np.ndarray
     nfe: int = 0
     error_estimate: float | None = None
 
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=np.float64)
+        self.times = times.view() if times is self.times else times  # a caller's array keeps its flags
+        self.times.flags.writeable = False
+
     @property
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.nodes])
+    def nodes(self) -> tuple:
+        return tuple(zip(self.times.tolist(), self.xs))
 
     @property
     def states(self) -> np.ndarray:
-        return np.stack([x for _, x in self.nodes])
+        return np.stack(self.xs)
 
     @property
     def endpoint(self) -> np.ndarray:
-        return self.nodes[-1][1]
+        return self.xs[-1]
 
     @classmethod
     def collect(cls, walk) -> Trajectory:
-        """Every ``(t, x)`` node of a ``_walk_schedule`` walk, and its NFE."""
-        nodes = list(walk)
-        return cls(nodes=[node[:2] for node in nodes], nfe=nodes[-1][2])
+        """Every node of a ``_walk_schedule`` walk, keeping the state arrays it yields uncopied, and its NFE."""
+        times, xs, nfe = zip(*walk)
+        return cls(times, list(xs), nfe[-1])
 
 
 def _walk_schedule(step, schedule, x, eps0, name: str):
@@ -91,11 +98,10 @@ def write_csv(path, header, rows) -> None:
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """One row per node, header t,x_0..x_{d-1}, full double precision."""
-    x0 = np.asarray(traj.nodes[0][1])
-    if x0.ndim != 1:
+    if np.ndim(traj.endpoint) != 1:
         raise ValueError("CSV export expects a single (unbatched) trajectory")
-    header = ["t"] + [f"x_{i}" for i in range(x0.shape[-1])]
-    write_csv(path, header, ([float(t)] + np.asarray(x, dtype=np.float64).tolist() for t, x in traj.nodes))
+    table = np.column_stack((traj.times, traj.states))
+    write_csv(path, ["t"] + [f"x_{i}" for i in range(table.shape[1] - 1)], table.tolist())
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -108,7 +114,7 @@ def read_trajectory_csv(path) -> Trajectory:
         header = f.readline().strip().split(",")
         if header[0] != "t":
             raise ValueError(f"{path}: not a trajectory CSV")
-        nodes = []
+        rows = []
         for lineno, line in enumerate(f, start=2):
             cells = line.strip().split(",")
             if cells == [""]:
@@ -121,7 +127,8 @@ def read_trajectory_csv(path) -> Trajectory:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
             if not all(map(math.isfinite, vals)):
                 raise ValueError(f"{path}:{lineno}: non-finite cell")
-            nodes.append((vals[0], np.array(vals[1:], dtype=np.float64)))
-    if not nodes:
+            rows.append(vals)
+    if not rows:
         raise ValueError(f"{path}:1: header only, no trajectory rows")
-    return Trajectory(nodes=nodes, nfe=0)
+    table = np.array(rows, dtype=np.float64)  # (nodes, 1 + d): the times column and the states' rows share it
+    return Trajectory(table[:, 0], table[:, 1:])

@@ -763,12 +763,17 @@ def test_train_config_validation():
     for key in ("batch", "images"):
         with pytest.raises(ValueError, match="batch and images must be positive"):
             TrainConfig(teacher=teacher, **{key: 0})
-    for key, value in (("m", 1.5), ("batch", 2.0), ("images", "10"), ("m", None)):
+    for key, value in (("m", 1.5), ("batch", 2.0), ("images", "10"), ("m", None), ("m", True), ("batch", True),
+                       ("images", True), ("seed", 1.5), ("seed", "3")):
         with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
             TrainConfig(teacher=teacher, **{key: value})
-    for lr in (np.nan, np.inf, -np.inf, float("nan")):
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        TrainConfig(teacher=teacher, seed=-1)
+    for lr in (np.nan, np.inf, -np.inf, float("nan"), True):
         with pytest.raises(ValueError, match="^lr must be finite and non-negative, got"):
             TrainConfig(teacher=teacher, lr=lr)
+    with pytest.raises(ValueError, match="^learn_time_scale must be a bool, got 'no'$"):
+        TrainConfig(teacher=teacher, learn_time_scale="no")
     TrainConfig(teacher=teacher, m=np.int64(3), batch=np.int32(7), lr=0.0)  # numpy integers and lr 0 pass
 
 

@@ -16,8 +16,7 @@ def line_trajectory(n=8, d=5):
     # planted rank-1 trajectory
     direction = np.arange(1.0, d + 1.0)
     ts = np.linspace(10.0, 1.0, n)
-    nodes = [(t, 0.3 * t * direction + 2.0) for t in ts]
-    return Trajectory(nodes=nodes, nfe=0)
+    return Trajectory(ts, [0.3 * t * direction + 2.0 for t in ts], 0)
 
 
 def plane_trajectory(n=10, d=6):
@@ -25,8 +24,7 @@ def plane_trajectory(n=10, d=6):
     u = rng.standard_normal(d)
     v = rng.standard_normal(d)
     ts = np.linspace(5.0, 0.5, n)
-    nodes = [(t, math.sin(t) * u + math.cos(2 * t) * v) for t in ts]
-    return Trajectory(nodes=nodes, nfe=0)
+    return Trajectory(ts, [math.sin(t) * u + math.cos(2 * t) * v for t in ts], 0)
 
 
 def test_pca_orthonormal_and_sorted():
@@ -94,8 +92,7 @@ def test_projection_error_monotone_in_k():
 
 
 def test_projection_error_flags_zero_norm_nodes():
-    nodes = [(3.0, np.array([1.0, 0.0])), (2.0, np.array([0.0, 0.0])), (1.0, np.array([-1.0, 0.0]))]
-    errs = dl.projection_error(Trajectory(nodes=nodes), 1)
+    errs = dl.projection_error(Trajectory([3.0, 2.0, 1.0], [np.array([1.0, 0.0]), np.array([0.0, 0.0]), np.array([-1.0, 0.0])]), 1)
     assert not np.isnan(errs[0]) and np.isnan(errs[1])
 
 
@@ -106,14 +103,14 @@ def test_geometry_batched_matches_per_trajectory_loop(n, d):
     states[:, 2] = 2.5
     states[n // 2, 3] = 0.0
     ts = np.linspace(5.0, 0.5, n)
-    batch = Trajectory(nodes=list(zip(ts, states)))
+    batch = Trajectory(ts, states)
     pca = dl.pca_trajectory(batch)
     errs = dl.projection_error(batch, 2)
     cum = dl.cumulative_variance(batch)
     assert pca.components.shape == (4, min(n, d), d) and pca.eigenvalues.shape == (4, d)
     assert errs.shape == (n, 4) and cum.shape == (4, d)
     for b in range(4):
-        single = Trajectory(nodes=list(zip(ts, states[:, b])))
+        single = Trajectory(ts, list(states[:, b]))
         ref = dl.pca_trajectory(single)
         np.testing.assert_allclose(pca.eigenvalues[b], ref.eigenvalues, rtol=0, atol=1e-12)
         np.testing.assert_allclose(pca.mean[b], ref.mean, rtol=0, atol=1e-12)
@@ -121,6 +118,23 @@ def test_geometry_batched_matches_per_trajectory_loop(n, d):
         np.testing.assert_allclose(cum[b], dl.cumulative_variance(single), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(cum[2], np.ones(d))
     assert np.isnan(errs[n // 2, 3]) and not np.isnan(np.delete(errs[:, 3], n // 2)).any()
+
+
+def test_geometry_of_a_csv_read_trajectory_keeps_the_bits(tmp_path, gmm2_d8, poly_schedule):
+    """A read-back trajectory's states are one array's rows, a sampled one's the walk's arrays: same bits."""
+    x_T = dl.stream(6, "csv-bits").standard_normal((3, 8)) * 80.0
+    sampled = dl.sample(gmm2_d8, dl.SolverKind("dpm2"), poly_schedule, x_T)
+    rows = [Trajectory(sampled.times, [x[b] for x in sampled.xs]) for b in range(3)]
+    for b, row in enumerate(rows):
+        dl.write_trajectory_csv(row, tmp_path / f"{b}.csv")
+    back = [dl.read_trajectory_csv(tmp_path / f"{b}.csv") for b in range(3)]
+    pairs = [(rows[0], back[0]), (sampled, Trajectory(sampled.times, np.stack([tr.xs for tr in back], axis=1)))]
+    for listed, read in pairs:
+        a, b = dl.pca_trajectory(listed), dl.pca_trajectory(read)
+        for name in ("components", "eigenvalues", "mean"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        np.testing.assert_array_equal(dl.projection_error(listed, 2), dl.projection_error(read, 2))
+        np.testing.assert_array_equal(dl.cumulative_variance(listed), dl.cumulative_variance(read))
 
 
 @pytest.mark.parametrize("k", [0, 6])
@@ -131,21 +145,21 @@ def test_projection_error_rank_range(k):
 
 def test_pca_needs_three_nodes():
     with pytest.raises(ValueError):
-        dl.pca_trajectory(Trajectory(nodes=[(2.0, np.zeros(3)), (1.0, np.zeros(3))]))
+        dl.pca_trajectory(Trajectory([2.0, 1.0], [np.zeros(3), np.zeros(3)]))
 
 
 def test_cumulative_variance_random_cloud_scales_like_k_over_d():
     rng = dl.stream(2, "cloud")
-    nodes = [(float(t), rng.standard_normal(8)) for t in np.linspace(9, 1, 4000)]
-    cum = dl.cumulative_variance(Trajectory(nodes=nodes))
+    ts = np.linspace(9, 1, 4000)
+    cum = dl.cumulative_variance(Trajectory(ts, [rng.standard_normal(8) for _ in ts]))
     np.testing.assert_allclose(cum, np.arange(1, 9) / 8.0, atol=0.05)
 
 
 def test_degenerate_trajectory_is_valid():
-    nodes = [(float(t), np.ones(3)) for t in (3.0, 2.0, 1.0)]
-    pca = dl.pca_trajectory(Trajectory(nodes=nodes))
+    traj = Trajectory([3.0, 2.0, 1.0], [np.ones(3)] * 3)
+    pca = dl.pca_trajectory(traj)
     np.testing.assert_allclose(pca.eigenvalues, 0.0, atol=1e-300)
-    cum = dl.cumulative_variance(Trajectory(nodes=nodes))
+    cum = dl.cumulative_variance(traj)
     np.testing.assert_array_equal(cum, np.ones(3))
 
 
@@ -234,7 +248,7 @@ def test_grid_align_batched_matches_rows(gmm2_d8, poly_schedule, tag, grid):
     kind = dl.SolverKind(tag)
     batched = dl.grid_align(gmm2_d8, kind, poly_schedule, grid, oracle)
     for i in range(x.shape[0]):
-        row = Trajectory(nodes=[(t, xs[i]) for t, xs in oracle.nodes], nfe=oracle.nfe)
+        row = Trajectory(oracle.times, [xs[i] for xs in oracle.xs], oracle.nfe)
         single = dl.grid_align(gmm2_d8, kind, poly_schedule, grid, row)
         np.testing.assert_array_equal(batched.best_r[:, i], single.best_r[:, 0])
         np.testing.assert_allclose(batched.alignment[:, i], single.alignment[:, 0], rtol=1e-9, atol=0)
@@ -244,7 +258,7 @@ def test_grid_align_names_the_diverging_baseline(gmm2_d8, recwarn):
     """Above t = 1.3e154 the shared first slope is NaN: the baseline walk ends in its first interval."""
     schedule = dl.make_schedule("polynomial", 5, 0.002, 1e200, rho=7.0)
     x = dl.stream(4, "align").standard_normal((4, 8)) * 1e200
-    oracle = Trajectory(nodes=[(t, x) for t in schedule.times[::-1]], nfe=0)  # any finite reference on the schedule
+    oracle = Trajectory(schedule.times[::-1], [x] * schedule.n)  # any finite reference on the schedule
     t_hi, t_lo = schedule.times[::-1][:2]
     message = f"grid_align baseline diverged in interval [{t_lo:g}, {t_hi:g}]"
     with pytest.raises(dl.DivergenceError, match=f"^{re.escape(message)}$"):

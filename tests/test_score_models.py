@@ -674,6 +674,17 @@ def test_load_model_not_a_json_object_names_path(tmp_path, content, why):
         dl.load_model(path)
 
 
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_load_model_names_a_zero_feature_that_is_not_a_bool(tmp_path, value):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"components": [{"weight": 1.0, "mean": [0.0], "std": 1.0}], "zero_feature": value}))
+    with pytest.raises(ValueError, match=rf"model\.json: 'zero_feature' must be true or false, got {value!r}$"):
+        dl.load_model(path)
+    for flag in (True, False):
+        path.write_text(json.dumps({"components": [{"weight": 1.0, "mean": [0.0], "std": 1.0}], "zero_feature": flag}))
+        assert dl.load_model(path).zero_feature is flag
+
+
 @pytest.mark.parametrize(
     "components, why",
     [

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 from functools import partial
 
@@ -359,6 +360,46 @@ def test_trajectory_csv_skips_blank_lines(tmp_path):
     traj = dl.read_trajectory_csv(path)
     assert [t for t, _ in traj.nodes] == [2.0, 1.0]
     np.testing.assert_array_equal(traj.states, [[1.5], [0.5]])
+
+
+def test_collect_keeps_the_arrays_the_walk_yields(gmm2_d8, poly_schedule):
+    """A copy per node would add a state to every sampling peak; the times are stored once, read-only."""
+    nodes = list(_walk(gmm2_d8, "dpm2", poly_schedule, dl.stream(3, "own").standard_normal((4, 8)) * 80.0, False))
+    traj = dl.Trajectory.collect(iter(nodes))
+    assert all(kept is x for kept, (_, x, _) in zip(traj.xs, nodes, strict=True))
+    np.testing.assert_array_equal(traj.times, poly_schedule.times[::-1])
+    assert traj.nfe == nodes[-1][2] and not traj.times.flags.writeable
+    ts = np.array([2.0, 1.0])
+    dl.Trajectory(ts, [np.zeros(2), np.ones(2)])
+    assert ts.flags.writeable  # the caller's array keeps its flags
+
+
+@pytest.mark.parametrize("source, bound", [("read", 1.5), ("sampled", 2.1)])
+def test_trajectories_keep_little_beyond_their_data(tmp_path, source, bound):
+    """200 trajectories of 17 nodes x 16 coordinates, held, cost at most bound x their times' and states' bytes.
+
+    A (t, x) tuple per node costs 2.5x read back and 2.4x sampled, above both bounds.
+    """
+    model, kind = make_gmm(0, 4, 16), dl.SolverKind("dpm2")
+    schedule = dl.make_schedule("polynomial", 17, 0.002, 80.0, rho=7.0)
+    x_T = dl.stream(0, "retained").standard_normal((200, 16)) * 80.0
+    paths = [tmp_path / f"{i}.csv" for i in range(len(x_T))]
+    for x, path in zip(x_T, paths):
+        dl.write_trajectory_csv(dl.sample(model, kind, schedule, x), path)
+    if source == "read":
+        make = partial(map, dl.read_trajectory_csv, paths)
+    else:
+        make = partial(map, partial(dl.sample, model, kind, schedule), x_T)
+    list(make())  # first calls fill numpy's and the interpreter's caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        held = list(make())
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    data = len(held) * 17 * (1 + 16) * 8
+    assert kept <= bound * data, f"{kept / data:.3f} x the data bytes"
 
 
 def test_write_csv_exact_text(tmp_path):
