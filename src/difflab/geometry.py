@@ -38,6 +38,22 @@ class PcaResult:
     mean: np.ndarray
 
 
+def _centred_svd(traj: Trajectory, compute_uv=True):
+    """States (*batch, nodes, d), their node mean and the centred states' thin SVD (singular values only without uv)."""
+    x = np.stack(traj.xs, axis=-2)
+    if x.shape[-2] < 3:
+        raise ValueError("PCA needs at least three nodes")
+    mean = x.mean(axis=-2, keepdims=True)
+    return x, mean, np.linalg.svd(x - mean, full_matrices=False, compute_uv=compute_uv)
+
+
+def _eigenvalues(x, sv) -> np.ndarray:
+    """The nodes' covariance eigenvalues from the singular values, zero-padded to d."""
+    evals = np.zeros(x.shape[:-2] + x.shape[-1:])
+    evals[..., : sv.shape[-1]] = sv * sv / (x.shape[-2] - 1)
+    return evals
+
+
 def pca_trajectory(traj: Trajectory) -> PcaResult:
     """Principal axes and variances of the nodes, by one stacked thin SVD of the centred states.
 
@@ -46,40 +62,30 @@ def pca_trajectory(traj: Trajectory) -> PcaResult:
     a deterministic sign (first coordinate of meaningful magnitude is
     positive); an all-equal trajectory yields zero eigenvalues.
     """
-    x = np.stack(traj.xs, axis=-2)  # (*batch, nodes, d)
-    n, d = x.shape[-2:]
-    if n < 3:
-        raise ValueError("PCA needs at least three nodes")
-    mean = x.mean(axis=-2, keepdims=True)
-    _, sv, comps = np.linalg.svd(x - mean, full_matrices=False)
-    evals = np.zeros(x.shape[:-2] + (d,))
-    evals[..., : sv.shape[-1]] = sv * sv / (n - 1)
+    x, mean, (_, sv, comps) = _centred_svd(traj)
     lead = np.take_along_axis(comps, np.argmax(np.abs(comps) > 1e-12, axis=-1)[..., None], axis=-1)
     comps = np.where(lead < 0, -comps, comps)
-    return PcaResult(components=comps, eigenvalues=evals, mean=mean[..., 0, :])
+    return PcaResult(components=comps, eigenvalues=_eigenvalues(x, sv), mean=mean[..., 0, :])
 
 
 def projection_error(traj: Trajectory, k: int) -> np.ndarray:
-    """Per-node relative error of the rank-k reconstruction, ||x - x~|| / ||x||.
+    """Per-node relative error of the rank-k reconstruction, ||x - x~|| / ||x||, from the row norms of U[:, k:] S[k:].
 
     Nodes with zero norm are flagged with NaN.
     """
-    x = np.stack(traj.xs, axis=-2)
+    x, _, (u, sv, _) = _centred_svd(traj)
     if not 1 <= k <= x.shape[-1]:
         raise ValueError("need 1 <= k <= dim")
-    pca = pca_trajectory(traj)
-    basis = pca.components[..., :k, :]
-    mean = pca.mean[..., None, :]
-    recon = (x - mean) @ basis.swapaxes(-1, -2) @ basis + mean
     nodes_first = (x.ndim - 2, *range(x.ndim - 2), x.ndim - 1)
+    err = np.linalg.norm((u[..., k:] * sv[..., None, k:]).transpose(nodes_first), axis=-1)
     norms = np.linalg.norm(x.transpose(nodes_first), axis=-1)
-    err = np.linalg.norm((x - recon).transpose(nodes_first), axis=-1)
     return np.divide(err, norms, out=np.full_like(norms, np.nan), where=norms > 0)
 
 
 def cumulative_variance(traj: Trajectory) -> np.ndarray:
     """Fraction of total variance explained by the top k components, k = 1..d; all ones if all-equal."""
-    cum = np.cumsum(pca_trajectory(traj).eigenvalues, axis=-1)
+    x, _, sv = _centred_svd(traj, compute_uv=False)
+    cum = np.cumsum(_eigenvalues(x, sv), axis=-1)
     return np.divide(cum, cum[..., -1:], out=np.ones_like(cum), where=cum[..., -1:] > 0)
 
 

@@ -24,7 +24,7 @@ from .rng import _is_int, stream
 from .schedules import SCHEDULE_KINDS, make_schedule
 from .score_models import ORACLE_NODES, ORACLE_SUBSTEPS, GaussianMixture, _is_number, _read_json, _write_json
 from .score_models import load_model, reference_solve, sample_data
-from .solvers import SolverKind, _run, parse_solver_spec, substep
+from .solvers import SolverKind, _current, _run, parse_solver_spec, substep
 from .trajectory import write_csv
 
 ENV_OUTDIR = "DIFFLAB_OUTDIR"
@@ -76,8 +76,8 @@ class RunConfig:
         labels = [kind.label() for kind in solvers]
         t_max_ok = _is_number(self.t_max) and self.t_max < np.inf  # t_min's rule compares against t_max
         for key, ok, want in (
-            ("nfe", isinstance(self.nfe, (list, tuple)) and self.nfe
-             and all(_is_int(v) and v >= 1 for v in self.nfe), "a non-empty list of positive integers"),
+            ("nfe", isinstance(self.nfe, (list, tuple)) and self.nfe and all(_is_int(v) and v >= 1 for v in self.nfe)
+             and len(set(self.nfe)) == len(self.nfe), "a non-empty list of distinct positive integers"),
             ("batch", _is_int(self.batch) and self.batch >= 1, "an integer, at least 1"),
             ("seed", _is_int(self.seed) and self.seed >= 0, "a non-negative integer"),
             ("schedule_kind", self.schedule_kind in SCHEDULE_KINDS, f"one of {list(SCHEDULE_KINDS)}"),
@@ -123,6 +123,20 @@ class MetricsReport:
         return {"entries": [asdict(e) for e in self.entries], "orders": self.orders, "reference": self.reference}
 
 
+def _lockstep(model, kinds, x, t_hi, t_lo, carry, eps_cur=None):
+    """One interval of a group's rows, stacked on axis 0: one model call at t_hi, then each row's substep on its slope.
+
+    The slope rows this call made take the next states (an injected slope is read-only); ipndm's history keeps copies.
+    """
+    eps, n = _current(model, x, t_hi, eps_cur)
+    x_next, calls, carry = eps if n else np.empty_like(eps), np.full(len(kinds), n), list(carry or [None] * len(kinds))
+    for j, kind in enumerate(kinds):
+        slope = eps[j].copy() if kind.tag == "ipndm" and kind.order > 1 else eps[j]
+        x_next[j], m, carry[j] = substep(model, kind, x[j], t_hi, t_lo, carry[j], eps_cur=slope)
+        calls[j] += m
+    return x_next, calls, carry
+
+
 def _environment() -> dict:
     """Python, numpy and BLAS build of this process (the field names of perfbench's fingerprint)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
@@ -148,13 +162,16 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
     keeps only x_T and the endpoint.  ``report.reference`` holds the error
     estimate it returns (0.98x the error against 256 substeps on gmm2_d8,
     0.65x on gmm4_d16) and that estimate's ratio to the smallest row's mean
-    endpoint error.  A solver run keeps only its newest state, so memory grows
-    with neither NFE nor the reference grid.  ``report.wallclock`` (and
+    endpoint error.  Rows with one node count and calls per interval walk in
+    lockstep, one model call per interval serving all their slopes, keep their
+    newest states only and are scored when the walk ends: memory grows with a
+    group's rows, not with NFE or the reference grid.  ``report.wallclock`` (and
     ``timing.json``) holds the seconds spent on model, output directory, input
     and data draws and reference ends (``setup``), both reference runs
-    (``oracle``), each solver's schedule and run (``<label>@<nfe>``), endpoint
-    errors, sliced W2 and order fits (``metrics``), the CSV and JSON reports
-    (``write``) and the call up to the sidecar (``total``), plus ``environment``.
+    (``oracle``), each group's schedule and walk (its rows' ``<label>@<nfe>``
+    joined by ``+``), endpoint errors, sliced W2 and order fits (``metrics``),
+    the CSV and JSON reports (``write``) and the call up to the sidecar
+    (``total``), plus ``environment``.
     """
     start = time.perf_counter()
     report = MetricsReport()
@@ -170,24 +187,28 @@ def run_experiment(cfg: RunConfig) -> MetricsReport:
     with _phase(report.wallclock, "oracle"):
         ref = reference_solve(model, x_T, ref_ends)
 
-    for kind in cfg.solvers:
-        label = kind.label()
-        errs = []
-        for nfe in cfg.nfe:
-            with _phase(report.wallclock, f"{label}@{nfe}"):
-                n = nfe_to_steps(kind, nfe, cfg.afs)
-                schedule = make_schedule(cfg.schedule_kind, n, cfg.t_min, cfg.t_max, rho=cfg.rho)
-                walk = _run(model, partial(substep, model, kind), schedule, x_T, cfg.afs, kind.tag)
-                for _, endpoint, nfe_observed in walk:
-                    pass  # only the newest state is kept
-            with _phase(report.wallclock, "metrics"):
-                err = float(np.mean(np.linalg.norm(endpoint - ref.endpoint, axis=-1)))
-                sw = sliced_wasserstein(endpoint, data, seed=cfg.seed)
-            report.entries.append(RunEntry(solver=label, nfe=nfe, steps=n, mean_endpoint_l2=err,
-                                           sliced_w2=sw, nfe_observed=nfe_observed))
-            errs.append((nfe, err))
-        with _phase(report.wallclock, "metrics"):
-            report.orders[label] = order_estimate(errs) if len(errs) >= 3 else None
+    rows = [(kind, nfe) for kind in cfg.solvers for nfe in cfg.nfe]  # the report's order
+    groups, entries = {}, {}  # the rows of one schedule and calls per interval walk in lockstep, keyed by both
+    for kind, nfe in rows:
+        groups.setdefault((nfe_to_steps(kind, nfe, cfg.afs), kind.evals_per_interval), []).append((kind, nfe))
+    for (n, _), group in groups.items():
+        name = "+".join(f"{kind.label()}@{nfe}" for kind, nfe in group)
+        with _phase(report.wallclock, name):
+            schedule = make_schedule(cfg.schedule_kind, n, cfg.t_min, cfg.t_max, rho=cfg.rho)
+            walk = _run(model, partial(_lockstep, model, [kind for kind, _ in group]), schedule,
+                        np.broadcast_to(x_T, (len(group),) + x_T.shape), cfg.afs, name)
+            for _, ends, nfe_observed in walk:
+                pass  # only the newest states are kept
+        with _phase(report.wallclock, "metrics"):  # now, and by index: a view of the ends would keep the stack alive
+            for j, ((kind, nfe), observed) in enumerate(zip(group, nfe_observed.tolist())):
+                err = float(np.mean(np.linalg.norm(ends[j] - ref.endpoint, axis=-1)))
+                sw = sliced_wasserstein(ends[j], data, seed=cfg.seed)
+                entries[kind, nfe] = RunEntry(kind.label(), nfe, n, err, sw, observed)
+    report.entries = [entries[row] for row in rows]
+    with _phase(report.wallclock, "metrics"):
+        for kind in cfg.solvers:
+            errs = [(nfe, entries[kind, nfe].mean_endpoint_l2) for nfe in cfg.nfe]
+            report.orders[kind.label()] = order_estimate(errs) if len(errs) >= 3 else None
 
     report.reference = {"substeps": ORACLE_SUBSTEPS, "error_estimate": ref.error_estimate,
                         "ratio_to_best": ref.error_estimate / min(e.mean_endpoint_l2 for e in report.entries)}

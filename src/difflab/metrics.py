@@ -27,15 +27,16 @@ def sliced_wasserstein(a, b, projections: int = 64, seed: int = 0) -> float:
     if d == 1:
         u = np.ones((1, 1))
     else:
-        rng = stream(seed, "sw")
-        u = rng.standard_normal((projections, d))
+        u = stream(seed, "sw").standard_normal((projections, d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-    # In place: 2 (n, projections) buffers, not 6; at n = 256 freeing 6 made glibc trim and re-fault the heap per call.
-    pa, pb = a @ u.T, b @ u.T
-    pa.sort(axis=0)
-    pb.sort(axis=0)
-    pa -= pb
-    w2 = np.sqrt(np.mean(np.square(pa, out=pa), axis=0))
+    # In place, d projections at a time: 2 (n, d) scratch buffers, the sample sets' size, not 2 (n, projections).
+    w2 = np.empty(len(u))
+    for i in range(0, len(u), d):
+        pa, pb = a @ u[i : i + d].T, b @ u[i : i + d].T
+        pa.sort(axis=0)
+        pb.sort(axis=0)
+        pa -= pb
+        w2[i : i + d] = np.sqrt(np.mean(np.square(pa, out=pa), axis=0))
     return float(w2.mean())
 
 

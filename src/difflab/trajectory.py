@@ -3,7 +3,7 @@
 ``_walk_schedule`` is a generator that yields every node and keeps none: ``sample``,
 ``amed_sample``, ``oracle_solve`` and ``grid_align``'s baseline and search collect them (``Trajectory.collect``);
 ``reference_solve`` keeps its S//2 run's endpoint and its S run's schedule nodes, ``run_experiment``
-each solver run's newest state and ``amed.train``'s teacher only the coarse nodes.
+each lockstep group's newest states and ``amed.train``'s teacher only the coarse nodes.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class Trajectory:
 def _walk_schedule(step, schedule, x, eps0, name: str):
     """Step from the top of the schedule down to its floor, yielding ``(t, x, nfe so far)`` at every node.
 
-    step(x, t_hi, t_lo, carry, eps_cur=...) returns ``(x_next, nfe, carry)``;
+    step(x, t_hi, t_lo, carry, eps_cur=...) returns ``(x_next, nfe, carry)``, nfe an int or per-row counts;
     eps0, if not None, is interval 0's first slope (the analytic first step,
     or one the caller already computed).  An overflow, a non-finite state or
     a non-finite eps0 aborts naming the interval; numpy's error state is set
@@ -81,7 +81,7 @@ def _walk_schedule(step, schedule, x, eps0, name: str):
                     raise FloatingPointError
         except FloatingPointError:
             raise DivergenceError(f"{name} diverged in interval [{t_lo:g}, {t_hi:g}]") from None
-        nfe += n
+        nfe = nfe + n  # a new object: per-row counts already yielded stay as they were
         yield t_lo, x, nfe
 
 

@@ -200,6 +200,7 @@ def test_timing_sidecar_records_oracle(tmp_path):
         ("t_min", True),
         ("batch", 2.5),
         ("afs", "no"),
+        ("nfe", (8, 8)),
     ],
 )
 def test_run_config_rejects_out_of_range_values(tmp_path, key, value):
@@ -418,12 +419,100 @@ def test_the_reference_streams(monkeypatch, call):
 
 @pytest.mark.parametrize("afs,nfe", [(False, (8, 16)), (True, (5, 9))], ids=["exact_first", "afs"])
 def test_run_experiment_counts_every_model_call(monkeypatch, afs, nfe):
-    """Model calls made = the rows' nfe_observed plus both reference runs (8 and 4 RK4 substeps, 16 intervals)."""
+    """Model calls made = each lockstep group's calls plus both reference runs (8 and 4 RK4 substeps, 16 intervals).
+
+    A group of R rows with e calls per interval over I intervals makes one
+    shared call per interval (none in interval 0 with the analytic first
+    step) and (e - 1) * I calls of each row's own.
+    """
     from test_solvers import count_model_calls
 
     calls = count_model_calls(monkeypatch, dl.solvers, dl.score_models)
-    cfg = RunConfig(model=make_gmm(7, 2, 4), solvers=tuple(dl.SolverKind(t) for t in dl.solvers.SOLVER_TAGS),
-                    nfe=nfe, afs=afs, batch=8, seed=3)
+    kinds = {t: dl.SolverKind(t) for t in dl.solvers.SOLVER_TAGS}
+    cfg = RunConfig(model=make_gmm(7, 2, 4), solvers=tuple(kinds.values()), nfe=nfe, afs=afs, batch=8, seed=3)
     report = run_experiment(cfg)
-    assert len(report.entries) == 10
-    assert len(calls) == sum(e.nfe_observed for e in report.entries) + 4 * 8 * 16 + 4 * 4 * 16
+    assert len(report.entries) == 10 and all(e.nfe_observed == e.nfe for e in report.entries)
+    groups = {}
+    for e in report.entries:
+        groups.setdefault((e.steps, kinds[e.solver].evals_per_interval), []).append(e.solver)
+    assert sorted(map(len, groups.values())) == [2, 2, 3, 3]
+    group_calls = sum(steps - 1 - afs + (evals - 1) * (steps - 1) * len(rows) for (steps, evals), rows in groups.items())
+    assert len(calls) == group_calls + 4 * 8 * 16 + 4 * 4 * 16
+
+
+LOCKSTEP_SPECS = ("euler_ddim", "heun_edm", "dpm2", "ipndm", "dpmpp_2m", "ipndm:2", "dpm2:0.3")
+
+
+@pytest.mark.parametrize("batch", [256, 1])
+@pytest.mark.parametrize("afs,nfe", [(False, (8, 16)), (True, (5, 9))], ids=["exact_first", "afs"])
+def test_lockstep_rows_equal_solo_runs(monkeypatch, afs, nfe, batch):
+    """Every row of a lockstep run equals its solver's own ``sample`` run: endpoint error, sliced W2 and NFE.
+
+    At batch 256 the bits are equal; at batch 1 the shared call's products may
+    round differently than a single row's, so a relative 1e-12 is allowed.
+    """
+    monkeypatch.delenv(dl.harness.ENV_OUTDIR, raising=False)
+    model = dl.load_model(ROOT / "configs" / "gmm4_d16.json")
+    kinds = tuple(dl.solvers.parse_solver_spec(s) for s in LOCKSTEP_SPECS)
+    cfg = RunConfig(model=model, solvers=kinds, nfe=nfe, afs=afs, batch=batch, seed=5)
+    report = run_experiment(cfg)
+    x_T = dl.stream(cfg.seed, "x_T").standard_normal((batch, model.dim)) * cfg.t_max
+    data = dl.sample_data(model, batch, dl.stream(cfg.seed, "data"))
+    ref = dl.reference_solve(model, x_T, dl.make_schedule("polynomial", 2, cfg.t_min, cfg.t_max)).endpoint
+    rel = 0.0 if batch == 256 else 1e-12
+    assert [(e.solver, e.nfe) for e in report.entries] == [(k.label(), n) for k in kinds for n in nfe]
+    for kind, e in zip((k for k in kinds for _ in nfe), report.entries):
+        schedule = dl.make_schedule(cfg.schedule_kind, e.steps, cfg.t_min, cfg.t_max, rho=cfg.rho)
+        solo = dl.sample(model, kind, schedule, x_T, afs=afs)
+        err = float(np.mean(np.linalg.norm(solo.endpoint - ref, axis=-1)))
+        sw = dl.sliced_wasserstein(solo.endpoint, data, seed=cfg.seed)
+        assert e.nfe_observed == solo.nfe == e.nfe, (e.solver, e.nfe)
+        assert e.mean_endpoint_l2 == pytest.approx(err, rel=rel, abs=0), (e.solver, e.nfe)
+        assert e.sliced_w2 == pytest.approx(sw, rel=rel, abs=0), (e.solver, e.nfe)
+
+
+def test_lockstep_divergence_names_the_group_and_interval(monkeypatch):
+    """A row that diverges inside a group ends the run in one DivergenceError naming the group's rows and interval."""
+    monkeypatch.delenv(dl.harness.ENV_OUTDIR, raising=False)
+    real = dl.harness.substep
+
+    def dpm2_fails_low(model, kind, x, t_hi, t_lo, carry=None, **kw):
+        x_next, nfe, carry = real(model, kind, x, t_hi, t_lo, carry, **kw)
+        return (x_next * np.nan if kind.tag == "dpm2" and t_hi < 1.0 else x_next), nfe, carry
+
+    monkeypatch.setattr(dl.harness, "substep", dpm2_fails_low)
+    cfg = RunConfig(model=make_gmm(7, 2, 4), solvers=(dl.SolverKind("euler_ddim"), dl.SolverKind("heun_edm"),
+                    dl.SolverKind("dpm2")), nfe=(8,), batch=4)
+    ts = dl.make_schedule(cfg.schedule_kind, 5, cfg.t_min, cfg.t_max, rho=cfg.rho).times[::-1]
+    t_hi, t_lo = next((hi, lo) for hi, lo in zip(ts, ts[1:]) if hi < 1.0)
+    with pytest.raises(dl.DivergenceError,
+                       match=rf"^heun_edm@8\+dpm2@8 diverged in interval \[{t_lo:g}, {t_hi:g}\]$"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("afs", [False, True])
+def test_lockstep_group_memory_is_at_most_its_rows_summed(afs):
+    """A one-call trio's walk peaks at no more than its rows' solo streamed walks summed, plus one state.
+
+    At batch 256 and d = 8 the trio read 19.0 states (22.0 with the analytic
+    first step) against solo walks of 5.1, 8.1 and 6.1 (6.1, 9.2 and 7.1).
+    """
+    import numpy.random  # noqa: F401  (loaded lazily by numpy; its import would count as the first walk's memory)
+    from difflab.harness import _lockstep
+    from difflab.solvers import _run, substep
+
+    model = make_gmm(3, 2, 8)
+    x_T = dl.stream(0, "x_T").standard_normal((256, 8)) * 80.0
+    kinds = [dl.SolverKind("euler_ddim"), dl.SolverKind("ipndm"), dl.SolverKind("dpmpp_2m")]
+    schedule = dl.make_schedule("polynomial", nfe_to_steps(kinds[0], 8, afs), 0.002, 80.0)
+
+    def peak(step, x):
+        def walk():
+            for _ in _run(model, step, schedule, x, afs, "walk"):
+                pass
+        walk()
+        return traced_peak(walk)
+
+    group = peak(partial(_lockstep, model, kinds), np.broadcast_to(x_T, (3,) + x_T.shape))
+    solos = [peak(partial(substep, model, kind), x_T) for kind in kinds]
+    assert group <= sum(solos) + x_T.nbytes, (group / x_T.nbytes, [s / x_T.nbytes for s in solos])
