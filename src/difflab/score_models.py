@@ -156,7 +156,7 @@ class ModelEval:
         return feature
 
 
-def eval_model(model: GaussianMixture, x, t) -> ModelEval:
+def eval_model(model: GaussianMixture, x, t, out=None) -> ModelEval:
     """Evaluate the closed-form noise prediction at state x and time t.
 
     x may carry leading batch dimensions, shape (..., d).  t is a positive
@@ -171,7 +171,8 @@ def eval_model(model: GaussianMixture, x, t) -> ModelEval:
     t * (x * sum_k a_k - sum_k a_k mu_k) with a_k = rho_k / v_k and rho_k the
     responsibilities; one product with [1 | mu] gives both sums.  A rho_k
     whose a_k would be subnormal is set to exactly 0, and so is that a_k.
-    ``epsilon`` is a fresh array; its caller may overwrite it.
+    ``epsilon`` is a fresh array, or ``out``: a C-contiguous float64 array of
+    x's shape, which may be x itself.  Its caller may overwrite it.
     """
     x = np.asarray(x, dtype=np.float64)
     if (d := x.shape[-1]) != model.dim:
@@ -195,7 +196,7 @@ def eval_model(model: GaussianMixture, x, t) -> ModelEval:
             lead = np.broadcast_shapes(x.shape[:-1], t.shape)
             x, t = np.broadcast_to(x, lead + (d,)), np.broadcast_to(t, lead)
         t_row, t_col = t.reshape(1, -1), t.reshape(-1, 1)
-    eps = np.subtract(x, model._centre, order="C")  # the centred states, spent on ε and returned whole, not as a view
+    eps = np.subtract(x, model._centre, out=out, order="C")  # the centred states, spent on ε and returned whole
     xc = eps.reshape(-1, d)                                             # (B, d)
 
     inv_var = 1.0 / (model._s2 + t_row * t_row)                         # (K, 1) or (K, B)
@@ -234,21 +235,46 @@ def exact_trajectory(model: GaussianMixture, x_T, t: float, T: float) -> np.ndar
     return mu + (np.asarray(x_T, dtype=np.float64) - mu) * scale
 
 
+def _rk4_step(model: GaussianMixture, x, t0, t1, total, k) -> None:
+    """One classical RK4 step of x in place, from t0 to t1 (times, or per-row times); total, k: x-shaped scratch.
+
+    The written-out step's bits: k1 + 2 k2 + 2 k3 + k4 summed left to right, each stage made in its slope's buffer.
+    """
+    h = t1 - t0
+    mid, half, sixth = t0 + 0.5 * h, 0.5 * h, h / 6.0
+    if np.ndim(h):  # per-row times span the state's last axis too
+        h, half, sixth = h[..., None], half[..., None], sixth[..., None]
+    total = eval_model(model, x, t0, out=total).epsilon
+    k = eval_model(model, np.add(x, np.multiply(half, total, out=k), out=k), mid, out=k).epsilon
+    total += 2.0 * k
+    k = eval_model(model, np.add(x, np.multiply(half, k, out=k), out=k), mid, out=k).epsilon
+    total += 2.0 * k
+    total += eval_model(model, np.add(x, np.multiply(h, k, out=k), out=k), t1, out=k).epsilon
+    total *= sixth
+    x += total
+
+
 def _rk4_interval(model: GaussianMixture, substeps: int, x, t_hi: float, t_lo: float, carry=None, eps_cur=None):
-    """``substeps`` uniform classical RK4 steps from t_hi to t_lo; returns (x, nfe, None)."""
+    """``substeps`` uniform classical RK4 steps from t_hi to t_lo on a copy of x; returns (x, nfe, None)."""
     grid = np.linspace(t_hi, t_lo, substeps + 1)
+    x, total, k = np.array(x, dtype=np.float64, order="C"), np.empty(np.shape(x)), np.empty(np.shape(x))
     for t0, t1 in zip(grid[:-1], grid[1:]):
-        h = t1 - t0
-        # The written-out step's bits: k1 + 2 k2 + 2 k3 + k4 summed left to right, stages and x made in spent slopes.
-        total = eval_model(model, x, t0).epsilon
-        k = eval_model(model, x + 0.5 * h * total, t0 + 0.5 * h).epsilon
-        total += 2.0 * k
-        k = eval_model(model, np.add(x, np.multiply(0.5 * h, k, out=k), out=k), t0 + 0.5 * h).epsilon
-        total += 2.0 * k
-        total += eval_model(model, np.add(x, np.multiply(h, k, out=k), out=k), t1).epsilon
-        total *= h / 6.0
-        x = np.add(x, total, out=k)
+        _rk4_step(model, x, t0, t1, total, k)
     return x, 4 * substeps, None
+
+
+def _rk4_pair_interval(model: GaussianMixture, substeps: int, pair, t_hi, t_lo, carry=None, eps_cur=None):
+    """RK4 from t_hi to t_lo on pair = [S//2 run, S run] in place, S = ``substeps``; returns (pair, 4 S, None).
+
+    Each S//2 step rides in the model calls of the first of the two S steps it
+    spans, each row to its own end time; the S row then takes the second alone.
+    """
+    fine = np.linspace(t_hi, t_lo, substeps + 1)  # its even nodes are the S//2 grid's, bit for bit
+    total, k, rows = np.empty(pair.shape), np.empty(pair.shape), (2,) + (1,) * (pair.ndim - 2)
+    for i in range(0, substeps, 2):
+        _rk4_step(model, pair, fine[i], fine[[i + 2, i + 1]].reshape(rows), total, k)
+        _rk4_step(model, pair[1], fine[i + 1], fine[i + 2], total[1], k[1])
+    return pair, 4 * substeps, None
 
 
 def oracle_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACLE_SUBSTEPS) -> Trajectory:
@@ -269,26 +295,28 @@ def reference_solve(model: GaussianMixture, x_T, schedule, substeps: int = ORACL
     """Reference states at the schedule's nodes, with their Richardson error estimate.
 
     A single-component model takes ``exact_trajectory`` at every node (nfe 0,
-    estimate 0).  Otherwise two walks of ``_rk4_interval`` integrate ``certified_grid``
-    joined with the schedule's nodes at S//2 and then S = ``substeps`` RK4 steps per
-    interval, streaming: only the S//2 endpoint and the S run's schedule-node states are kept.
-    ``error_estimate`` is mean |y_S - y_(S//2)| / ((S / (S//2))^4 - 1) at the
-    endpoint, and nfe counts both runs.
+    estimate 0).  Otherwise ``certified_grid`` joined with the schedule's nodes is
+    integrated at S//2 and S = ``substeps`` (even) RK4 steps per interval, the two
+    runs walked as one stacked pair (``_rk4_pair_interval``): 4 S model calls per
+    interval, which nfe counts, and at batch 2 and up the bits of the runs walked
+    apart.  It keeps x_T, a copy of the S row at each later schedule node and the
+    S//2 endpoint.  ``error_estimate`` is mean |y_S - y_(S//2)| / (2^4 - 1) at the endpoint.
     """
     if substeps < ORACLE_SUBSTEPS:
         raise ValueError(f"reference requires substeps >= {ORACLE_SUBSTEPS} per interval; got {substeps}")
+    if substeps % 2:
+        raise ValueError(f"reference requires an even substeps, S//2 steps that each span two S steps; got {substeps}")
     if model.n_components == 1:
         times = schedule.times[::-1]
         return Trajectory(times, [exact_trajectory(model, x_T, t, schedule.t_max) for t in times.tolist()], 0, 0.0)
     keep = set(schedule.times.tolist())
     grid = replace(schedule, times=sorted(keep.union(certified_grid(schedule.t_min, schedule.t_max).times.tolist())))
     x = np.asarray(x_T, dtype=np.float64)
-    for _, half, nfe in _walk_schedule(partial(_rk4_interval, model, substeps // 2), grid, x, None, "oracle"):
-        pass  # only the endpoint is kept
-    walk = _walk_schedule(partial(_rk4_interval, model, substeps), grid, x, None, "oracle")
-    fine = Trajectory.collect(node for node in walk if node[0] in keep)
-    estimate = float(np.mean(np.linalg.norm(fine.endpoint - half, axis=-1))) / ((substeps / (substeps // 2)) ** 4 - 1)
-    return Trajectory(fine.times, fine.xs, nfe + fine.nfe, estimate)
+    pair = np.stack((x, x))  # [S//2 run, S run], stepped in place
+    walk = _walk_schedule(partial(_rk4_pair_interval, model, substeps), grid, pair, None, "oracle")
+    ref = Trajectory.collect((t, pair[1].copy() if nfe else x, nfe) for t, _, nfe in walk if t in keep)
+    ref.error_estimate = float(np.mean(np.linalg.norm(ref.endpoint - pair[0], axis=-1))) / 15
+    return ref
 
 
 def sample_data(model: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:

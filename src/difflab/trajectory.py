@@ -2,8 +2,9 @@
 
 ``_walk_schedule`` is a generator that yields every node and keeps none: ``sample``,
 ``amed_sample``, ``oracle_solve`` and ``grid_align``'s baseline and search collect them (``Trajectory.collect``);
-``reference_solve`` keeps its S//2 run's endpoint and its S run's schedule nodes, ``run_experiment``
-each lockstep group's newest states and ``amed.train``'s teacher only the coarse nodes.
+``reference_solve`` walks its S//2 and S runs as one two-row state stepped in place and keeps copies of
+the S row at its schedule's nodes, ``run_experiment`` each lockstep group's newest states and
+``amed.train``'s teacher only the coarse nodes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ class Trajectory:
     times   -- the node times, one read-only float64 array.
     xs      -- the node states, node first: the walk's own arrays, or one array's rows
                (``states`` stacks them afresh); x may carry a leading batch dimension.
-    nfe     -- model evaluations per trajectory; an analytically substituted first one counts as zero.
+    nfe     -- model evaluations per trajectory; an analytically substituted first one counts as zero,
+               and ``reference_solve``'s counts the calls its two runs made together.
     error_estimate -- ``reference_solve``'s estimate of its mean endpoint error; else None.
     """
 

@@ -277,13 +277,13 @@ def test_align_and_train_amed_print_the_reference_estimate(tmp_path, capsys):
     assert main(["align", "--model", model, "--solver", "dpm2", "--schedule-kind", "uniform", "--N", "5",
                  "--batch", "8", "--out", str(tmp_path / "a.csv")]) == 0
     first, last = capsys.readouterr().out.splitlines()
-    m = re.fullmatch(r"reference: error estimate (\S+), 912 model calls", first)  # 4 * (8 + 4) * 19 intervals
+    m = re.fullmatch(r"reference: error estimate (\S+), 608 model calls", first)  # 4 * 8 * 19 intervals
     assert m is not None and 0 < float(m.group(1)) < 1e-5, first
     assert "mean alignment per step" in last
     assert main(["train-amed", "--model", model, "--teacher", "dpm2", "--N", "3", "--M", "1", "--images", "16",
                  "--batch", "16", "--out", str(tmp_path / "p.json")]) == 0
     line = capsys.readouterr().out.splitlines()[-2]  # the held-out line comes last
-    m = re.fullmatch(r"reference: error estimate (\S+), 768 model calls", line)  # 4 * (8 + 4) * 16 intervals
+    m = re.fullmatch(r"reference: error estimate (\S+), 512 model calls", line)  # 4 * 8 * 16 intervals
     assert m is not None and 0 < float(m.group(1)) < 1e-5, line
 
 

@@ -402,8 +402,9 @@ def test_the_reference_streams(monkeypatch, call):
     """Asked for the certified grid's two ends, the reference holds under 10 states, not the grid's 17 nodes.
 
     At d = 1024 a state outweighs every per-component array; a warm-up call
-    runs first, so lazy imports and caches do not count.  Collecting the
-    grid read 25 states for the reference and 27 for the run.
+    runs first, so lazy imports and caches do not count.  Walking its two
+    runs as one, stepped in place, the reference reads 8.3 states and the run
+    9.3; collecting the grid read 25 states for the reference and 27 for the run.
     """
     monkeypatch.delenv(dl.harness.ENV_OUTDIR, raising=False)
     model = make_gmm(3, 4, 1024)
@@ -419,7 +420,7 @@ def test_the_reference_streams(monkeypatch, call):
 
 @pytest.mark.parametrize("afs,nfe", [(False, (8, 16)), (True, (5, 9))], ids=["exact_first", "afs"])
 def test_run_experiment_counts_every_model_call(monkeypatch, afs, nfe):
-    """Model calls made = each lockstep group's calls plus both reference runs (8 and 4 RK4 substeps, 16 intervals).
+    """Model calls made = each lockstep group's calls plus the reference pair's (4 * 8 per interval, 16 intervals).
 
     A group of R rows with e calls per interval over I intervals makes one
     shared call per interval (none in interval 0 with the analytic first
@@ -437,7 +438,7 @@ def test_run_experiment_counts_every_model_call(monkeypatch, afs, nfe):
         groups.setdefault((e.steps, kinds[e.solver].evals_per_interval), []).append(e.solver)
     assert sorted(map(len, groups.values())) == [2, 2, 3, 3]
     group_calls = sum(steps - 1 - afs + (evals - 1) * (steps - 1) * len(rows) for (steps, evals), rows in groups.items())
-    assert len(calls) == group_calls + 4 * 8 * 16 + 4 * 4 * 16
+    assert len(calls) == group_calls + 4 * 8 * 16
 
 
 LOCKSTEP_SPECS = ("euler_ddim", "heun_edm", "dpm2", "ipndm", "dpmpp_2m", "ipndm:2", "dpm2:0.3")

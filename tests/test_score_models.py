@@ -518,13 +518,25 @@ def test_reference_solve_integrates_the_certified_grid_joined_with_the_schedule(
         for (t, xs), (tf, xf) in zip(ref.nodes, full.nodes[:: 16 // (n - 1)], strict=True):
             assert t == tf
             np.testing.assert_array_equal(xs, xf)
-        assert ref.nfe == 4 * (8 + 4) * 16
+        assert ref.nfe == 4 * 8 * 16
     # A 4-node uniform schedule shares only its ends with the grid: 17 + 2 nodes, 18 intervals.
     uniform = dl.make_schedule("uniform", 4, 0.002, 80.0)
     ref4 = dl.reference_solve(m, x, uniform)
     np.testing.assert_array_equal(ref4.times, uniform.times[::-1])
-    assert ref4.nfe == 4 * (8 + 4) * 18
+    assert ref4.nfe == 4 * 8 * 18
     assert 0 < ref4.error_estimate < 1e-4
+    # At batch 4 the two runs walked as one keep the bits of oracle_solve at S and S//2 on the joined grid.
+    joined = dataclasses.replace(uniform, times=sorted(set(uniform.times.tolist()) | set(grid.times.tolist())))
+    fine, half = dl.oracle_solve(m, x, joined, 8), dl.oracle_solve(m, x, joined, 4)
+    fine_at = dict(fine.nodes)
+    for t, xs in ref4.nodes:
+        np.testing.assert_array_equal(xs, fine_at[t])
+    assert ref4.error_estimate == float(np.mean(np.linalg.norm(fine.endpoint - half.endpoint, axis=-1))) / 15
+    # A single state's products may round differently from a batch's: a relative 1e-12.
+    one = dl.reference_solve(m, x[0], uniform)
+    alone = dict(dl.oracle_solve(m, x[0], joined, 8).nodes)
+    for t, xs in one.nodes:
+        assert np.linalg.norm(xs - alone[t]) <= 1e-12 * np.linalg.norm(alone[t]), t
 
 
 def test_reference_solve_substep_floor():
@@ -532,7 +544,9 @@ def test_reference_solve_substep_floor():
     sch = dl.make_schedule("uniform", 3, 0.5, 10.0)
     with pytest.raises(ValueError, match="reference requires substeps >= 8"):
         dl.reference_solve(m, np.ones(3), sch, 7)
-    assert dl.reference_solve(m, np.ones(3), sch, 8).nfe == 4 * (8 + 4) * 17
+    with pytest.raises(ValueError, match="even substeps.*; got 9"):
+        dl.reference_solve(m, np.ones(3), sch, 9)
+    assert dl.reference_solve(m, np.ones(3), sch, 8).nfe == 4 * 8 * 17
 
 
 @pytest.fixture(scope="module", params=["gmm2_d8.json", "gmm4_d16.json"])
@@ -719,7 +733,7 @@ def test_oracle_divergence_names_interval(monkeypatch):
     m = dl.GaussianMixture(weights=[1.0], means=[np.zeros(2)], stds=[1.0])
     sch = dl.make_schedule("uniform", 3, 1.0, 10.0)
 
-    def exploding(model, x, t):
+    def exploding(model, x, t, out=None):
         from difflab.score_models import ModelEval
 
         eps = np.full(np.shape(x), 1e308)

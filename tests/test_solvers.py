@@ -27,9 +27,9 @@ def count_model_calls(monkeypatch, *modules):
     calls = []
     real = dl.eval_model
 
-    def counted(model, x, t):
+    def counted(model, x, t, **kwargs):
         calls.append(t)
-        return real(model, x, t)
+        return real(model, x, t, **kwargs)
 
     for module in modules:
         monkeypatch.setattr(module, "eval_model", counted)
