@@ -140,7 +140,8 @@ def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Tr
     reference node.  A history-based base (ipndm) keeps the newest-first past
     slopes every candidate holds: the r = 1 candidate, one substep, holds one
     fewer.  Either walk diverging ends with a ``DivergenceError`` naming it
-    (``grid_align baseline`` or ``grid_align search``) and the interval.
+    (``grid_align baseline`` or ``grid_align search``) and the interval.  Each walk keeps only its current state
+    and, per node, its rows' distances to the reference node, read in place: memory does not grow with N.
     """
     grid = [float(r) for r in grid]
     if not grid:
@@ -157,7 +158,7 @@ def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Tr
     n_b = x0.shape[0]
     if n_b == 0:
         raise ValueError("reference trajectory holds no states")
-    ys = np.asarray(np.stack(oracle.xs[1:]), dtype=np.float64).reshape(schedule.n - 1, n_b, -1)  # as the walk's rows
+    ys = [np.asarray(y, dtype=np.float64).reshape(n_b, -1) for y in oracle.xs[1:]]  # in place, as the walk's rows
     picks = []
 
     def search(x, t_hi, t_lo, carry, eps_cur=None):
@@ -181,12 +182,15 @@ def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Tr
 
     with np.errstate(all="ignore"):  # both walks check it in their first interval
         eps0 = eval_model(model, x0, schedule.t_max).epsilon  # shared by both walks
-    walk = partial(_walk_schedule, schedule=schedule, x=x0, eps0=eps0)
-    baseline = Trajectory.collect(walk(partial(_search_step, model, base, 0.5), name="grid_align baseline"))
-    searched = Trajectory.collect(walk(search, name="grid_align search"))
-    alignment = np.linalg.norm(baseline.states[1:] - ys, axis=-1) - np.linalg.norm(searched.states[1:] - ys, axis=-1)
-    return AlignmentResult(target_times=schedule.times[-2::-1], best_r=np.array(grid)[np.array(picks)],
-                           alignment=alignment)
+
+    def distances(step, name):
+        """At each node after the first, the rows' distances to the reference node; the states are dropped."""
+        walk = _walk_schedule(step, schedule, x0, eps0, name)
+        return np.array([np.linalg.norm(x - ys[i - 1], axis=-1) for i, (_, x, _) in enumerate(walk) if i])
+
+    baseline = distances(partial(_search_step, model, base, 0.5), "grid_align baseline")
+    alignment = baseline - distances(search, "grid_align search")
+    return AlignmentResult(schedule.times[-2::-1], np.array(grid)[np.array(picks)], alignment)
 
 
 def write_alignment_csv(result: AlignmentResult, path) -> None:

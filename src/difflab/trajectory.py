@@ -1,7 +1,7 @@
 """Trajectories, the one schedule walk, and the one CSV writer.
 
-``_walk_schedule`` is a generator that yields every node and keeps none: ``sample``,
-``amed_sample``, ``oracle_solve`` and ``grid_align``'s baseline and search collect them (``Trajectory.collect``);
+``_walk_schedule`` is a generator that yields every node and keeps none: ``sample``, ``amed_sample`` and
+``oracle_solve`` collect them (``Trajectory.collect``), ``grid_align``'s two walks their rows' reference distances;
 ``reference_solve`` walks its S//2 and S runs as one two-row state stepped in place and keeps copies of
 the S row at its schedule's nodes, ``run_experiment`` each lockstep group's newest states and
 ``amed.train``'s teacher only the coarse nodes.
