@@ -8,13 +8,13 @@ training starts from that baseline and is not guaranteed to beat it.
 
 Training distills against a teacher run on a refined schedule: per interval
 the student step is taken, the batch-mean L2 gap to the teacher state is the
-loss, and the parameter gradient is exact MLP backpropagation from central
-finite-difference sensitivities of the loss with respect to the two or three
-output logits.  No autodiff framework is involved.  The step and its probes
-run together as one step over a probe grid (see ``step_loss_grad``), so an
-update costs 1 + one student step's model calls.  The teacher walks once per
-three loops on their stacked batches, bitwise as one walk per loop, and its
-first evaluation serves each loop's interval 0.
+loss, and the parameter gradient is exact MLP backpropagation, no autodiff,
+from the loss's sensitivities to the logits: exact for c, in which the step
+is affine, central differences for r and a.  The step and its probes run as
+one step over a probe grid (see ``step_loss_grad``): an update costs 1 + one
+student step's model calls.  The teacher walks once per three loops on their
+stacked batches, bitwise as one walk per loop, and its first evaluation
+serves each loop's interval 0.
 """
 
 from __future__ import annotations
@@ -160,9 +160,9 @@ def predict_with_cache(params: PredictorParams, h, t_hi, t_lo):
     h = np.asarray(h, dtype=np.float64)
     if h.shape[-1] != FEATURE_DIM:
         raise ValueError(f"feature has width {h.shape[-1]}, predictor expects {FEATURE_DIM}")
-    z1 = np.tanh(h @ params.w1 + params.b1)
+    z1 = np.tanh(np.add(z1 := h @ params.w1, params.b1, out=z1), out=z1)  # each layer formed in its own array
     u = np.empty(z1.shape[:-1] + params.w3.shape[:1])  # [z2 | time embedding]
-    z2 = np.tanh(z1 @ params.w2 + params.b2, out=u[..., : params.hidden])
+    z2 = np.tanh(np.add(z2 := np.matmul(z1, params.w2, out=u[..., : params.hidden]), params.b2, out=z2), out=z2)
     u[..., params.hidden :] = time_embedding(t_hi, t_lo, params.emb_dim)
     o = u @ params.w3 + params.b3
     if not np.isfinite(o).all():
@@ -180,8 +180,9 @@ def predictor_vjp(params: PredictorParams, cache, g_o) -> dict:
     go, h, z1, z2, u = (
         np.reshape(a, (-1, np.shape(a)[-1])) for a in (g_o, cache["h"], cache["z1"], cache["z2"], cache["u"])
     )
-    g_p2 = (go @ params.w3[: params.hidden].T) * (1.0 - z2**2)
-    g_p1 = (g_p2 @ params.w2.T) * (1.0 - z1**2)
+    # Each layer's tanh derivative 1 - z² is formed in one array, f, which then takes the product.
+    g_p2 = np.multiply(go @ params.w3[: params.hidden].T, np.subtract(1.0, f := np.square(z2), out=f), out=f)
+    g_p1 = np.multiply(g_p2 @ params.w2.T, np.subtract(1.0, f := np.square(z1), out=f), out=f)
     return {"w1": h.T @ g_p1, "b1": g_p1.sum(axis=0), "w2": z1.T @ g_p2, "b2": g_p2.sum(axis=0),
             "w3": u.T @ go, "b3": go.sum(axis=0)}
 
@@ -303,9 +304,9 @@ class TrainResult:
 
 _FD_H = 1e-3
 _TEACHER_GROUP = 3  # loops per teacher walk: 3 x batch rows, as many as a two-output probe grid evaluates
-# Logit shifts over the probe grid (c row, (r, a) column, logit); see step_loss_grad.
-_PROBE_SHIFTS = np.zeros((3, 5, 3))
-_PROBE_SHIFTS[1:, 0, 1] = _PROBE_SHIFTS[0, 1:3, 0] = _PROBE_SHIFTS[0, 3:, 2] = (_FD_H, -_FD_H)
+# Logit shifts of the probe grid's (r, a) columns, one row per column; see step_loss_grad.
+_PROBE_SHIFTS = np.zeros((5, 3))
+_PROBE_SHIFTS[1:3, 0] = _PROBE_SHIFTS[3:, 2] = (_FD_H, -_FD_H)
 
 
 def step_loss(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur=None) -> float:
@@ -324,43 +325,43 @@ def _map_carry(f, carry):
 def step_loss_grad(model, params, student, x, t_hi, t_lo, y, carry=None, eps_cur=None):
     """Loss, assembled parameter gradient, and the student's own continuation.
 
-    Returns ``(loss, grads, x_next, carry_next)``.  The gradient is exact
-    predictor backprop from central finite differences of the loss with
-    respect to the logits o (probes o +- h, h = 1e-3).  A clipped r or c
-    thus gets its true sensitivity, 0.
+    Returns ``(loss, grads, x_next, carry_next)``: exact predictor backprop from the loss's
+    sensitivities to the logits o.  x_next is affine in c, its carry free of c, so c's is exact:
+    <e, x(c + 1) - x(c)> / |e| * dc/do with e = x_next - y, 0 where c is clipped or e = 0.  r's
+    and a's are central differences, o +- h with h = 1e-3, so a clipped r gets its true 0.
 
-    The student step and all its probes run as one ``split_step`` over a
-    probe grid of shifted logits: axis 0 holds c's logit shifted by 0, +h,
-    -h; axis 1 holds r's by 0, +h, -h and, with a time scale, a's by +h,
-    -h.  x, the slope and the carry get two leading length-1 axes, so cell
-    [0, 0] is the step itself.  c only scales the final direction term, so
-    its probes cost no model call, and the evaluated probes share each of
-    the step's calls: an update costs 1 + one student step's model calls (2
-    for the learned solver and for euler, ipndm and dpmpp_2m, 4 for the heun
-    and dpm2 plugins), with two or three outputs alike.
+    One ``split_step`` runs over a probe grid: axis 0 holds c and c + 1, axis 1 r's logit shifted
+    by 0, +h, -h and, with a time scale, a's by +h, -h; x, the slope and the carry get two leading
+    length-1 axes, so cell [0, 0] is the step.  c scales only the final direction term, so the
+    probes share each of the step's model calls: an update costs 1 + one student step's (2 for the
+    learned solver and for euler, ipndm and dpmpp_2m, 4 for the heun and dpm2 plugins).
     """
     _check_interval(t_hi, t_lo)
     eps1, _, _, cache = _predict_for_step(model, params, x, t_hi, t_lo, eps_cur)
     o, k = cache["o"], params.outputs
-    shifts = _PROBE_SHIFTS[:, : 2 * k - 1, :k]
-    probe = _squash(o + shifts.reshape(shifts.shape[:2] + (1,) * (o.ndim - 1) + (k,)))
+    probe = _squash(o + _PROBE_SHIFTS[: 2 * k - 1, :k].reshape((2 * k - 1,) + (1,) * (o.ndim - 1) + (k,)))
 
     def lift(e):
         return np.asarray(e, dtype=np.float64)[None, None]
 
     grid, _, carry_grid = split_step(
-        model, lift(x), t_hi, t_lo, probe.r[:1], base=student, c=probe.c[:, :1],
-        a=None if probe.a is None else probe.a[:1], carry=_map_carry(lift, carry), eps_cur=lift(eps1),
+        model, lift(x), t_hi, t_lo, probe.r[None], base=student, c=np.stack((probe.c[0], probe.c[0] + 1.0))[:, None],
+        a=None if probe.a is None else probe.a[None], carry=_map_carry(lift, carry), eps_cur=lift(eps1),
     )
-    # Norms (np.linalg.norm's bits, without its wrapper) only for the cells read: row 0 and column 0.
-    row, col = (np.sqrt(np.add.reduce(d * d, axis=-1)) for d in (grid[0] - y, grid[1:, 0] - y))
     x_next = grid[0, 0].copy()
     carry_next = _map_carry(lambda e: e[0, 0].copy(), carry_grid)
-    del grid, carry_grid
-    loss = float(np.mean(row[0]))
-    n_samples = max(1, row[0].size)
-    g_o = np.stack([row[1] - row[2], col[0] - col[1], *([row[3] - row[4]] if k == 3 else [])], axis=-1)
-    return loss, predictor_vjp(params, cache, g_o / (2 * _FD_H * n_samples)), x_next, carry_next
+    e = np.subtract(grid[0], y, out=grid[0])  # the step's and the r, a probes' gaps to y, in the grid
+    dx = np.subtract(grid[1, 0], x_next, out=grid[1, 0])  # x(c + 1) - x(c) = dx/dc
+    slope = np.add.reduce(np.multiply(e[0], dx, out=dx), axis=-1)  # <e, dx/dc>
+    norms = np.sqrt(np.add.reduce(np.multiply(e, e, out=e), axis=-1))  # np.linalg.norm's bits, without its wrapper
+    del grid, carry_grid, e, dx
+    s = _sigmoid(o[..., 1])  # c = 2 s inside the clip
+    g_c = np.divide(slope * (2.0 * s * (1.0 - s)), norms[0], out=np.zeros_like(slope),
+                    where=(norms[0] > 0) & (_SIGMOID_CLIP < s) & (s < 1.0 - _SIGMOID_CLIP))
+    # c's column is scaled by 2h as r's and a's differences are: one division then keeps their bits.
+    g_o = np.stack([norms[1] - norms[2], g_c * (2 * _FD_H), *([norms[3] - norms[4]] if k == 3 else [])], axis=-1)
+    g_o /= 2 * _FD_H * max(1, norms[0].size)
+    return float(np.mean(norms[0])), predictor_vjp(params, cache, g_o), x_next, carry_next
 
 
 @np.errstate(all="ignore")  # the teacher's walk, the logits, the loss and the weights are checked, naming the interval

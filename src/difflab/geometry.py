@@ -134,14 +134,13 @@ def _search_step(model, base: SolverKind, r, x, t_hi, t_lo, carry=None, eps_cur=
 def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Trajectory) -> AlignmentResult:
     """Greedy per-interval search of the split exponent against a reference.
 
-    Two schedule walks from the reference's first state: the baseline steps
-    at r = 0.5; the search runs every grid value at each interval and, per
-    batch element, continues from the one whose step lands closest to the
-    reference node.  A history-based base (ipndm) keeps the newest-first past
-    slopes every candidate holds: the r = 1 candidate, one substep, holds one
-    fewer.  Either walk diverging ends with a ``DivergenceError`` naming it
-    (``grid_align baseline`` or ``grid_align search``) and the interval.  Each walk keeps only its current state
-    and, per node, its rows' distances to the reference node, read in place: memory does not grow with N.
+    Two schedule walks from the reference's first state, one state or one batch axis of them: the baseline
+    steps at r = 0.5; the search runs every grid value at each interval and, per batch element, continues
+    from the one whose step lands closest to the reference node.  A history-based base (ipndm) keeps the
+    newest-first past slopes every candidate holds: the r = 1 candidate, one substep, holds one fewer.
+    Either walk diverging ends with a ``DivergenceError`` naming it (``grid_align baseline`` or
+    ``grid_align search``) and the interval.  Each walk keeps only its current state and, per node, its
+    rows' distances to the reference node, read in place: memory does not grow with N.
     """
     grid = [float(r) for r in grid]
     if not grid:
@@ -155,9 +154,8 @@ def grid_align(model, base: SolverKind, schedule: TimeSchedule, grid, oracle: Tr
         raise ValueError("reference trajectory was not produced on this schedule")
 
     x0 = np.atleast_2d(np.asarray(oracle.xs[0], dtype=np.float64))  # a single state is a batch of one
-    n_b = x0.shape[0]
-    if n_b == 0:
-        raise ValueError("reference trajectory holds no states")
+    if x0.ndim > 2 or not (n_b := x0.shape[0]):
+        raise ValueError(f"reference holds no states or more than one batch axis: states of shape {x0.shape}")
     ys = [np.asarray(y, dtype=np.float64).reshape(n_b, -1) for y in oracle.xs[1:]]  # in place, as the walk's rows
     picks = []
 

@@ -87,8 +87,8 @@ def _col(u, x) -> np.ndarray:
 
 
 def _times(u, a) -> np.ndarray:
-    """u * a, written into a (the step's own array) when the ``_col`` factor u is a scalar: a per-sample u may widen a."""
-    return np.multiply(u, a, out=a if u.ndim == 0 else None)
+    """u * a, into a (the step's own array) when the ``_col`` factor u, a scalar or one per row, cannot widen a."""
+    return np.multiply(u, a, out=a if u.ndim == 0 or u.shape[:-1] == a.shape[:-1] else None)
 
 
 def _check_interval(t_hi, t_lo) -> None:
@@ -124,9 +124,10 @@ def split_step(model, x, t_hi, t_lo, r, *, base=None, w=1.0, c=1.0, a=None, carr
     s = _geom(t_lo, t_hi, r)
     t_eval = s if a is None else a * s
     if base is None:
-        x_s = _col(s - t_hi, x) * eps1
+        x_s = np.multiply(_col(s - t_hi, x), eps1, order="C")  # C-ordered, as eval_model's out= requires
         x_s += x
-        mix = _times(_col(w, x), eval_model(model, x_s, t_eval).epsilon)  # the fresh eps2, which t_lo - t_hi never widens
+        fits = np.shape(t_eval) == np.shape(s)  # x_s spans s; an a wider than s widens eps2 past x_s
+        mix = _times(_col(w, x), eval_model(model, x_s, t_eval, out=x_s if fits else None).epsilon)  # x_s: read no more
         mix += _col(1.0 - w, x) * eps1
         x_next = _times(_col(c, x), mix)
         x_next *= _col(t_lo - t_hi, x)

@@ -206,8 +206,10 @@ def test_learned_steps_reject_nan_times(gmm2_d8, base, which, form):
 
 @pytest.mark.parametrize("base", [None, "ipndm"])
 def test_nan_state_aborts_amed_sample_naming_the_interval(monkeypatch, gmm2_d8, poly_schedule, base):
-    def nan_eval(model, x, t):
-        return dl.ModelEval(epsilon=np.full(np.shape(x), np.nan))
+    def nan_eval(model, x, t, out=None):
+        eps = np.empty(np.shape(x)) if out is None else out
+        eps.fill(np.nan)
+        return dl.ModelEval(epsilon=eps)
 
     monkeypatch.setattr(amed, "eval_model", nan_eval)
     monkeypatch.setattr(dl.solvers, "eval_model", nan_eval)
@@ -405,22 +407,26 @@ def test_fd_gradient_matches_full_fd():
 
 
 def _serial_step_loss_grad(model, params, student, x, t_hi, t_lo, y, carry=None):
-    """Reference form of step_loss_grad: one full student step per logit probe."""
+    """Reference form of step_loss_grad: one full student step per r or a probe, and one at c + 1."""
     eps1, _, _, cache = amed._predict_for_step(model, params, x, t_hi, t_lo, None)
     o, h = cache["o"], 1e-3
 
-    def step(shift):
+    def step(shift, dc=0.0):
         out = amed._squash(o + shift)
-        return dl.split_step(model, x, t_hi, t_lo, out.r, base=student, c=out.c, a=out.a,
+        return dl.split_step(model, x, t_hi, t_lo, out.r, base=student, c=out.c + dc, a=out.a,
                              carry=carry, eps_cur=eps1)
 
     x_next, _, carry_next = step(0.0)
     norms = np.linalg.norm(x_next - y, axis=-1)
     g_o = np.zeros_like(o)
     for j, e in enumerate(np.eye(params.outputs) * h):
-        n_plus = np.linalg.norm(step(e)[0] - y, axis=-1)
-        n_minus = np.linalg.norm(step(-e)[0] - y, axis=-1)
-        g_o[..., j] = n_plus - n_minus
+        if j != 1:
+            g_o[..., j] = np.linalg.norm(step(e)[0] - y, axis=-1) - np.linalg.norm(step(-e)[0] - y, axis=-1)
+    # c: the affine rule, <e, x(c + 1) - x(c)> / |e| * dc/do, scaled like the differences above
+    s = amed._sigmoid(o[..., 1])
+    slope = np.add.reduce((x_next - y) * (step(0.0, 1.0)[0] - x_next), axis=-1)
+    unclipped = (1e-9 < s) & (s < 1.0 - 1e-9)
+    g_o[..., 1] = np.where(unclipped, slope * (2.0 * s * (1.0 - s)) / norms, 0.0) * (2 * h)
     grads = predictor_vjp(params, cache, g_o / (2 * h * norms.size))
     return float(np.mean(norms)), grads, x_next, carry_next
 
@@ -453,6 +459,51 @@ def test_probe_grid_matches_serial_probes_bitwise(gmm2_d8, poly_schedule, studen
             for g, w in zip(carry_grid, carry_ref):
                 assert np.shape(g) == np.shape(w)
                 np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("outputs", [2, 3])
+@pytest.mark.parametrize("student_tag", [None, "euler_ddim", "heun_edm", "dpm2", "ipndm", "dpmpp_2m"])
+def test_c_sensitivity_is_the_affine_rule(monkeypatch, gmm2_d8, poly_schedule, student_tag, outputs):
+    """c's logit sensitivity is <e, dx/dc> / |e| * dc/do per sample, written out here on its own terms.
+
+    x_next is affine in c, so dx/dc is the gap between steps at c = 0.5 and c = 1.5, and
+    dc/do = 2 sigma(o) (1 - sigma(o)) for c = 2 sigma(o) inside the clip, 0 outside it.  The
+    sensitivities are read where the backprop takes them, in the loss's scale (the batch mean).  A
+    central difference in c's logit misses the rule by 1e-9 to 2e-7 of |dx/dc| dc/do, its bound.
+    """
+    seen = []
+    monkeypatch.setattr(amed, "predictor_vjp", lambda params, cache, g_o: seen.append(g_o) or predictor_vjp(params, cache, g_o))
+    student = None if student_tag is None else dl.SolverKind(student_tag)
+    ts = poly_schedule.times[::-1]
+    is_c = np.arange(outputs) == 1
+    for c_logit in (None, -25.0, 25.0):  # c inside its clip, then every sample's c held at its low and high clip
+        params = rand_params(seed=21, hidden=8, emb_dim=8, outputs=outputs)
+        if c_logit is not None:
+            params = replace(params, w3=np.where(is_c, 0.0, params.w3), b3=np.where(is_c, c_logit, params.b3))
+        x, carry = dl.stream(22, "affine").standard_normal((6, 8)) * 80.0, None
+        for k in range(2):  # the second interval takes the ipndm and dpmpp_2m plugins' carries
+            t_hi, t_lo = float(ts[k]), float(ts[k + 1])
+            y = dl.stream(23, "affine-y", k).standard_normal((6, 8)) * t_lo
+            ev = dl.eval_model(gmm2_d8, x, t_hi)
+            out, cache = predict_with_cache(params, ev.feature, t_hi, t_lo)
+
+            def step(c):
+                return dl.split_step(gmm2_d8, x, t_hi, t_lo, out.r, base=student, c=c, a=out.a, carry=carry,
+                                     eps_cur=ev.epsilon)[0]
+
+            e = step(out.c) - y
+            dx_dc = step(1.5) - step(0.5)
+            sigma = 1.0 / (1.0 + np.exp(-cache["o"][:, 1]))
+            dc_do = np.where((sigma > 1e-9) & (sigma < 1.0 - 1e-9), 2.0 * sigma * (1.0 - sigma), 0.0) / len(e)
+            want = np.einsum("bd,bd->b", e, dx_dc) / np.linalg.norm(e, axis=-1) * dc_do
+            _, _, x, carry = step_loss_grad(gmm2_d8, params, student, x, t_hi, t_lo, y, carry)
+            got = seen.pop()[:, 1]
+            if c_logit is None:
+                assert np.all(dc_do > 0)
+                bound = np.linalg.norm(dx_dc, axis=-1) * dc_do  # |<e, dx/dc>| / |e| <= |dx/dc|
+                assert np.all(np.abs(got - want) <= 1e-11 * bound), np.abs(got - want) / bound
+            else:
+                assert np.all(dc_do == 0) and np.all(got == 0.0)
 
 
 @pytest.mark.parametrize("outputs", [2, 3])
@@ -600,13 +651,13 @@ def test_train_adam_overflow_names_loop_interval_and_lr():
 
 
 def test_train_logit_overflow_names_loop_interval_and_lr():
-    """At lr 3e306 the weights stay finite but their logits overflow: one error naming the loop, interval and lr."""
+    """At lr 2.5e306 the weights stay finite but their logits overflow: one error naming the loop, interval and lr."""
     m = make_gmm(21, 2, 4)
     sch = dl.make_schedule("polynomial", 4, 0.002, 80.0, rho=7.0)
-    cfg = TrainConfig(teacher=dl.SolverKind("dpm2"), student=None, m=1, batch=8, images=48, lr=3e306, seed=0)
+    cfg = TrainConfig(teacher=dl.SolverKind("dpm2"), student=None, m=1, batch=8, images=64, lr=2.5e306, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # one error, and no numpy warning ahead of it
-        with pytest.raises(dl.DivergenceError, match=r"^lr 3e\+306 overflowed the logits at loop 5, interval 0$"):
+        with pytest.raises(dl.DivergenceError, match=r"^lr 2\.5e\+306 overflowed the logits at loop 7, interval 0$"):
             amed.train(m, cfg, sch)
 
 

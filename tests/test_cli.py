@@ -95,9 +95,9 @@ def test_eval_names_the_diverging_reference(tmp_path, model_path, capsys, recwar
 def test_train_amed_names_overflowing_logits(tmp_path, model_path, capsys, recwarn):
     """Finite weights whose logits overflow end the run as an overflowing Adam step does: one line naming lr."""
     out = tmp_path / "p.json"
-    argv = ["train-amed", "--model", model_path, "--teacher", "dpm2", "--N", "4", "--images", "48",
-            "--batch", "8", "--lr", "3e306", "--out", str(out)]
-    _fails_with(capsys, argv, r"^difflab train-amed: error: lr 3e\+306 overflowed the logits at loop 5, interval 0$")
+    argv = ["train-amed", "--model", model_path, "--teacher", "dpm2", "--N", "4", "--images", "64",
+            "--batch", "8", "--lr", "2.5e306", "--out", str(out)]
+    _fails_with(capsys, argv, r"^difflab train-amed: error: lr 2\.5e\+306 overflowed the logits at loop 7, interval 0$")
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in recwarn]
     assert not out.exists()
 

@@ -229,6 +229,13 @@ def test_grid_align_validation(gmm2_d8, poly_schedule):
         dl.grid_align(gmm2_d8, dl.SolverKind("dpm2"), poly_schedule, [0.5], empty)
 
 
+def test_grid_align_refuses_more_than_one_batch_axis(gmm2_d8, poly_schedule):
+    # The walks' rows are one batch axis; a (2, 3) grid of states is refused by name, not by numpy's broadcast error.
+    oracle = dl.oracle_solve(gmm2_d8, dl.stream(4, "align").standard_normal((2, 3, 8)) * 80.0, poly_schedule, 8)
+    with pytest.raises(ValueError, match=r"^reference holds no states or more than one batch axis: states of shape \(2, 3, 8\)$"):
+        dl.grid_align(gmm2_d8, dl.SolverKind("dpm2"), poly_schedule, [0.5], oracle)
+
+
 def test_grid_align_multistep_bases(gmm2_d8, poly_schedule):
     x = dl.stream(9, "single").standard_normal((4, 8)) * 80.0
     oracle = dl.oracle_solve(gmm2_d8, x, poly_schedule, 64)

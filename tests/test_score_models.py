@@ -736,7 +736,8 @@ def test_oracle_divergence_names_interval(monkeypatch):
     def exploding(model, x, t, out=None):
         from difflab.score_models import ModelEval
 
-        eps = np.full(np.shape(x), 1e308)
+        eps = np.empty(np.shape(x)) if out is None else out
+        eps.fill(1e308)
         return ModelEval(epsilon=eps)
 
     monkeypatch.setattr(sm, "eval_model", exploding)

@@ -13,10 +13,11 @@ from conftest import make_gmm, nan_interval, traced_peak
 
 
 def const_field(vec):
-    """Stand-in for eval_model with a state- and time-independent slope."""
+    """Stand-in for eval_model with a state- and time-independent slope, written into ``out`` when given."""
 
-    def fake_eval(model, x, t):
-        eps = np.broadcast_to(np.asarray(vec, dtype=float), np.shape(x)).copy()
+    def fake_eval(model, x, t, out=None):
+        eps = np.empty(np.shape(x)) if out is None else out
+        eps[...] = vec
         return ModelEval(epsilon=eps)
 
     return fake_eval
@@ -277,9 +278,10 @@ def test_batched_matches_loop(gmm2_d8, poly_schedule):
 def test_divergence_aborts_with_interval(monkeypatch, gmm2_d8, poly_schedule):
     calls = {"n": 0}
 
-    def exploding(model, x, t):
+    def exploding(model, x, t, out=None):
         calls["n"] += 1
-        eps = np.full(np.shape(x), 1e308)
+        eps = np.empty(np.shape(x)) if out is None else out
+        eps.fill(1e308)
         return ModelEval(epsilon=eps)
 
     monkeypatch.setattr(solvers, "eval_model", exploding)
@@ -683,3 +685,55 @@ def test_streamed_walk_peak_in_states(poly_schedule, tag, states):
     walk()
     peak = traced_peak(walk)
     assert peak <= states * x_T.nbytes, peak / x_T.nbytes
+
+
+@pytest.mark.parametrize("tag", ["heun_edm", "dpm2"])
+def test_split_walks_evaluate_into_their_split_state(poly_schedule, tag):
+    """The split slope is evaluated into x_s, which the step reads no more: one state below the 5.3
+    that ``test_streamed_walk_peak_in_states`` bounds by 5.5; 4.3 at d = 1024."""
+    model = make_gmm(3, 4, 1024)
+    x_T = dl.stream(0, "x_T").standard_normal((32, 1024)) * 80.0
+
+    def walk():
+        deque(_walk(model, tag, poly_schedule, x_T, False), maxlen=0)
+
+    walk()
+    peak = traced_peak(walk)
+    assert peak <= 4.5 * x_T.nbytes, peak / x_T.nbytes
+
+
+@_INJECT
+@pytest.mark.parametrize("a", [None, 1.2], ids=["s", "time-scaled"])
+@pytest.mark.parametrize("r", [0.4, "per-sample"])
+def test_split_step_on_a_fortran_ordered_state(monkeypatch, gmm2_d8, r, a, inject):
+    """With no base the split slope is evaluated into x_s, which eval_model's out= needs C-ordered: a split
+    step on a Fortran-ordered (2, 5, 8) batch, with a Fortran-ordered injected slope, hands it a C-ordered
+    x_s and returns its C-ordered copy's endpoint bit for bit."""
+    outs = []
+
+    def spy(model, x, t, out=None):
+        outs.append(out)
+        return dl.eval_model(model, x, t, out=out)
+
+    monkeypatch.setattr(solvers, "eval_model", spy)
+    rng = dl.stream(13, "fortran")
+    x_c = rng.standard_normal((2, 5, 8)) * 20.0
+    r = rng.uniform(0.2, 1.0, (2, 5)) if r == "per-sample" else r
+    eps = dl.eval_model(gmm2_d8, x_c, 3.0).epsilon if inject else None
+    want, _, _ = solvers.split_step(gmm2_d8, x_c, 3.0, 1.0, r, c=0.9, a=a, eps_cur=eps)
+    outs.clear()
+    got, _, _ = solvers.split_step(gmm2_d8, np.asfortranarray(x_c), 3.0, 1.0, r, c=0.9, a=a,
+                                   eps_cur=None if eps is None else np.asfortranarray(eps))
+    assert outs[-1] is not None and outs[-1].flags.c_contiguous and outs[-1].shape == x_c.shape
+    assert got.shape == want.shape == x_c.shape and np.array_equal(got, want)
+
+
+def test_split_step_time_scale_wider_than_its_split(gmm2_d8):
+    """A time scale a wider than the split point widens the split slope past x_s: it is evaluated into a fresh
+    array, and the step widens as the written-out rule does."""
+    x = dl.stream(14, "wide a").standard_normal((_B, 8)) * 20.0
+    eps1 = dl.eval_model(gmm2_d8, x, 3.0).epsilon
+    a = np.linspace(0.9, 1.1, 3)[:, None] * np.ones(_B)
+    want, _ = _ref_split(gmm2_d8, x, 3.0, 1.0, 0.4, eps1, c=0.9, a=a)
+    got, _, _ = solvers.split_step(gmm2_d8, x, 3.0, 1.0, 0.4, c=0.9, a=a, eps_cur=eps1)
+    assert got.shape == (3, _B, 8) and np.array_equal(got, want)
